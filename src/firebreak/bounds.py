@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .game import check_game
 from .graphs import Graph, GraphError, Orientation, bits, metrics, popcount
 from .orient import bipartition
 from .structure import exact_colouring, forest_peel, greedy_colouring, ktree_structure, min_fvs
@@ -485,6 +486,7 @@ def bk_necessary(g: Graph, k: int) -> BkReport:
 
 
 def bound_report(g: Graph, f: int = 1, hints: Optional[BoundHints] = None) -> list[BoundEntry]:
+    check_game(g.n, f)
     return lower_bounds(g, f) + upper_bounds(g, f, hints)
 
 

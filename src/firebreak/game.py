@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Orientation, bits, mask_of, popcount
+from .graphs import GraphError, Orientation, bits, mask_of, popcount
 
 
 class StrategyFault(ValueError):
@@ -97,13 +97,21 @@ class Strategy:
         raise NotImplementedError
 
 
+def check_game(n: int, f: int, start: Optional[int] = None) -> None:
+    """Raise GraphError unless a game on n vertices with f protections per
+    step (and the given fire start, if any) is well defined."""
+    if n < 1:
+        raise GraphError("the graph has no vertices")
+    if f < 1:
+        raise GraphError("f must be at least 1")
+    if start is not None and not 0 <= start < n:
+        raise GraphError(f"start {start} is out of range 0..{n - 1}")
+
+
 def simulate(o: Orientation, start: int, f: int, strategy: Strategy) -> FireTrace:
     """Play one game; raises StrategyFault on an illegal protection."""
     n = o.n
-    if not 0 <= start < n:
-        raise ValueError("start out of range")
-    if f < 1:
-        raise ValueError("f must be at least 1")
+    check_game(n, f, start)
     om = o.out_mask
     burnt = 1 << start
     protected = 0

@@ -8,10 +8,20 @@ protections are only branched inside the live region (protecting elsewhere
 can never change a future spread), plus passing when nothing useful remains.
 
 Finding the best orientation enumerates edge directions depth-first in edge
-order (bit 0 = lower id to higher id first) with two sound prunes: a partial
-assignment dies once some outdegree forces 1 + d+ - f >= incumbent, and the
-scan stops when the incumbent reaches the proven density floor. Neither prune
-can skip the first optimum in enumeration order.
+order (bit 0 = lower id to higher id first) with three sound prunes:
+
+- outdegree: a partial assignment dies once some outdegree forces
+  1 + d+ - f >= incumbent;
+- sub-digraph bound: a partial assignment dies once the digraph of the arcs
+  fixed so far already has a value of at least the incumbent. Adding an arc
+  never lowers the value (the larger digraph's optimal defence, played in the
+  smaller one, keeps the fire a subset of the larger one's at every step), so
+  every completion is at least as bad;
+- density floor: the scan stops when the incumbent reaches the proven floor.
+
+Only a strict improvement replaces the incumbent, and each prune drops only
+orientations that cannot improve on it, so none can skip the first optimum
+in enumeration order.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .game import FireTrace, TraceEvent
+from .game import FireTrace, TraceEvent, check_game
 from .graphs import Graph, GraphError, Orientation, bits, orientation_from_bits, popcount
 
 
@@ -64,12 +74,19 @@ class GameValue:
 
 
 class Engine:
-    """Memoised optimal-defence search over a fixed digraph."""
+    """Memoised optimal-defence search over a fixed digraph.
 
-    def __init__(self, out_mask: list[int], n: int, f: int):
+    With a cap, every value at or above it is reported as the cap, which lets
+    the search skip any play that already burns that many. The orientation
+    scan only asks whether a value reaches its incumbent, so it uses a capped
+    engine; trace extraction needs an uncapped one.
+    """
+
+    def __init__(self, out_mask: list[int], n: int, f: int, cap: Optional[int] = None):
         self.out_mask = out_mask
         self.n = n
         self.f = f
+        self.cap = n if cap is None else cap
         self.full = (1 << n) - 1
         self.memo: dict[tuple[int, int], int] = {}
         self.nodes = 0
@@ -108,6 +125,8 @@ class Engine:
         rest = live & ~threat
         order = list(bits(threat)) + list(bits(rest))
         best = count + popcount(live)
+        if best > self.cap:
+            best = self.cap
         if f == 1:
             for p in order:
                 pb = 1 << p
@@ -229,8 +248,7 @@ def solve_orientation(
     """Optimal burned count for a fixed orientation: the exact minimum over
     all defence schedules, maximised over fire starts unless one is given."""
     _check_cap(o.n, max_vertices)
-    if f < 1:
-        raise GraphError("f must be at least 1")
+    check_game(o.n, f, start)
     t0 = time.perf_counter()
     eng = Engine(o.out_mask, o.n, f)
     starts = [start] if start is not None else list(range(o.n))
@@ -255,6 +273,7 @@ def solve_undirected(
     """Classic firefighting on an undirected graph: every edge carries both
     arcs. The number saved is |V| minus the result."""
     _check_cap(g.n, max_vertices)
+    check_game(g.n, f, start)
     t0 = time.perf_counter()
     eng = Engine(list(g.adj_mask), g.n, f)
     starts = [start] if start is not None else list(range(g.n))
@@ -269,18 +288,18 @@ def solve_undirected(
     )
 
 
-def _beta_with_cutoff(out_mask, n, f, cutoff, start_hint=0) -> int:
-    """Worst start value of a digraph, giving up early once it reaches
-    cutoff; the return is exact when below cutoff."""
-    eng = Engine(out_mask, n, f)
-    worst = 0
-    for s in range(start_hint, start_hint + n):
-        v = eng.start_value(s % n)
+def _beta_with_cutoff(out_mask, n, f, cutoff, starts) -> tuple[int, Optional[int]]:
+    """Worst value over the given starts and the start attaining it, giving up
+    once the value reaches cutoff; the value is exact when below cutoff."""
+    eng = Engine(out_mask, n, f, cap=cutoff)
+    worst, worst_start = 0, None
+    for s in starts:
+        v = eng.start_value(s)
         if v > worst:
-            worst = v
+            worst, worst_start = v, s
             if cutoff is not None and worst >= cutoff:
                 break
-    return worst
+    return worst, worst_start
 
 
 @dataclass
@@ -288,8 +307,16 @@ class _BestState:
     incumbent: Optional[int] = None
     witness_word: Optional[int] = None
     leaves: int = 0
+    hint: int = 0  # the start that last reached the incumbent
     stopped: bool = False
     budget_hit: bool = False
+
+
+# The sub-digraph bound is only checked with at least this many edges still
+# open: below that the subtree holds at most 2^3 leaves, mostly cut by the
+# outdegree prune anyway. Measured: 3 made K7 (f = 1) about 60% slower, 6 let
+# two to six times as many leaves through on grids.
+_MIN_OPEN_EDGES = 4
 
 
 def density_floor(g: Graph, f: int) -> int:
@@ -311,14 +338,14 @@ def solve_best_orientation(
     """Exact minimum of the fixed-orientation value over all 2^m orientations.
 
     An exhausted time or leaf budget turns the result into a flagged upper
-    bound instead of an exact value. With threads > 1 the orientation space is
-    split by edge prefix across worker processes; the value is identical, only
-    the witness may differ.
+    bound instead of an exact value. budget_leaves counts visited leaves
+    (complete orientations), not the internal nodes the bounds cut. With
+    threads > 1 the orientation space is split by edge prefix across worker
+    processes; the value is identical, only the witness may differ.
     """
     if g.m > max_edges:
         raise SolverLimitError(f"instance has {g.m} edges, cap is {max_edges}")
-    if f < 1:
-        raise GraphError("f must be at least 1")
+    check_game(g.n, f)
     t0 = time.perf_counter()
     floor = density_floor(g, f)
     if threads > 1:
@@ -343,6 +370,29 @@ def _scan_orientations(
 
     Returns (value, witness word, exact, leaves visited). The witness is the
     first optimum in enumeration order within the slice.
+
+    The sub-digraph bound is sound at any node: by monotonicity every
+    completion of a partial digraph whose value reaches the incumbent is no
+    strict improvement. What it costs is a fixed-orientation solve per check,
+    so it is checked only where it is likely to pay:
+
+    - right after an edge that was the last one of one of its endpoints, so
+      that vertex's out-arcs are final, and only with at least
+      _MIN_OPEN_EDGES edges still open, so the subtree it can cut is large;
+    - from at most two starts: the one that last reached the incumbent (at a
+      check or a leaf), then the one of largest outdegree so far. A start
+      that burns the incumbent in one orientation usually does so in its
+      neighbours, and a failed check then costs one or two starts, not n.
+      Leaves try every start, from the same one on.
+
+    Every solve is capped at the incumbent, since the scan only asks whether
+    a value reaches it. Checking from every start cut the most leaves but
+    made K7 (f = 1) slower than no check at all, and checking at every depth
+    slower still.
+
+    The clock for budget_ms is read on every bound check as well as every 64
+    leaves, because under the bound leaves become rare; budget_leaves counts
+    leaves only.
     """
     n, m = g.n, g.m
     lo_hi = [(min(u, v), max(u, v)) for u, v in g.edges]
@@ -357,6 +407,15 @@ def _scan_orientations(
         outdeg[tail] += 1
         out_mask[tail] |= 1 << head
 
+    last_edge = {}
+    for i, (u, v) in enumerate(lo_hi):
+        last_edge[u] = last_edge[v] = i
+    closing = {i + 1 for i in last_edge.values()}  # depths just after a vertex's last edge
+    check_at = [prefix_len < i <= m - _MIN_OPEN_EDGES and i in closing for i in range(m + 1)]
+
+    def over_budget() -> bool:
+        return budget_ms is not None and (time.perf_counter() - start_clock) * 1000 > budget_ms
+
     def allowed_outdeg() -> int:
         if state.incumbent is None:
             return n
@@ -366,8 +425,11 @@ def _scan_orientations(
         state.leaves += 1
         if state.incumbent is not None and 1 + max(outdeg) - f >= state.incumbent:
             return
-        value = _beta_with_cutoff(out_mask, n, f, state.incumbent)
-        if state.incumbent is None or value < state.incumbent:
+        starts = [(state.hint + k) % n for k in range(n)]
+        value, start = _beta_with_cutoff(out_mask, n, f, state.incumbent, starts)
+        if state.incumbent is not None and value >= state.incumbent:
+            state.hint = start
+        else:
             state.incumbent = value
             state.witness_word = word
             if state.incumbent <= floor:
@@ -377,18 +439,19 @@ def _scan_orientations(
         if state.stopped:
             return
         if state.incumbent is not None:
-            if budget_leaves is not None and state.leaves >= budget_leaves:
-                state.stopped = True
-                state.budget_hit = True
-                return
-            if (
-                budget_ms is not None
-                and state.leaves % 64 == 63
-                and (time.perf_counter() - start_clock) * 1000 > budget_ms
+            if (budget_leaves is not None and state.leaves >= budget_leaves) or (
+                (check_at[i] or state.leaves % 64 == 63) and over_budget()
             ):
                 state.stopped = True
                 state.budget_hit = True
                 return
+            if check_at[i]:
+                top = max(range(n), key=outdeg.__getitem__)
+                starts = [state.hint] if top == state.hint else [state.hint, top]
+                value, start = _beta_with_cutoff(out_mask, n, f, state.incumbent, starts)
+                if value >= state.incumbent:
+                    state.hint = start
+                    return
         if i == m:
             visit(word)
             return

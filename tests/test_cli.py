@@ -135,3 +135,26 @@ def test_malformed_input_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.g"
     bad.write_text("p 3 1\ne 2 2\n")
     assert main(["solve-best", "--in", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--start", "99"], "start 99 is out of range 0..3"),
+    (["solve", "--start", "-1"], "start -1 is out of range 0..3"),
+    (["solve-undirected", "--family", "complete", "--n", "4", "--start", "9"], "start 9 is out of range 0..3"),
+    (["solve-undirected", "--family", "complete", "--n", "4", "--f", "0"], "f must be at least 1"),
+    (["solve-best", "--in", "EMPTY"], "the graph has no vertices"),
+    (["bounds", "--in", "EMPTY"], "the graph has no vertices"),
+    (["bounds", "--family", "complete", "--n", "4", "--f", "0"], "f must be at least 1"),
+])
+def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
+    ofile = tmp_path / "k4.o"
+    run(capsys, "orient", "--recipe", "complete", "--n", "4", "--out", str(ofile))
+    empty = tmp_path / "empty.g"
+    empty.write_text("p 0 0\n")
+    if argv[0] == "solve":
+        argv = argv + ["--in", str(ofile)]
+    argv = [str(empty) if a == "EMPTY" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from firebreak.families import (
     star,
 )
 from firebreak.game import replay
-from firebreak.graphs import Graph, orientation_from_bits
+from firebreak.graphs import Graph, GraphError, orientation_from_bits
 from firebreak.orient import (
     orient_bounded_degree,
     orient_complete,
@@ -79,6 +80,18 @@ def test_size_cap():
         solve_best_orientation(complete(8), 1)
 
 
+def test_bad_game_arguments_raise_graph_error():
+    with pytest.raises(GraphError, match="no vertices"):
+        solve_best_orientation(Graph(0, []))
+    with pytest.raises(GraphError, match="f must be"):
+        solve_undirected(complete(4), f=0)
+    for start in (-1, 4):
+        with pytest.raises(GraphError, match="out of range"):
+            solve_orientation(orient_complete(4), 1, start=start)
+        with pytest.raises(GraphError, match="out of range"):
+            solve_undirected(complete(4), start=start)
+
+
 def test_undirected_star_centre():
     gv = solve_undirected(star(6), 1, start=0)
     assert gv.beta == 5
@@ -104,20 +117,28 @@ def test_best_k33():
     assert gv.beta == 2  # between the density floor 2 and the one-way bound 3
 
 
-def test_best_witness_is_first_optimum():
-    g = complete(4)
-
+def _first_optimum(g, f):
+    """Best value and the first orientation attaining it, in the scan's
+    enumeration order (bit 0 varies slowest), by solving every orientation."""
     def enum_key(word):
         return tuple((word >> i) & 1 for i in range(g.m))
 
     best, first = None, None
     for word in sorted(range(1 << g.m), key=enum_key):
-        value = naive_solve_orientation(orientation_from_bits(g, word), 1)
+        value = solve_orientation(orientation_from_bits(g, word), f, want_trace=False).beta
         if best is None or value < best:
             best, first = value, word
-    gv = solve_best_orientation(g, 1)
-    assert gv.beta == best
-    assert gv.witness_orientation.direction_bits() == first
+    return best, first
+
+
+def test_best_witness_is_first_optimum():
+    fives = list(enumerate_connected(5))
+    graphs = [g for n in (2, 3, 4) for g in enumerate_connected(n)]
+    graphs += random.Random(5).sample(fives, 120)
+    for g in graphs:
+        for f in (1, 2):
+            gv = solve_best_orientation(g, f, want_trace=False)
+            assert (gv.beta, gv.witness_orientation.direction_bits()) == _first_optimum(g, f), (g, f)
 
 
 def test_best_witness_trace_replays():
@@ -129,6 +150,16 @@ def test_best_witness_trace_replays():
 def test_best_budget_flags_inexact():
     gv = solve_best_orientation(complete(7), 1, budget_ms=0.2)
     assert not gv.exact
+    assert gv.beta >= 4
+
+
+def test_best_budget_holds_under_bound_prune():
+    # leaves are rare once the sub-digraph bound prunes, so the clock must
+    # also be polled on bound checks
+    t0 = time.perf_counter()
+    gv = solve_best_orientation(complete(8), 1, budget_ms=500, max_edges=28, want_trace=False)
+    assert not gv.exact
+    assert time.perf_counter() - t0 < 2.0
     assert gv.beta >= 4
 
 
