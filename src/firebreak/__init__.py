@@ -33,6 +33,7 @@ from .graphs import (
     Orientation,
     ParseError,
     bridges,
+    canonical_form,
     metrics,
     orientation_from_bits,
     read_graph,

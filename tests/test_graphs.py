@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from firebreak.graphs import (
     ParseError,
     bits,
     bridges,
+    canonical_form,
     mask_of,
     metrics,
     orientation_from_bits,
@@ -19,7 +21,7 @@ from firebreak.graphs import (
     write_graph,
     write_orientation,
 )
-from firebreak.families import complete, cycle, path, petersen
+from firebreak.families import complete, cycle, enumerate_connected, path, petersen
 
 
 def test_bitmask_helpers():
@@ -151,3 +153,42 @@ def test_bridges_parallel_edges_are_not_bridges():
     found, comps = bridges(g)
     assert found == set()
     assert len(comps) == 1
+
+
+# --- canonical form
+
+
+def relabellings(g):
+    """Every relabelling of g's edge set, as sorted edge tuples, by brute force."""
+    return {
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges))
+        for p in permutations(range(g.n))
+    }
+
+
+def test_canonical_form_against_brute_force():
+    # on every connected graph with n <= 5: the form is a relabelling of the
+    # input, and two graphs share a form exactly when they share the lex-min
+    # relabelling over all n! permutations
+    for n in range(1, 6):
+        by_form, by_brute = {}, {}
+        for i, g in enumerate(enumerate_connected(n)):
+            form = canonical_form(g)
+            perms = relabellings(g)
+            assert form.n == g.n and tuple(sorted(form.edges)) in perms
+            by_form.setdefault(form, set()).add(i)
+            by_brute.setdefault(min(perms), set()).add(i)
+        assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_brute.values()))
+
+
+def test_canonical_form_edge_cases():
+    for g in (Graph(0, []), Graph(3, []), Graph(5, [(3, 4), (0, 2)])):
+        assert tuple(sorted(canonical_form(g).edges)) in relabellings(g)
+    assert canonical_form(Graph(4, [(0, 1), (2, 3)])) == canonical_form(Graph(4, [(0, 3), (1, 2)]))
+    assert canonical_form(Graph(4, [(0, 1), (1, 2)])) != canonical_form(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_canonical_form_class_counts():
+    # connected graphs up to isomorphism, n = 1..6 (OEIS A001349)
+    counts = [len({canonical_form(g) for g in enumerate_connected(n)}) for n in range(1, 7)]
+    assert counts == [1, 1, 2, 6, 21, 112]

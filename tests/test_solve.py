@@ -18,7 +18,7 @@ from firebreak.families import (
     star,
 )
 from firebreak.game import replay
-from firebreak.graphs import Graph, GraphError, orientation_from_bits
+from firebreak.graphs import Graph, GraphError, canonical_form, orientation_from_bits
 from firebreak.orient import (
     orient_bounded_degree,
     orient_complete,
@@ -190,6 +190,34 @@ def test_oracle_best_small():
     for n in (2, 3, 4):
         for g in enumerate_connected(n):
             assert solve_best_orientation(g, 1, want_trace=False).beta == naive_best_orientation(g, 1)
+
+
+def test_naive_best_is_relabelling_invariant():
+    # the premise of keying the naive oracle by isomorphism class
+    for f, top in ((1, 5), (2, 4)):
+        graphs = [g for n in range(2, top + 1) for g in enumerate_connected(n)]
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = graphs[rng.randrange(len(graphs))]
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert naive_best_orientation(h, f) == naive_best_orientation(g, f), (f, seed)
+
+
+def test_oracle_suite_runs_naive_once_per_class(monkeypatch):
+    import firebreak.verify as verify
+
+    calls = []
+
+    def counted(g, f=1):
+        calls.append((f, canonical_form(g)))
+        return naive_best_orientation(g, f)
+
+    monkeypatch.setattr(verify, "naive_best_orientation", counted)
+    assert verify.suite_oracle().passed
+    assert len(calls) == len(set(calls))
+    assert sum(f == 1 for f, _ in calls) == 31 and sum(f == 2 for f, _ in calls) == 10
 
 
 def test_oracle_two_firefighters():
