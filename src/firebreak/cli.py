@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import families as gen
@@ -76,13 +75,6 @@ def _load_graph(args) -> Graph:
     return read_graph(_read_text(getattr(args, "infile", None)))
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("FIREBREAK_THREADS")
-    return int(env) if env else 1
-
-
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", metavar="FILE", help="input file ('-' for stdin)")
     p.add_argument("--family", choices=sorted(gen.FAMILIES), help="generate the input instead of reading it")
@@ -134,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=int, default=1)
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--max-edges", type=int, default=21)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_solve_best)
 
@@ -155,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--slow", action="store_true", help="include the expensive checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true", help="emit the suite result as JSON")
     p.set_defaults(fn=cmd_verify)
     return parser
@@ -216,9 +206,7 @@ def cmd_solve(args) -> int:
 
 def cmd_solve_best(args) -> int:
     g = _load_graph(args)
-    gv = solve_best_orientation(
-        g, f=args.f, budget_ms=args.budget_ms, max_edges=args.max_edges, threads=_threads(args)
-    )
+    gv = solve_best_orientation(g, f=args.f, budget_ms=args.budget_ms, max_edges=args.max_edges)
     obj = gv.to_json_obj()
     obj["graph"] = _source_label(args)
     obj["n"] = g.n
@@ -247,7 +235,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    result = run_suite(args.suite, slow=args.slow, seed=args.seed, threads=_threads(args))
+    result = run_suite(args.suite, slow=args.slow, seed=args.seed)
     if args.json:
         _emit_json(result.to_json_obj(), None)
     else:

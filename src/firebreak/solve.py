@@ -41,7 +41,8 @@ class SolverLimitError(GraphError):
 
 @dataclass
 class GameValue:
-    """Exact result of optimal play."""
+    """Exact result of optimal play. nodes_explored counts leaves (complete
+    orientations) in mode "best", engine states in "fixed" and "undirected"."""
 
     beta: int
     f: int
@@ -73,6 +74,20 @@ class GameValue:
         return obj
 
 
+def _protect_masks(live: int, threat: int, f: int):
+    """Every protect set the engine tries, as masks of f live vertices: the
+    threatened ones first, then the rest, each by ascending id, and for f >= 2
+    their combinations in that order. A saving move is met early, and the
+    witness is the first optimal set in this order."""
+    order = []
+    for part in (threat, live & ~threat):
+        while part:
+            low = part & -part
+            order.append(low)
+            part ^= low
+    return order if f == 1 else map(sum, combinations(order, f))
+
+
 class Engine:
     """Memoised optimal-defence search over a fixed digraph.
 
@@ -92,22 +107,32 @@ class Engine:
         self.nodes = 0
 
     def start_value(self, start: int) -> int:
-        burnt = 1 << start
-        live = self._reach(self.out_mask[start] & ~burnt, ~burnt & self.full)
-        threat = self.out_mask[start] & live
-        return self._value(burnt, live, threat, 1)
+        live, threat = self._burn(self.full, 0, 1 << start)
+        return self._value(1 << start, live, threat, 1)
 
-    def _reach(self, seed: int, allowed: int) -> int:
-        reached = 0
-        frontier = seed & allowed
+    def _burn(self, live: int, pm: int, spread: int) -> tuple[int, int]:
+        """One transition: protect pm, burn spread, then return the region
+        the fire can still reach through unprotected vertices and the part of
+        it under threat next."""
         om = self.out_mask
+        ou = 0
+        part = spread
+        while part:
+            low = part & -part
+            ou |= om[low.bit_length() - 1]
+            part ^= low
+        allowed = live & ~pm & ~spread
+        reached = 0
+        frontier = ou & allowed
         while frontier:
             reached |= frontier
             nxt = 0
-            for v in bits(frontier):
-                nxt |= om[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= om[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & allowed & ~reached
-        return reached
+        return reached, ou & reached
 
     def _value(self, burnt: int, live: int, threat: int, count: int) -> int:
         if not threat:
@@ -117,125 +142,69 @@ class Engine:
         if cached is not None:
             return cached
         self.nodes += 1
-        f = self.f
-        if popcount(live) <= f:
+        if popcount(live) <= self.f:
             self.memo[key] = count
             return count
-        om = self.out_mask
-        rest = live & ~threat
-        order = list(bits(threat)) + list(bits(rest))
         best = count + popcount(live)
         if best > self.cap:
             best = self.cap
-        if f == 1:
-            for p in order:
-                pb = 1 << p
-                spread = threat & ~pb
-                if not spread:
-                    best = count
+        for pm in _protect_masks(live, threat, self.f):
+            spread = threat & ~pm
+            if not spread:
+                best = count
+                break
+            newcount = count + popcount(spread)
+            if newcount >= best:
+                continue
+            newlive, newthreat = self._burn(live, pm, spread)
+            v = self._value(burnt | spread, newlive, newthreat, newcount)
+            if v < best:
+                best = v
+                if best == count:
                     break
-                newcount = count + popcount(spread)
-                if newcount >= best:
-                    continue
-                ou = 0
-                for x in bits(spread):
-                    ou |= om[x]
-                allowed = live & ~pb & ~spread
-                newlive = self._reach(ou, allowed)
-                v = self._value(burnt | spread, newlive, ou & newlive, newcount)
-                if v < best:
-                    best = v
-                    if best == count:
-                        break
-        else:
-            for chosen in combinations(order, f):
-                pm = 0
-                for p in chosen:
-                    pm |= 1 << p
-                spread = threat & ~pm
-                if not spread:
-                    best = count
-                    break
-                newcount = count + popcount(spread)
-                if newcount >= best:
-                    continue
-                ou = 0
-                for x in bits(spread):
-                    ou |= om[x]
-                allowed = live & ~pm & ~spread
-                newlive = self._reach(ou, allowed)
-                v = self._value(burnt | spread, newlive, ou & newlive, newcount)
-                if v < best:
-                    best = v
-                    if best == count:
-                        break
         self.memo[key] = best
         return best
 
     def extract_trace(self, start: int) -> FireTrace:
         """Walk one optimal play out of the solved memo table."""
         burnt = 1 << start
-        live = self._reach(self.out_mask[start] & ~burnt, ~burnt & self.full)
-        threat = self.out_mask[start] & live
+        live, threat = self._burn(self.full, 0, burnt)
         count = 1
         events = [TraceEvent(1, "burn", (start,))]
         t = 1
-        om = self.out_mask
-        f = self.f
         while threat:
-            target = self._value(burnt, live, threat, count)
-            if popcount(live) <= f:
-                chosen = tuple(sorted(bits(live)))
-            else:
-                chosen = self._optimal_choice(burnt, live, threat, count, target)
-            if chosen:
-                events.append(TraceEvent(t, "protect", chosen))
-            pm = 0
-            for p in chosen:
-                pm |= 1 << p
+            pm = self._optimal_choice(burnt, live, threat, count)
+            if pm:
+                events.append(TraceEvent(t, "protect", tuple(bits(pm))))
             spread = threat & ~pm
             if not spread:
                 break
             burnt |= spread
             count += popcount(spread)
-            ou = 0
-            for x in bits(spread):
-                ou |= om[x]
-            live = self._reach(ou, live & ~pm & ~spread)
-            threat = ou & live
+            live, threat = self._burn(live, pm, spread)
             t += 1
-            events.append(TraceEvent(t, "burn", tuple(sorted(bits(spread)))))
-        return FireTrace(start=start, f=f, events=events, burned=count)
+            events.append(TraceEvent(t, "burn", tuple(bits(spread))))
+        return FireTrace(start=start, f=self.f, events=events, burned=count)
 
-    def _optimal_choice(self, burnt, live, threat, count, target) -> tuple[int, ...]:
-        om = self.out_mask
-        order = list(bits(threat)) + list(bits(live & ~threat))
-        groups = [(p,) for p in order] if self.f == 1 else combinations(order, self.f)
-        for chosen in groups:
-            pm = 0
-            for p in chosen:
-                pm |= 1 << p
+    def _optimal_choice(self, burnt: int, live: int, threat: int, count: int) -> int:
+        """The first protect set, in _value's order, that keeps the memoised
+        value of the state."""
+        if popcount(live) <= self.f:
+            return live
+        target = self._value(burnt, live, threat, count)
+        for pm in _protect_masks(live, threat, self.f):
             spread = threat & ~pm
             if not spread:
                 if target == count:
-                    return tuple(sorted(chosen))
+                    return pm
                 continue
             newcount = count + popcount(spread)
             if newcount > target:
                 continue
-            ou = 0
-            for x in bits(spread):
-                ou |= om[x]
-            allowed = live & ~pm & ~spread
-            newlive = self._reach(ou, allowed)
-            if self._value(burnt | spread, newlive, ou & newlive, newcount) == target:
-                return tuple(sorted(chosen))
+            newlive, newthreat = self._burn(live, pm, spread)
+            if self._value(burnt | spread, newlive, newthreat, newcount) == target:
+                return pm
         raise AssertionError("memoised value has no matching play")
-
-
-def _check_cap(n: int, max_vertices: int) -> None:
-    if n > max_vertices:
-        raise SolverLimitError(f"instance has {n} vertices, cap is {max_vertices}")
 
 
 def solve_orientation(
@@ -247,21 +216,7 @@ def solve_orientation(
 ) -> GameValue:
     """Optimal burned count for a fixed orientation: the exact minimum over
     all defence schedules, maximised over fire starts unless one is given."""
-    _check_cap(o.n, max_vertices)
-    check_game(o.n, f, start)
-    t0 = time.perf_counter()
-    eng = Engine(o.out_mask, o.n, f)
-    starts = [start] if start is not None else list(range(o.n))
-    per_start = {s: eng.start_value(s) for s in starts}
-    beta = max(per_start.values())
-    witness = next(s for s in starts if per_start[s] == beta)
-    trace = eng.extract_trace(witness) if want_trace else None
-    return GameValue(
-        beta=beta, f=f, mode="fixed", exact=True,
-        witness_start=witness, witness_trace=trace,
-        per_start=per_start, nodes_explored=eng.nodes,
-        wall_ms=(time.perf_counter() - t0) * 1000,
-    )
+    return _solve_fixed(o.out_mask, o.n, f, start, max_vertices, want_trace, "fixed")
 
 
 def solve_undirected(
@@ -272,17 +227,25 @@ def solve_undirected(
 ) -> GameValue:
     """Classic firefighting on an undirected graph: every edge carries both
     arcs. The number saved is |V| minus the result."""
-    _check_cap(g.n, max_vertices)
-    check_game(g.n, f, start)
+    return _solve_fixed(list(g.adj_mask), g.n, f, start, max_vertices, True, "undirected")
+
+
+def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameValue:
+    # The public solvers share this body rather than call each other, so a
+    # wrapper around either name (benchmarks/tracing.py) counts each engine once.
+    if n > max_vertices:
+        raise SolverLimitError(f"instance has {n} vertices, cap is {max_vertices}")
+    check_game(n, f, start)
     t0 = time.perf_counter()
-    eng = Engine(list(g.adj_mask), g.n, f)
-    starts = [start] if start is not None else list(range(g.n))
+    eng = Engine(out_mask, n, f)
+    starts = [start] if start is not None else list(range(n))
     per_start = {s: eng.start_value(s) for s in starts}
     beta = max(per_start.values())
     witness = next(s for s in starts if per_start[s] == beta)
+    trace = eng.extract_trace(witness) if want_trace else None
     return GameValue(
-        beta=beta, f=f, mode="undirected", exact=True,
-        witness_start=witness, witness_trace=eng.extract_trace(witness),
+        beta=beta, f=f, mode=mode, exact=True,
+        witness_start=witness, witness_trace=trace,
         per_start=per_start, nodes_explored=eng.nodes,
         wall_ms=(time.perf_counter() - t0) * 1000,
     )
@@ -332,27 +295,20 @@ def solve_best_orientation(
     budget_ms: Optional[float] = None,
     budget_leaves: Optional[int] = None,
     max_edges: int = 21,
-    threads: int = 1,
     want_trace: bool = True,
 ) -> GameValue:
     """Exact minimum of the fixed-orientation value over all 2^m orientations.
 
     An exhausted time or leaf budget turns the result into a flagged upper
     bound instead of an exact value. budget_leaves counts visited leaves
-    (complete orientations), not the internal nodes the bounds cut. With
-    threads > 1 the orientation space is split by edge prefix across worker
-    processes; the value is identical, only the witness may differ.
+    (complete orientations), not the internal nodes the bounds cut.
     """
     if g.m > max_edges:
         raise SolverLimitError(f"instance has {g.m} edges, cap is {max_edges}")
     check_game(g.n, f)
     t0 = time.perf_counter()
     floor = density_floor(g, f)
-    if threads > 1:
-        result = _parallel_best(g, f, floor, threads, budget_ms, budget_leaves)
-    else:
-        result = _scan_orientations(g, f, floor, 0, 0, budget_ms, budget_leaves)
-    beta, word, exact, leaves = result
+    beta, word, exact, leaves = _scan_orientations(g, f, floor, budget_ms, budget_leaves)
     witness = orientation_from_bits(g, word)
     fixed = solve_orientation(witness, f=f, want_trace=want_trace)
     return GameValue(
@@ -363,13 +319,11 @@ def solve_best_orientation(
     )
 
 
-def _scan_orientations(
-    g: Graph, f: int, floor: int, prefix_word: int, prefix_len: int, budget_ms, budget_leaves=None
-):
-    """Depth-first scan of (a prefix-restricted slice of) orientation space.
+def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves):
+    """Depth-first scan of orientation space.
 
     Returns (value, witness word, exact, leaves visited). The witness is the
-    first optimum in enumeration order within the slice.
+    first optimum in enumeration order.
 
     The sub-digraph bound is sound at any node: by monotonicity every
     completion of a partial digraph whose value reaches the incumbent is no
@@ -401,17 +355,11 @@ def _scan_orientations(
     state = _BestState()
     start_clock = time.perf_counter()
 
-    for i in range(prefix_len):
-        u, v = lo_hi[i]
-        tail, head = (v, u) if (prefix_word >> i) & 1 else (u, v)
-        outdeg[tail] += 1
-        out_mask[tail] |= 1 << head
-
     last_edge = {}
     for i, (u, v) in enumerate(lo_hi):
         last_edge[u] = last_edge[v] = i
     closing = {i + 1 for i in last_edge.values()}  # depths just after a vertex's last edge
-    check_at = [prefix_len < i <= m - _MIN_OPEN_EDGES and i in closing for i in range(m + 1)]
+    check_at = [i <= m - _MIN_OPEN_EDGES and i in closing for i in range(m + 1)]
 
     def over_budget() -> bool:
         return budget_ms is not None and (time.perf_counter() - start_clock) * 1000 > budget_ms
@@ -465,38 +413,9 @@ def _scan_orientations(
             outdeg[tail] -= 1
             out_mask[tail] &= ~(1 << head)
 
-    rec(prefix_len, prefix_word)
+    rec(0, 0)
     exact = not state.budget_hit
     return state.incumbent, state.witness_word, exact, state.leaves
-
-
-def _scan_worker(args):
-    n, edges, f, floor, prefix_word, prefix_len, budget_ms, budget_leaves = args
-    g = Graph(n, edges)
-    return _scan_orientations(g, f, floor, prefix_word, prefix_len, budget_ms, budget_leaves)
-
-
-def _parallel_best(g: Graph, f: int, floor: int, threads: int, budget_ms, budget_leaves=None):
-    import multiprocessing
-
-    t_bits = 1
-    while (1 << t_bits) < 2 * threads and t_bits < g.m:
-        t_bits += 1
-    t_bits = min(t_bits, g.m)
-    # chunk order must match the depth-first enumeration: bit 0 varies slowest
-    chunk_words = sorted(range(1 << t_bits), key=lambda w: tuple((w >> i) & 1 for i in range(t_bits)))
-    jobs = [(g.n, g.edges, f, floor, w, t_bits, budget_ms, budget_leaves) for w in chunk_words]
-    with multiprocessing.Pool(processes=threads) as pool:
-        results = pool.map(_scan_worker, jobs)
-    best = None
-    for value, word, exact, leaves in results:
-        if value is None:
-            continue
-        if best is None or value < best[0]:
-            best = [value, word, exact, 0]
-    leaves_total = sum(r[3] for r in results)
-    exact_all = all(r[2] for r in results)
-    return best[0], best[1], exact_all, leaves_total
 
 
 # ---------------------------------------------------------------------------

@@ -131,16 +131,16 @@ def _timed(fn, *args, **kwargs):
 # suites
 
 
-def suite_complete_exact(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_complete_exact(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("complete-exact", seed)
     for n, expected in [(3, 1), (4, 2), (5, 2), (6, 3)]:
         g = gen.complete(n)
-        gv, ms = _timed(solve_best_orientation, g, 1, threads=threads, want_trace=False)
+        gv, ms = _timed(solve_best_orientation, g, 1, want_trace=False)
         s.check(f"K{n}", expected, gv.beta, gv.beta == expected and gv.exact, ms)
         s.solved(g, 1, gv.beta)
     if slow:
         g = gen.complete(7)
-        gv, ms = _timed(solve_best_orientation, g, 1, threads=threads, want_trace=False)
+        gv, ms = _timed(solve_best_orientation, g, 1, want_trace=False)
         s.check("K7", 4, gv.beta, gv.beta == 4 and gv.exact, ms)
         s.solved(g, 1, gv.beta)
     else:
@@ -156,11 +156,11 @@ def suite_complete_exact(slow: bool = False, seed: int = 0, threads: int = 1) ->
     return s.result
 
 
-def suite_bipartite_exact(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_bipartite_exact(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("bipartite-exact", seed)
     for (p, q), expected in [((2, 2), 1), ((4, 4), 3)]:
         g = gen.complete_bipartite(p, q)
-        gv, ms = _timed(solve_best_orientation, g, 1, threads=threads, want_trace=False)
+        gv, ms = _timed(solve_best_orientation, g, 1, want_trace=False)
         s.check(f"K{p},{q}", expected, gv.beta, gv.beta == expected and gv.exact, ms)
         s.solved(g, 1, gv.beta)
     # the outdegree lower-bound formula in exact rationals
@@ -193,7 +193,7 @@ def _cubic_instances(seed: int):
         yield f"cubic n={n} seed={seed + i}", gen.random_regular(n, 3, seed + i)
 
 
-def suite_subcubic(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_subcubic(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("subcubic", seed)
     for name, g in _cubic_instances(seed):
         t0 = time.perf_counter()
@@ -207,7 +207,7 @@ def suite_subcubic(slow: bool = False, seed: int = 0, threads: int = 1) -> Suite
     return s.result
 
 
-def suite_two_trees(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_two_trees(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("two-trees", seed)
     for i in range(20):
         n = 8 + (i % 5)
@@ -221,7 +221,7 @@ def suite_two_trees(slow: bool = False, seed: int = 0, threads: int = 1) -> Suit
     return s.result
 
 
-def suite_degree4(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_degree4(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("degree4", seed)
     for i in range(10):
         g = gen.random_regular(12, 4, seed + i)
@@ -234,7 +234,7 @@ def suite_degree4(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteR
     return s.result
 
 
-def suite_b1(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_b1(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("b1-characterisation", seed)
     top = 6 if slow else 5
     for n in range(1, top + 1):
@@ -260,7 +260,7 @@ def suite_b1(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult
     return s.result
 
 
-def suite_recurrence(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_recurrence(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("recurrence-closed-form", seed)
     mismatches = [
         (d, k, f)
@@ -280,7 +280,7 @@ def suite_recurrence(slow: bool = False, seed: int = 0, threads: int = 1) -> Sui
     return s.result
 
 
-def suite_grids(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_grids(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("grids", seed)
     w = h = 9
     o = orient_grid("rect", w, h)
@@ -316,7 +316,7 @@ def suite_grids(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteRes
     return s.result
 
 
-def suite_oracle(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_oracle(slow: bool = False, seed: int = 0) -> SuiteResult:
     import random
 
     s = _Suite("oracle-equivalence", seed)
@@ -360,7 +360,7 @@ def suite_oracle(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteRe
     return s.result
 
 
-def suite_bounds_consistency(slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def suite_bounds_consistency(slow: bool = False, seed: int = 0) -> SuiteResult:
     """Re-solve the instances of the exact suites and hold every one against
     the full bound report."""
     s = _Suite("bounds-consistency", seed)
@@ -421,9 +421,9 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
-def run_suite(name: str, slow: bool = False, seed: int = 0, threads: int = 1) -> SuiteResult:
+def run_suite(name: str, slow: bool = False, seed: int = 0) -> SuiteResult:
     try:
         fn = SUITES[name]
     except KeyError:
         raise GraphError(f"unknown suite '{name}'") from None
-    return fn(slow=slow, seed=seed, threads=threads)
+    return fn(slow=slow, seed=seed)

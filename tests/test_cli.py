@@ -94,6 +94,8 @@ def test_solve_undirected(capsys):
     assert code == 0
     result = json.loads(out)
     assert result["beta"] == 5 and result["saved"] == 1
+    assert result["mode"] == "undirected"
+    load_schema("solve.json")(result)
 
 
 def test_verify_suite_exit_zero(capsys):

@@ -10,6 +10,7 @@ from firebreak.families import (
     complete_bipartite,
     cycle,
     enumerate_connected,
+    grid_rect,
     k33,
     path,
     petersen,
@@ -18,7 +19,7 @@ from firebreak.families import (
     star,
 )
 from firebreak.game import replay
-from firebreak.graphs import Graph, GraphError, canonical_form, orientation_from_bits
+from firebreak.graphs import Graph, GraphError, Orientation, canonical_form, orientation_from_bits
 from firebreak.orient import (
     orient_bounded_degree,
     orient_complete,
@@ -57,13 +58,86 @@ def test_enough_firefighters_always_one():
         assert solve_orientation(o, o.max_out_degree()).beta == 1
 
 
+def _both_ways(g):
+    """The undirected game as an orientation: every edge as two opposite arcs."""
+    both = list(g.edges) + [(v, u) for u, v in g.edges]
+    return Orientation(Graph(g.n, both), both)
+
+
 def test_witness_trace_replays():
-    for o in (orient_complete(6), orient_subcubic(k33())):
-        gv = solve_orientation(o, 1)
+    cases = [(o, solve_orientation(o, f)) for o in (orient_complete(6), orient_subcubic(k33())) for f in (1, 2)]
+    cases += [(_both_ways(g), solve_undirected(g, f)) for g in (petersen(), grid_rect(3, 4)) for f in (1, 2)]
+    for o, gv in cases:
         result = replay(o, gv.witness_trace)
-        assert result.valid
+        assert result.valid, (gv.mode, gv.f, result)
         assert gv.witness_trace.burned == gv.beta
         assert gv.per_start[gv.witness_start] == gv.beta
+    assert any(len(ev.vertices) == 2 for _, gv in cases for ev in gv.witness_trace.events if ev.kind == "protect")
+
+
+def _pinned(mode, f, beta, start, nodes, per_start, events, orientation=None):
+    """A solve's JSON minus wall_ms; events are (t, kind, vertices)."""
+    obj = {
+        "f": f, "mode": mode, "beta": beta, "exact": True, "witness_start": start, "nodes_explored": nodes,
+        "per_start": {str(s): v for s, v in enumerate(per_start)},
+        "trace": {"start": start, "f": f, "burned": beta, "events": [{"t": t, kind: vs} for t, kind, vs in events]},
+    }
+    if orientation is not None:
+        obj["orientation"] = orientation
+    return obj
+
+
+_K5_BEST = [[0, 1], [0, 2], [3, 0], [4, 0], [1, 2], [1, 3], [4, 1], [2, 3], [2, 4], [3, 4]]
+
+PINNED = {
+    "grid3x4-undirected-f1": (
+        lambda: solve_undirected(grid_rect(3, 4), 1),
+        _pinned("undirected", 1, 7, 4, 505, [3, 4, 3, 6, 7, 6, 6, 7, 6, 3, 4, 3], [
+            (1, "burn", [4]), (1, "protect", [7]), (2, "burn", [1, 3, 5]), (2, "protect", [6]),
+            (3, "burn", [0, 2, 8]), (3, "protect", [11])]),
+    ),
+    "petersen-undirected-f2": (
+        lambda: solve_undirected(petersen(), 2),
+        _pinned("undirected", 2, 2, 0, 20, [2] * 10, [
+            (1, "burn", [0]), (1, "protect", [1, 4]), (2, "burn", [5]), (2, "protect", [7, 8])]),
+    ),
+    "4reg-n10-random-f2": (
+        lambda: solve_orientation(orientation_from_bits(random_regular(10, 4, 1), random.Random(0).getrandbits(20)), 2),
+        _pinned("fixed", 2, 3, 1, 14, [1, 3, 2, 1, 1, 1, 1, 1, 1, 1], [
+            (1, "burn", [1]), (1, "protect", [0, 4]), (2, "burn", [3, 8]), (2, "protect", [5, 9])]),
+    ),
+    "K5-best-f1": (
+        lambda: solve_best_orientation(complete(5), 1),
+        _pinned("best", 1, 2, 0, 85, [2] * 5, [
+            (1, "burn", [0]), (1, "protect", [2]), (2, "burn", [1]), (2, "protect", [3])], _K5_BEST),
+    ),
+    "K5-best-f2": (
+        lambda: solve_best_orientation(complete(5), 2),
+        _pinned("best", 2, 1, 0, 85, [1] * 5, [(1, "burn", [0]), (1, "protect", [1, 2])], _K5_BEST),
+    ),
+    "K33-best-f1": (
+        lambda: solve_best_orientation(k33(), 1),
+        _pinned("best", 1, 2, 0, 63, [2, 2, 1, 1, 2, 2], [
+            (1, "burn", [0]), (1, "protect", [4]), (2, "burn", [3])],
+            [[0, 3], [0, 4], [5, 0], [1, 3], [4, 1], [1, 5], [2, 3], [4, 2], [5, 2]]),
+    ),
+    "K33-best-f2": (
+        lambda: solve_best_orientation(k33(), 2),
+        _pinned("best", 2, 1, 0, 58, [1] * 6, [(1, "burn", [0]), (1, "protect", [3, 4])],
+                [[0, 3], [0, 4], [5, 0], [1, 3], [1, 4], [5, 1], [2, 3], [4, 2], [2, 5]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_witness_pinned(name):
+    # the witness is the first optimal play in the engine's protect-set order
+    # (threatened vertices first), so a change to that order or to the states
+    # searched moves a witness or a count here
+    solve, expected = PINNED[name]
+    obj = solve().to_json_obj()
+    del obj["wall_ms"]
+    assert obj == expected
 
 
 def test_single_start_solve():
@@ -168,13 +242,6 @@ def test_best_leaf_budget_flags_inexact():
     assert not gv.exact
     assert gv.nodes_explored <= 6
     assert gv.beta >= 4
-
-
-def test_best_threads_match_single():
-    for g in (complete(5), k33()):
-        a = solve_best_orientation(g, 1, threads=1).beta
-        b = solve_best_orientation(g, 1, threads=2).beta
-        assert a == b
 
 
 def test_oracle_fixed_orientations():
