@@ -60,13 +60,14 @@ class BoundHints:
 
 def burn_waves(delta: int, f: int, k: int) -> list[Fraction]:
     """Worst-case burn counts per time unit on the layered orientation:
-    1, delta - f, then each wave multiplies by delta - 1 and loses f."""
-    waves = [Fraction(1)]
+    1, delta - f, then each wave multiplies by delta - 1 and loses f. The
+    recurrence never leaves the integers, so it runs in int."""
+    waves = [1]
     if k >= 2:
-        waves.append(Fraction(delta - f))
+        waves.append(delta - f)
     for _ in range(3, k + 1):
         waves.append((delta - 1) * waves[-1] - f)
-    return waves
+    return [Fraction(w) for w in waves]
 
 
 def wave_total(delta: int, f: int, k: int) -> Fraction:
@@ -74,13 +75,19 @@ def wave_total(delta: int, f: int, k: int) -> Fraction:
 
 
 def refined_colour_bound(delta: int, f: int, k: int) -> Fraction:
-    """Closed form of the wave total for delta > 2."""
+    """Closed form of the wave total for delta > 2 and k >= 1:
+
+        (d (d-1)^(k-1) - 2) / (d-2) - f ((d-1)^k - d k + 2k - 1) / (d-2)^2,
+
+    evaluated over the common denominator (d-2)^2 with an integer numerator.
+    """
     if delta <= 2:
         raise GraphError("closed form needs maximum degree above 2")
-    d = Fraction(delta)
-    return (d * (d - 1) ** (k - 1) - 2) / (d - 2) - f * (
-        ((d - 1) ** k - d * k + 2 * k - 1) / (d - 2) ** 2
-    )
+    if k < 1:
+        raise GraphError("closed form needs k >= 1")
+    d = delta
+    num = (d * (d - 1) ** (k - 1) - 2) * (d - 2) - f * ((d - 1) ** k - d * k + 2 * k - 1)
+    return Fraction(num, (d - 2) ** 2)
 
 
 def beta_d_ladder(d: int, seed4: int = 5) -> int:
@@ -137,11 +144,19 @@ def greedy_clique(g: Graph) -> int:
     return best
 
 
-def _chromatic_number(g: Graph) -> tuple[int, bool]:
-    """(chromatic number or greedy part count, exact flag)."""
+def _chromatic_number(g: Graph, bipartite: bool) -> tuple[int, bool]:
+    """(chromatic number or greedy part count, exact flag).
+
+    Exact up to 16 vertices. A 1-colouring exists exactly when there is no
+    edge (loops are forbidden) and a 2-colouring exactly when the graph is
+    bipartite, so those answers need no search, and the search for any other
+    graph starts at 3. Above 16 vertices the greedy count is returned.
+    """
+    if 1 <= g.n <= 16 and bipartite:
+        return (2 if g.m else 1), True
     greedy = len(greedy_colouring(g))
     if g.n <= 16:
-        for k in range(1, greedy + 1):
+        for k in range(3, greedy + 1):
             if exact_colouring(g, k) is not None:
                 return k, True
     return greedy, False
@@ -170,13 +185,14 @@ def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
             "one firefighter; m >= n*delta_min/2 feeds the density bound",
         )
     )
-    omega = g.n if _is_complete(g) else greedy_clique(g)
+    is_complete = _is_complete(g)
+    omega = g.n if is_complete else greedy_clique(g)
     clique_value = Fraction(omega - 3) if omega >= 5 else Fraction(2) if omega == 4 else Fraction(1)
     entries.append(
         BoundEntry(
             "clique", "lower", clique_value, f == 1,
             f"one firefighter; contains a clique on {omega} vertices (subgraph monotonicity)",
-            note="" if _is_complete(g) else "greedy clique, so possibly undersized",
+            note="" if is_complete else "greedy clique, so possibly undersized",
         )
     )
     sides = _complete_bipartite_sides(g)
@@ -219,9 +235,10 @@ def upper_bounds(g: Graph, f: int = 1, hints: Optional[BoundHints] = None) -> li
     delta = g.max_degree()
 
     # trees and near-trees
-    is_tree = g.is_connected() and g.is_acyclic()
+    connected = g.is_connected()
+    is_tree = connected and g.is_acyclic()
     entries.append(BoundEntry("tree", "upper", Fraction(1), is_tree, "graph is a tree"))
-    at_most_one_cycle = g.is_connected() and m <= n
+    at_most_one_cycle = connected and m <= n
     entries.append(
         BoundEntry(
             "one-cycle", "upper", Fraction(1), at_most_one_cycle and f >= 1,
@@ -254,7 +271,7 @@ def upper_bounds(g: Graph, f: int = 1, hints: Optional[BoundHints] = None) -> li
         entries.append(BoundEntry("bipartite-oneway", "upper", None, False, "graph is not bipartite"))
 
     # chromatic bounds
-    chromatic, chi_exact = _chromatic_number(g)
+    chromatic, chi_exact = _chromatic_number(g, sides is not None)
     chi_note = "" if chi_exact else "greedy colouring estimate"
     coarse_ok = 1 <= f < delta
     coarse = Fraction(delta**chromatic) if delta >= 1 else None

@@ -247,15 +247,44 @@ FAMILIES = {
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """Yield every labelled simple connected graph on n vertices exactly once.
 
-    Runs over all 2^C(n,2) adjacency masks, so n is capped at 6.
+    Runs over all 2^C(n,2) edge words (bit i = the ith vertex pair), so n is
+    capped at 6. A word with fewer than n - 1 edges cannot be connected and is
+    skipped. The others are tested on neighbourhood bitmasks, and only
+    connected words become graphs, with their edges in pair order. Both come
+    from tables over the low 8 bits and the rest of the word; running the high
+    part in the outer loop keeps the words in ascending order.
     """
     if not 1 <= n <= 6:
         raise GraphError("labelled enumeration supports 1 <= n <= 6")
     pair_list = list(combinations(range(n), 2))
-    for word in range(1 << len(pair_list)):
-        edges = [pair_list[i] for i in range(len(pair_list)) if (word >> i) & 1]
-        if len(edges) < n - 1:
-            continue
-        g = Graph(n, edges)
-        if g.is_connected():
-            yield g
+    split = min(len(pair_list), 8)
+    low_table = _pair_subsets(n, pair_list[:split])
+    full = (1 << n) - 1
+    for high, (high_edges, high_am) in enumerate(_pair_subsets(n, pair_list[split:])):
+        for low, (low_edges, low_am) in enumerate(low_table):
+            if high.bit_count() + low.bit_count() < n - 1:
+                continue
+            seen = frontier = 1
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                v = bit.bit_length() - 1
+                new = (low_am[v] | high_am[v]) & ~seen
+                seen |= new
+                frontier |= new
+            if seen == full:
+                yield Graph(n, low_edges + high_edges)
+
+
+def _pair_subsets(n: int, pairs: list[tuple[int, int]]) -> list[tuple[tuple, list[int]]]:
+    """(edges, neighbourhood bitmasks) of every subset of pairs, indexed by the
+    subset's bitmask."""
+    table = []
+    for word in range(1 << len(pairs)):
+        edges = tuple(p for i, p in enumerate(pairs) if (word >> i) & 1)
+        am = [0] * n
+        for u, v in edges:
+            am[u] |= 1 << v
+            am[v] |= 1 << u
+        table.append((edges, am))
+    return table

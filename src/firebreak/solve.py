@@ -142,10 +142,10 @@ class Engine:
         if cached is not None:
             return cached
         self.nodes += 1
-        if popcount(live) <= self.f:
+        if live.bit_count() <= self.f:
             self.memo[key] = count
             return count
-        best = count + popcount(live)
+        best = count + live.bit_count()
         if best > self.cap:
             best = self.cap
         for pm in _protect_masks(live, threat, self.f):
@@ -153,7 +153,7 @@ class Engine:
             if not spread:
                 best = count
                 break
-            newcount = count + popcount(spread)
+            newcount = count + spread.bit_count()
             if newcount >= best:
                 continue
             newlive, newthreat = self._burn(live, pm, spread)
@@ -267,6 +267,10 @@ def _beta_with_cutoff(out_mask, n, f, cutoff, starts) -> tuple[int, Optional[int
 
 @dataclass
 class _BestState:
+    # An arc may leave a vertex only while its outdegree is below this: n
+    # with no incumbent (never binding on simple graphs), then incumbent + f - 2,
+    # the outdegree prune, so it is recomputed only when the incumbent changes.
+    max_outdeg: int
     incumbent: Optional[int] = None
     witness_word: Optional[int] = None
     leaves: int = 0
@@ -352,7 +356,7 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves):
     lo_hi = [(min(u, v), max(u, v)) for u, v in g.edges]
     outdeg = [0] * n
     out_mask = [0] * n
-    state = _BestState()
+    state = _BestState(max_outdeg=n)
     start_clock = time.perf_counter()
 
     last_edge = {}
@@ -364,11 +368,6 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves):
     def over_budget() -> bool:
         return budget_ms is not None and (time.perf_counter() - start_clock) * 1000 > budget_ms
 
-    def allowed_outdeg() -> int:
-        if state.incumbent is None:
-            return n
-        return state.incumbent + f - 2
-
     def visit(word: int) -> None:
         state.leaves += 1
         if state.incumbent is not None and 1 + max(outdeg) - f >= state.incumbent:
@@ -379,6 +378,7 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves):
             state.hint = start
         else:
             state.incumbent = value
+            state.max_outdeg = value + f - 2
             state.witness_word = word
             if state.incumbent <= floor:
                 state.stopped = True
@@ -405,7 +405,7 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves):
             return
         u, v = lo_hi[i]
         for bit, tail, head in ((0, u, v), (1, v, u)):
-            if outdeg[tail] + 1 > allowed_outdeg():
+            if outdeg[tail] >= state.max_outdeg:
                 continue
             outdeg[tail] += 1
             out_mask[tail] |= 1 << head

@@ -73,30 +73,35 @@ def forest_peel(g: Graph) -> list[list[int]]:
     Each part is a list of edge indices and is acyclic; the part count is an
     upper estimate of the arboricity. The depth-first walk matters: it leaves
     long paths rather than stars behind, so dense graphs peel in fewer rounds.
+
+    Every round walks ``g.adj`` (incidence lists in edge-index order) and skips
+    the edges earlier rounds took, so it sees each vertex's remaining edges in
+    the same order as lists rebuilt from the remaining edges would give. A
+    vertex with no remaining edge is never reached from another, so making it
+    a root only marks it seen.
     """
-    remaining = set(range(g.m))
+    adj = g.adj
+    used = [False] * g.m
+    remaining = g.m
     parts: list[list[int]] = []
     while remaining:
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for i in sorted(remaining):
-            u, v = g.edges[i]
-            inc[u].append((v, i))
-            inc[v].append((u, i))
         part: list[int] = []
         seen = [False] * g.n
         for root in range(g.n):
-            if seen[root] or not inc[root]:
+            if seen[root]:
                 continue
             seen[root] = True
             stack = [(root, 0)]
             while stack:
                 v, idx = stack[-1]
+                inc = adj[v]
                 descended = False
-                while idx < len(inc[v]):
-                    w, i = inc[v][idx]
+                while idx < len(inc):
+                    w, i = inc[idx]
                     idx += 1
-                    if not seen[w]:
+                    if not used[i] and not seen[w]:
                         seen[w] = True
+                        used[i] = True
                         part.append(i)
                         stack[-1] = (v, idx)
                         stack.append((w, 0))
@@ -104,7 +109,7 @@ def forest_peel(g: Graph) -> list[list[int]]:
                         break
                 if not descended:
                     stack.pop()
-        remaining.difference_update(part)
+        remaining -= len(part)
         parts.append(sorted(part))
     return parts
 
@@ -129,14 +134,24 @@ def is_forest(g: Graph, edge_indices) -> bool:
 
 def min_fvs(g: Graph) -> int:
     """Smallest vertex bitmask whose removal leaves a forest, by exhaustive
-    search in increasing size; intended for n up to about 20."""
-    for size in range(g.n + 1):
-        for subset in combinations(range(g.n), size):
+    search in increasing size; intended for n up to about 20.
+
+    A subset whose removal keeps at least n - size edges is skipped without a
+    forest test: a forest on n - size >= 1 vertices has at most n - size - 1
+    edges, parallel edges counted, so those edges hold a cycle. Every size
+    below n keeps a vertex, and size n - 1 always succeeds, so the rule never
+    meets n - size = 0 except on the empty graph, which returns the empty mask
+    either way.
+    """
+    n = g.n
+    ends = [(1 << u) | (1 << v) for u, v in g.edges]
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
             removed = mask_of(subset)
-            keep = [(u, v) for u, v in g.edges if not ((removed >> u) | (removed >> v)) & 1]
-            if Graph(g.n, keep).is_acyclic():
+            keep = [i for i, e in enumerate(ends) if not e & removed]
+            if len(keep) < n - size and is_forest(g, keep):
                 return removed
-    return (1 << g.n) - 1
+    return (1 << n) - 1
 
 
 def perfect_matching(g: Graph, must_include: Optional[int] = None) -> Optional[list[int]]:

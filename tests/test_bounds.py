@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,9 +22,12 @@ from firebreak.families import (
     complete_bipartite,
     cycle,
     enumerate_connected,
+    grid_rect,
+    grid_tri,
     path,
     petersen,
     random_ktree,
+    random_regular,
     random_tree,
 )
 from firebreak.graphs import GraphError
@@ -222,6 +227,24 @@ def test_ktree_half_bound_holds_for_best_orientation():
     for seed in (0, 3):
         g = random_ktree(7, 3, seed)
         assert solve_best_orientation(g, 1, want_trace=False).beta <= 3
+
+
+def test_bound_report_pinned():
+    # every entry of every report, frozen before the structure routines,
+    # the colouring and the closed forms were made cheaper
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    graphs += [complete(n) for n in range(1, 9)]
+    graphs += [complete_bipartite(p, q) for p in range(1, 6) for q in range(p, 6)]
+    graphs += [petersen(), grid_rect(3, 4), grid_tri(3, 4), random_regular(12, 3, 0),
+               random_regular(10, 4, 1)]
+    assert len(graphs) == 800
+    doc = json.dumps(
+        [[e.to_json_obj() for e in bound_report(g, f)] for g in graphs for f in (1, 2, 3)],
+        sort_keys=True,
+    )
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "18b30807c599be97ec0bcc8f2e59da1e4777139fffade2709fa5c24ff234af77"
+    )
 
 
 def test_sandwich_on_best_values():

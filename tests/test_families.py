@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from firebreak.families import (
@@ -10,7 +12,7 @@ from firebreak.families import (
     random_regular,
     random_tree,
 )
-from firebreak.graphs import GraphError
+from firebreak.graphs import Graph, GraphError
 
 
 def test_complete_edge_count():
@@ -100,6 +102,24 @@ def test_enumerate_connected_unique_and_connected():
         assert key not in seen
         seen.add(key)
         assert g.is_connected()
+
+
+def enumerate_reference(n):
+    pair_list = list(combinations(range(n), 2))
+    for word in range(1 << len(pair_list)):
+        edges = [pair_list[i] for i in range(len(pair_list)) if (word >> i) & 1]
+        if len(edges) < n - 1:
+            continue
+        g = Graph(n, edges)
+        if g.is_connected():
+            yield g
+
+
+def test_enumerate_connected_matches_reference():
+    # same graphs, same order, same edge order as the one-Graph-per-word sweep
+    for n in range(1, 7):
+        got = [(g.n, g.edges) for g in enumerate_connected(n)]
+        assert got == [(g.n, g.edges) for g in enumerate_reference(n)], n
 
 
 def test_enumerate_range_check():

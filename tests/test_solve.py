@@ -215,6 +215,17 @@ def test_best_witness_is_first_optimum():
             assert (gv.beta, gv.witness_orientation.direction_bits()) == _first_optimum(g, f), (g, f)
 
 
+def test_best_multigraph_outdegree_limit_before_incumbent():
+    # Until the first leaf sets an incumbent, no vertex takes an n-th out-arc.
+    # Only parallel edges can reach that limit, and here it decides the witness:
+    # the all-forward word 0 is never visited.
+    g = Graph(2, [(0, 1)] * 3)
+    for f in (1, 2):
+        gv = solve_best_orientation(g, f)
+        assert (gv.beta, gv.nodes_explored) == (1, 1)
+        assert gv.witness_orientation.arcs == ((0, 1), (0, 1), (1, 0))
+
+
 def test_best_witness_trace_replays():
     gv = solve_best_orientation(complete(5), 1)
     assert replay(gv.witness_orientation, gv.witness_trace).valid

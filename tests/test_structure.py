@@ -1,10 +1,14 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from firebreak.bounds import _chromatic_number
 from firebreak.families import (
     complete,
     cycle,
+    enumerate_connected,
     grid_tri,
     path,
     petersen,
@@ -14,7 +18,8 @@ from firebreak.families import (
     random_tree,
     star,
 )
-from firebreak.graphs import Graph, GraphError, popcount
+from firebreak.graphs import Graph, GraphError, mask_of, popcount
+from firebreak.orient import bipartition
 from firebreak.structure import (
     exact_colouring,
     forest_peel,
@@ -103,6 +108,91 @@ def test_min_fvs_leaves_forest():
     fvs = min_fvs(g)
     keep = [(u, v) for u, v in g.edges if not ((fvs >> u) | (fvs >> v)) & 1]
     assert Graph(g.n, keep).is_acyclic()
+
+
+# --- reference copies: the cheaper bodies must return exactly what the
+# straightforward ones did
+
+MULTIGRAPHS = [
+    Graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 1), (2, 3)]),
+    Graph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (3, 4)]),
+]
+
+
+def min_fvs_reference(g):
+    for size in range(g.n + 1):
+        for subset in combinations(range(g.n), size):
+            removed = mask_of(subset)
+            keep = [(u, v) for u, v in g.edges if not ((removed >> u) | (removed >> v)) & 1]
+            if Graph(g.n, keep).is_acyclic():
+                return removed
+    return (1 << g.n) - 1
+
+
+def forest_peel_reference(g):
+    remaining = set(range(g.m))
+    parts = []
+    while remaining:
+        inc = [[] for _ in range(g.n)]
+        for i in sorted(remaining):
+            u, v = g.edges[i]
+            inc[u].append((v, i))
+            inc[v].append((u, i))
+        part = []
+        seen = [False] * g.n
+        for root in range(g.n):
+            if seen[root] or not inc[root]:
+                continue
+            seen[root] = True
+            stack = [(root, 0)]
+            while stack:
+                v, idx = stack[-1]
+                descended = False
+                while idx < len(inc[v]):
+                    w, i = inc[v][idx]
+                    idx += 1
+                    if not seen[w]:
+                        seen[w] = True
+                        part.append(i)
+                        stack[-1] = (v, idx)
+                        stack.append((w, 0))
+                        descended = True
+                        break
+                if not descended:
+                    stack.pop()
+        remaining.difference_update(part)
+        parts.append(sorted(part))
+    return parts
+
+
+def chromatic_reference(g):
+    greedy = len(greedy_colouring(g))
+    if g.n <= 16:
+        for k in range(1, greedy + 1):
+            if exact_colouring(g, k) is not None:
+                return k, True
+    return greedy, False
+
+
+def test_min_fvs_matches_reference():
+    cases = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    for g in cases + [Graph(0, []), Graph(5, [])] + MULTIGRAPHS:
+        assert min_fvs(g) == min_fvs_reference(g), g.edges
+
+
+def test_forest_peel_matches_reference():
+    cases = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    for g in cases + [grid_tri(6, 6), complete(9)] + MULTIGRAPHS:
+        assert forest_peel(g) == forest_peel_reference(g), g.edges
+
+
+def test_chromatic_number_matches_reference():
+    cases = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    cases += [g for i, g in enumerate(enumerate_connected(6)) if i % 7 == 0]
+    cases += [complete(n) for n in range(1, 9)] + [petersen(), grid_tri(4, 4), prism(4)]
+    cases += [Graph(0, []), Graph(5, []), Graph(17, []), cycle(17), path(18)] + MULTIGRAPHS
+    for g in cases:
+        assert _chromatic_number(g, bipartition(g) is not None) == chromatic_reference(g), g.edges
 
 
 # --- perfect matchings
