@@ -12,7 +12,6 @@ of the closed-form bounds.
 from .bounds import (
     BkReport,
     BoundEntry,
-    BoundHints,
     beta_d_ladder,
     bk_necessary,
     bound_report,

@@ -41,19 +41,6 @@ class BoundEntry:
         return obj
 
 
-@dataclass
-class BoundHints:
-    """Structure facts the caller already knows; missing ones are computed
-    when cheap enough."""
-
-    orientation: Optional[Orientation] = None
-    k: Optional[int] = None
-    fvs: Optional[int] = None
-    colouring: Optional[list[list[int]]] = None
-    forests: Optional[list[list[int]]] = None
-    compute_missing: bool = True
-
-
 # ---------------------------------------------------------------------------
 # wave recurrence and its closed form
 
@@ -228,8 +215,11 @@ def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
 # upper bounds
 
 
-def upper_bounds(g: Graph, f: int = 1, hints: Optional[BoundHints] = None) -> list[BoundEntry]:
-    hints = hints or BoundHints()
+def upper_bounds(
+    g: Graph, f: int = 1, *, k: Optional[int] = None, orientation: Optional[Orientation] = None
+) -> list[BoundEntry]:
+    """Every upper-bound rule. ``k`` enables the k-tree rules when ``g`` is a
+    k-tree; ``orientation`` enables the rules for that orientation's value."""
     entries: list[BoundEntry] = []
     n, m = g.n, g.m
     delta = g.max_degree()
@@ -305,33 +295,27 @@ def upper_bounds(g: Graph, f: int = 1, hints: Optional[BoundHints] = None) -> li
         )
 
     # arboricity estimate
-    forests = hints.forests
-    if forests is None and hints.compute_missing:
-        forests = forest_peel(g)
-    if forests is not None:
-        a_est = len(forests)
-        entries.append(
-            BoundEntry(
-                "arboricity-cover", "upper", Fraction(1), f >= a_est,
-                f"f at least the forest partition size {a_est}",
-                note="estimate-based: partition size bounds the arboricity from above",
-            )
+    a_est = len(forest_peel(g))
+    entries.append(
+        BoundEntry(
+            "arboricity-cover", "upper", Fraction(1), f >= a_est,
+            f"f at least the forest partition size {a_est}",
+            note="estimate-based: partition size bounds the arboricity from above",
         )
-        rational = Fraction(1) + Fraction(n - 1, a_est) if a_est else None
-        entries.append(
-            BoundEntry(
-                "arboricity-pace", "upper", rational, a_est > 0 and f >= a_est - 1,
-                f"f at least {a_est - 1}: one new burn per unit while each unit retires "
-                f"{a_est} vertices",
-                note="estimate-based",
-            )
+    )
+    rational = Fraction(1) + Fraction(n - 1, a_est) if a_est else None
+    entries.append(
+        BoundEntry(
+            "arboricity-pace", "upper", rational, a_est > 0 and f >= a_est - 1,
+            f"f at least {a_est - 1}: one new burn per unit while each unit retires "
+            f"{a_est} vertices",
+            note="estimate-based",
         )
+    )
 
     # feedback vertex set
-    fvs_mask = hints.fvs
-    if fvs_mask is None and hints.compute_missing and n <= 18:
+    if n <= 18:
         fvs_mask = min_fvs(g)
-    if fvs_mask is not None:
         size = popcount(fvs_mask)
         entries.append(
             BoundEntry(
@@ -343,7 +327,6 @@ def upper_bounds(g: Graph, f: int = 1, hints: Optional[BoundHints] = None) -> li
         entries.append(BoundEntry("fvs", "upper", None, False, "no feedback vertex set supplied"))
 
     # k-tree bounds
-    k = hints.k
     structure = ktree_structure(g, k) if k is not None else None
     if structure is not None:
         diam = metrics(g).diam
@@ -400,37 +383,38 @@ def upper_bounds(g: Graph, f: int = 1, hints: Optional[BoundHints] = None) -> li
     else:
         entries.append(BoundEntry("degree-ladder", "upper", None, False, "one-firefighter bound"))
 
-    # orientation-specific bounds
-    o = hints.orientation
-    if o is not None and o.graph == g:
-        dplus = o.max_out_degree()
-        entries.append(
-            BoundEntry(
-                "outdegree-cover", "upper", Fraction(1), f >= dplus,
-                f"f at least the orientation's maximum outdegree {dplus}",
-            )
-        )
-        entries.append(
-            BoundEntry(
-                "outdegree-pace", "upper",
-                Fraction(1) + Fraction(n - 1, dplus) if dplus else None,
-                dplus >= 1 and f >= dplus - 1,
-                f"f at least {dplus - 1} on an orientation with maximum outdegree {dplus}",
-            )
-        )
-        rad = metrics(o).rad
-        entries.append(
-            BoundEntry(
-                "radius", "upper",
-                None if rad == math.inf else Fraction(n - int(rad)),
-                f == 1 and rad != math.inf,
-                "one firefighter; protect one vertex per distance layer of this orientation",
-            )
-        )
-    else:
-        for rule in ("outdegree-cover", "outdegree-pace", "radius"):
-            entries.append(BoundEntry(rule, "upper", None, False, "no orientation supplied"))
+    entries += _orientation_bounds(g, f, orientation)
     return entries
+
+
+def _orientation_bounds(g: Graph, f: int, o: Optional[Orientation]) -> list[BoundEntry]:
+    """Upper bounds on the value of the one orientation ``o`` of ``g``; unlike
+    the other rules they hold for that orientation, not only for the best."""
+    if o is None or o.graph != g:
+        return [
+            BoundEntry(rule, "upper", None, False, "no orientation supplied")
+            for rule in ("outdegree-cover", "outdegree-pace", "radius")
+        ]
+    dplus = o.max_out_degree()
+    rad = metrics(o).rad
+    return [
+        BoundEntry(
+            "outdegree-cover", "upper", Fraction(1), f >= dplus,
+            f"f at least the orientation's maximum outdegree {dplus}",
+        ),
+        BoundEntry(
+            "outdegree-pace", "upper",
+            Fraction(1) + Fraction(g.n - 1, dplus) if dplus else None,
+            dplus >= 1 and f >= dplus - 1,
+            f"f at least {dplus - 1} on an orientation with maximum outdegree {dplus}",
+        ),
+        BoundEntry(
+            "radius", "upper",
+            None if rad == math.inf else Fraction(g.n - int(rad)),
+            f == 1 and rad != math.inf,
+            "one firefighter; protect one vertex per distance layer of this orientation",
+        ),
+    ]
 
 
 def complete_upper_bound(n: int, f: int) -> Fraction:
@@ -502,37 +486,26 @@ def bk_necessary(g: Graph, k: int) -> BkReport:
 # report assembly
 
 
-def bound_report(g: Graph, f: int = 1, hints: Optional[BoundHints] = None) -> list[BoundEntry]:
+def bound_report(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[BoundEntry]:
     check_game(g.n, f)
-    return lower_bounds(g, f) + upper_bounds(g, f, hints)
+    return lower_bounds(g, f) + upper_bounds(g, f, k=k)
 
 
-# upper-bound rules that hold for the value of one fixed orientation, rather
-# than for the best orientation only
-_PER_ORIENTATION_RULES = {"outdegree-cover", "outdegree-pace", "radius"}
-
-
-def check_sandwich(
-    g: Graph,
-    f: int,
-    beta: int,
-    hints: Optional[BoundHints] = None,
-    mode: str = "best",
-) -> list[str]:
+def check_sandwich(g: Graph, f: int, beta: int, orientation: Optional[Orientation] = None) -> list[str]:
     """Violation messages for any applicable bound that contradicts beta.
 
-    mode "best" checks every applicable upper bound against a best-orientation
-    value; mode "fixed" is for the value of one constructed orientation, where
-    only orientation-derived upper bounds are binding (structural bounds speak
-    about the best orientation and the suites assert them separately).
+    Without an orientation, beta is a best-orientation value and meets every
+    rule. With one, beta is that orientation's value: it meets the lower
+    bounds, which hold for every orientation, and the rules for that
+    orientation; the structural upper bounds speak about the best orientation
+    only, and the suites assert them separately.
     """
     problems = []
     for entry in lower_bounds(g, f):
         if entry.applicable and entry.value is not None and entry.value > beta:
             problems.append(f"lower bound {entry.name} = {entry.value} exceeds beta = {beta}")
-    for entry in upper_bounds(g, f, hints):
-        if mode == "fixed" and entry.name not in _PER_ORIENTATION_RULES:
-            continue
+    uppers = upper_bounds(g, f) if orientation is None else _orientation_bounds(g, f, orientation)
+    for entry in uppers:
         if entry.applicable and entry.value is not None and entry.value < beta:
             problems.append(f"upper bound {entry.name} = {entry.value} is below beta = {beta}")
     return problems

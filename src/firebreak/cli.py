@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import families as gen
-from .bounds import BoundHints, bound_report
+from .bounds import bound_report
 from .game import StrategyFault, replay, simulate
 from .graphs import (
     Graph,
@@ -228,8 +228,7 @@ def cmd_solve_undirected(args) -> int:
 
 def cmd_bounds(args) -> int:
     g = _load_graph(args)
-    hints = BoundHints(k=args.k)
-    entries = [e.to_json_obj() for e in bound_report(g, args.f, hints)]
+    entries = [e.to_json_obj() for e in bound_report(g, args.f, k=args.k)]
     _emit_json(entries, args.out)
     return 0
 

@@ -283,11 +283,6 @@ def orientation_from_bits(graph: Graph, word: int, meta: Optional[dict] = None) 
     return Orientation(graph, arcs, meta)
 
 
-def bidirected_out_masks(graph: Graph) -> list[int]:
-    """Out-neighbour masks of the digraph with both arcs per edge."""
-    return list(graph.adj_mask)
-
-
 # ---------------------------------------------------------------------------
 # canonical form
 

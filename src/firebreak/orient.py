@@ -165,6 +165,20 @@ def _complete_arcs(order: Sequence[int], index: dict, arcs: list) -> None:
             arcs[index[(order[i], order[j])]] = (order[i], order[j])
 
 
+def _tournament(order: Sequence[int], index: dict, arcs: list) -> Optional[int]:
+    """Orient the clique on ``order``: the cyclic tournament when its size is
+    odd, else every vertex into the last one, the sink, and the cyclic
+    tournament on the rest. Returns the sink, or None."""
+    if len(order) % 2 == 1:
+        _complete_arcs(order, index, arcs)
+        return None
+    *rest, sink = order
+    _complete_arcs(rest, index, arcs)
+    for v in rest:
+        arcs[index[(v, sink)]] = (v, sink)
+    return sink
+
+
 def orient_complete(n: int) -> Orientation:
     """Tournament on K_n: cyclic and (n-1)/2-outregular for odd n; for even n
     one vertex becomes a sink and the rest form the odd tournament."""
@@ -173,15 +187,7 @@ def orient_complete(n: int) -> Orientation:
     g = gen.complete(n)
     index = _edge_index(g)
     arcs: list = [None] * g.m
-    if n % 2 == 1:
-        _complete_arcs(list(range(n)), index, arcs)
-        sink = None
-    else:
-        sink = n - 1
-        if n > 2:
-            _complete_arcs(list(range(n - 1)), index, arcs)
-        for v in range(n - 1):
-            arcs[index[(v, sink)]] = (v, sink)
+    sink = _tournament(list(range(n)), index, arcs)
     meta = {"scheme": "complete", "n": n, "order": tuple(range(n)), "sink": sink}
     return Orientation(g, arcs, meta=meta)
 
@@ -284,16 +290,7 @@ def orient_ktree(g: Graph, k: int) -> Orientation:
         raise GraphError(f"input is not a {k}-tree")
     index = _edge_index(g)
     arcs: list = [None] * g.m
-    central = list(info.central)
-    if len(central) % 2 == 1:
-        _complete_arcs(central, index, arcs)
-        sink = None
-    else:
-        sink = central[-1]
-        if len(central) > 2:
-            _complete_arcs(central[:-1], index, arcs)
-        for v in central[:-1]:
-            arcs[index[(v, sink)]] = (v, sink)
+    sink = _tournament(list(info.central), index, arcs)
     for u, clique in info.order:
         for w in clique:
             arcs[index[(u, w)]] = (u, w)

@@ -16,14 +16,13 @@ from typing import Callable, Optional
 
 from . import families as gen
 from .bounds import (
-    BoundHints,
     beta_d_ladder,
     check_sandwich,
     refined_colour_bound,
     wave_total,
 )
 from .game import replay, simulate
-from .graphs import Graph, GraphError, canonical_form, orientation_from_bits
+from .graphs import Graph, GraphError, Orientation, canonical_form, orientation_from_bits
 from .orient import (
     orient_bounded_degree,
     orient_grid,
@@ -92,7 +91,6 @@ class SuiteResult:
 class _Suite:
     def __init__(self, name: str, seed: int):
         self.result = SuiteResult(suite=name, seed=seed)
-        self.instances: list[tuple[Graph, int, int, Optional[BoundHints], str]] = []
 
     def check(self, name: str, expected, computed, passed: bool, wall_ms: float = 0.0):
         self.result.checks.append(
@@ -112,10 +110,9 @@ class _Suite:
                         computed=str(measured), passed=True)
         )
 
-    def solved(self, g: Graph, f: int, beta: int, hints=None, mode: str = "best"):
-        """Record an instance and screen it against the bound formulas."""
-        self.instances.append((g, f, beta, hints, mode))
-        problems = check_sandwich(g, f, beta, hints, mode=mode)
+    def solved(self, g: Graph, f: int, beta: int, orientation: Optional[Orientation] = None):
+        """Screen a solved instance against the bound formulas."""
+        problems = check_sandwich(g, f, beta, orientation)
         if problems:
             self.check(f"sandwich[{g.meta.get('family', 'graph')} n={g.n}]", "no violations",
                        "; ".join(problems), False)
@@ -203,7 +200,7 @@ def suite_subcubic(slow: bool = False, seed: int = 0) -> SuiteResult:
         tight = name in ("K4", "petersen")
         ok = gv.beta == 2 if tight else gv.beta <= 2
         s.check(name, "2" if tight else "<= 2", gv.beta, ok, ms)
-        s.solved(g, 1, gv.beta, BoundHints(orientation=o), mode="fixed")
+        s.solved(g, 1, gv.beta, orientation=o)
     return s.result
 
 
@@ -217,7 +214,7 @@ def suite_two_trees(slow: bool = False, seed: int = 0) -> SuiteResult:
         gv = solve_orientation(o, 1, want_trace=False)
         ms = (time.perf_counter() - t0) * 1000
         s.check(f"2-tree n={n} seed={seed + i}", "<= 2", gv.beta, gv.beta <= 2, ms)
-        s.solved(g, 1, gv.beta, BoundHints(orientation=o, k=2), mode="fixed")
+        s.solved(g, 1, gv.beta, orientation=o)
     return s.result
 
 
@@ -230,7 +227,7 @@ def suite_degree4(slow: bool = False, seed: int = 0) -> SuiteResult:
         gv = solve_orientation(o, 1, want_trace=False)
         ms = (time.perf_counter() - t0) * 1000
         s.check(f"4-regular n=12 seed={seed + i}", "<= 5", gv.beta, gv.beta <= 5, ms)
-        s.solved(g, 1, gv.beta, BoundHints(orientation=o), mode="fixed")
+        s.solved(g, 1, gv.beta, orientation=o)
     return s.result
 
 
@@ -365,9 +362,9 @@ def suite_bounds_consistency(slow: bool = False, seed: int = 0) -> SuiteResult:
     the full bound report."""
     s = _Suite("bounds-consistency", seed)
 
-    def screen(name, g, f, beta, hints=None, mode="best"):
+    def screen(name, g, f, beta, orientation=None):
         t0 = time.perf_counter()
-        problems = check_sandwich(g, f, beta, hints, mode=mode)
+        problems = check_sandwich(g, f, beta, orientation)
         ms = (time.perf_counter() - t0) * 1000
         s.check(name, "no violations", "; ".join(problems) or "none", not problems, ms)
 
@@ -382,17 +379,17 @@ def suite_bounds_consistency(slow: bool = False, seed: int = 0) -> SuiteResult:
     for name, g in list(_cubic_instances(seed))[:10]:
         o = orient_subcubic(g)
         beta = solve_orientation(o, 1, want_trace=False).beta
-        screen(f"subcubic {name}", g, 1, beta, BoundHints(orientation=o), mode="fixed")
+        screen(f"subcubic {name}", g, 1, beta, orientation=o)
     for i in range(5):
         g = gen.random_ktree(8 + i, 2, seed + i)
         o = orient_ktree(g, 2)
         beta = solve_orientation(o, 1, want_trace=False).beta
-        screen(f"2-tree n={8 + i}", g, 1, beta, BoundHints(orientation=o, k=2), mode="fixed")
+        screen(f"2-tree n={8 + i}", g, 1, beta, orientation=o)
     for i in range(3):
         g = gen.random_regular(12, 4, seed + i)
         o = orient_bounded_degree(g, 4)
         beta = solve_orientation(o, 1, want_trace=False).beta
-        screen(f"4-regular seed={seed + i}", g, 1, beta, BoundHints(orientation=o), mode="fixed")
+        screen(f"4-regular seed={seed + i}", g, 1, beta, orientation=o)
     count = 0
     worst = None
     for n in range(2, 5):

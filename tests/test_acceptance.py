@@ -1,7 +1,7 @@
 """Acceptance suite: every release criterion as one test, each printing its
 own pass/fail line.
 
-The multi-minute n=6 class sweep follows the CLI's slow gate: set
+The n=6 class sweep (about 7 s) follows the CLI's slow gate: set
 FIREBREAK_SLOW=1 to include it. All tolerances are exact integer or exact
 rational comparisons.
 """
@@ -12,7 +12,6 @@ import time
 import pytest
 
 from firebreak.bounds import (
-    BoundHints,
     beta_d_ladder,
     check_sandwich,
     refined_colour_bound,
@@ -247,17 +246,17 @@ def test_criterion_10_bounds_sandwich():
     for name, g in (("K4", complete(4)), ("petersen", petersen()), ("K33", k33())):
         o = orient_subcubic(g)
         beta = solve_orientation(o, 1, want_trace=False).beta
-        problems += check_sandwich(g, 1, beta, BoundHints(orientation=o), mode="fixed")
+        problems += check_sandwich(g, 1, beta, orientation=o)
     for i in range(5):
         g = random_ktree(8 + i, 2, i)
         o = orient_ktree(g, 2)
         beta = solve_orientation(o, 1, want_trace=False).beta
-        problems += check_sandwich(g, 1, beta, BoundHints(orientation=o, k=2), mode="fixed")
+        problems += check_sandwich(g, 1, beta, orientation=o)
     for i in range(3):
         g = random_regular(12, 4, i)
         o = orient_bounded_degree(g, 4)
         beta = solve_orientation(o, 1, want_trace=False).beta
-        problems += check_sandwich(g, 1, beta, BoundHints(orientation=o), mode="fixed")
+        problems += check_sandwich(g, 1, beta, orientation=o)
     for n in range(2, 6):
         for g in enumerate_connected(n):
             beta = solve_best_orientation(g, 1, want_trace=False).beta

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from firebreak import bounds
 from firebreak.bounds import (
-    BoundHints,
     beta_d_ladder,
     bk_necessary,
     bound_report,
@@ -30,7 +30,7 @@ from firebreak.families import (
     random_regular,
     random_tree,
 )
-from firebreak.graphs import GraphError
+from firebreak.graphs import GraphError, orientation_from_bits
 from firebreak.orient import orient_subcubic
 from firebreak.solve import solve_best_orientation, solve_orientation
 
@@ -133,13 +133,14 @@ def test_upper_bounds_k9_two_firefighters():
 
 
 def test_upper_bounds_fvs_example():
-    entries = by_name(upper_bounds(path(5), 1, BoundHints(fvs=0b111, compute_missing=False)))
-    assert entries["fvs"].value == 4
+    # K5 minus a feedback vertex set of 3 vertices is a forest (an edge)
+    assert by_name(upper_bounds(complete(5), 1))["fvs"].value == 4
+    assert by_name(upper_bounds(complete(5), 2))["fvs"].value == 3
 
 
 def test_upper_bounds_ktree_half():
     g = random_ktree(9, 2, 1)
-    entries = by_name(upper_bounds(g, 1, BoundHints(k=2)))
+    entries = by_name(upper_bounds(g, 1, k=2))
     assert entries["ktree-half"].applicable
     assert entries["ktree-half"].value == 2
 
@@ -157,7 +158,7 @@ def test_upper_bounds_degree_ladder():
 
 def test_upper_bounds_orientation_rules():
     o = orient_subcubic(petersen())
-    entries = by_name(upper_bounds(petersen(), 1, BoundHints(orientation=o)))
+    entries = by_name(upper_bounds(petersen(), 1, orientation=o))
     assert entries["outdegree-pace"].applicable
     assert entries["outdegree-pace"].value == Fraction(1) + Fraction(9, 2)
     assert not entries["outdegree-cover"].applicable
@@ -256,7 +257,24 @@ def test_sandwich_on_best_values():
 def test_sandwich_fixed_mode():
     o = orient_subcubic(petersen())
     beta = solve_orientation(o, 1, want_trace=False).beta
-    assert check_sandwich(petersen(), 1, beta, BoundHints(orientation=o), mode="fixed") == []
+    assert check_sandwich(petersen(), 1, beta, orientation=o) == []
+
+
+def test_sandwich_orientation_skips_structural_upper_bounds(monkeypatch):
+    # the transitive tournament on K5 burns 4, above the best value 2: only
+    # the lower bounds and this orientation's own rules bind it
+    g = complete(5)
+    o = orientation_from_bits(g, 0)
+    assert solve_orientation(o, 1, want_trace=False).beta == 4
+    assert check_sandwich(g, 1, 4) == ["upper bound complete = 2 is below beta = 4"]
+    assert check_sandwich(g, 1, 4, orientation=o) == []
+
+    def unused(*args, **kwargs):
+        raise AssertionError("structural bound computed for an orientation's value")
+
+    for name in ("min_fvs", "forest_peel", "_chromatic_number"):
+        monkeypatch.setattr(bounds, name, unused)
+    assert check_sandwich(g, 1, 4, orientation=o) == []
 
 
 def test_sandwich_flags_contradiction():

@@ -89,6 +89,15 @@ def test_bounds_json(capsys):
     assert values["biclique-outdegree-plus"]["value"] == "3"
 
 
+def test_bounds_k_reaches_ktree_rules(capsys):
+    code, out = run(capsys, "bounds", "--family", "random_ktree", "--n", "9", "--k", "2")
+    assert code == 0
+    entries = json.loads(out)
+    load_schema("bounds.json")(entries)
+    half = {e["name"]: e for e in entries}["ktree-half"]
+    assert half["applicable"] and half["value"] == "2"
+
+
 def test_solve_undirected(capsys):
     code, out = run(capsys, "solve-undirected", "--family", "star", "--n", "6", "--start", "0")
     assert code == 0

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,22 @@ def test_ktree_three_tree_root_clique():
 def test_ktree_rejects_non_ktree():
     with pytest.raises(GraphError):
         orient_ktree(cycle(5), 2)
+
+
+def test_tournament_orientations_pinned():
+    # the orientation files of both tournament users, odd and even cliques,
+    # frozen before they shared one tournament helper
+    def digest(orientations):
+        text = "".join(write_orientation(o) for o in orientations)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(orient_complete(n) for n in range(2, 10)) == (
+        "cfb90a0453a094ae0702d7c1e7312cd9c965fa5db28bbda2bd7f61373cbd6115"
+    )
+    trees = [(random_ktree(8 + seed, k, seed), k) for k in (2, 3) for seed in range(5)]
+    assert digest(orient_ktree(g, k) for g, k in trees) == (
+        "b111b8317895e98a101a84f920828355cf4eaf33d3195dab380a73dc3730e42f"
+    )
 
 
 # --- subcubic
