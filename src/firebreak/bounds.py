@@ -215,11 +215,9 @@ def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
 # upper bounds
 
 
-def upper_bounds(
-    g: Graph, f: int = 1, *, k: Optional[int] = None, orientation: Optional[Orientation] = None
-) -> list[BoundEntry]:
+def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[BoundEntry]:
     """Every upper-bound rule. ``k`` enables the k-tree rules when ``g`` is a
-    k-tree; ``orientation`` enables the rules for that orientation's value."""
+    k-tree; the per-orientation rules close the list, inapplicable."""
     entries: list[BoundEntry] = []
     n, m = g.n, g.m
     delta = g.max_degree()
@@ -324,7 +322,12 @@ def upper_bounds(
             )
         )
     else:
-        entries.append(BoundEntry("fvs", "upper", None, False, "no feedback vertex set supplied"))
+        entries.append(
+            BoundEntry(
+                "fvs", "upper", None, False,
+                "more than 18 vertices: no exact feedback vertex set computed",
+            )
+        )
 
     # k-tree bounds
     structure = ktree_structure(g, k) if k is not None else None
@@ -383,7 +386,7 @@ def upper_bounds(
     else:
         entries.append(BoundEntry("degree-ladder", "upper", None, False, "one-firefighter bound"))
 
-    entries += _orientation_bounds(g, f, orientation)
+    entries += _orientation_bounds(g, f, None)
     return entries
 
 

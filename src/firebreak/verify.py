@@ -358,8 +358,9 @@ def suite_oracle(slow: bool = False, seed: int = 0) -> SuiteResult:
 
 
 def suite_bounds_consistency(slow: bool = False, seed: int = 0) -> SuiteResult:
-    """Re-solve the instances of the exact suites and hold every one against
-    the full bound report."""
+    """Re-solve the instances of the exact suites and screen every value: best
+    values against the full bound report, constructed orientations against
+    the lower bounds and their own rules."""
     s = _Suite("bounds-consistency", seed)
 
     def screen(name, g, f, beta, orientation=None):

@@ -158,7 +158,7 @@ def test_upper_bounds_degree_ladder():
 
 def test_upper_bounds_orientation_rules():
     o = orient_subcubic(petersen())
-    entries = by_name(upper_bounds(petersen(), 1, orientation=o))
+    entries = by_name(bounds._orientation_bounds(petersen(), 1, o))
     assert entries["outdegree-pace"].applicable
     assert entries["outdegree-pace"].value == Fraction(1) + Fraction(9, 2)
     assert not entries["outdegree-cover"].applicable
