@@ -66,6 +66,9 @@ def _build_family(args) -> Graph:
     builder = gen.FAMILIES[args.family]
     accepted = inspect.signature(builder).parameters
     params = {k: v for k, v in _family_params(args).items() if k in accepted}
+    missing = [f"--{k}" for k, p in accepted.items() if p.default is p.empty and k not in params]
+    if missing:
+        raise GraphError(f"family '{args.family}' needs {' and '.join(missing)}")
     return builder(**params)
 
 

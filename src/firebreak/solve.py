@@ -1,11 +1,14 @@
 """Exact optimal-play solving.
 
 The engine minimises the burned count over all defence schedules for a fixed
-digraph by depth-first search over (burnt, live) states, where live is the
-region still reachable from the fire through unprotected vertices. Two states
-with the same pair behave identically, so the pair is the memo key;
-protections are only branched inside the live region (protecting elsewhere
+digraph by depth-first search over (live, threat) states, where live is the
+region still reachable from the fire through unprotected vertices and threat
+the part of it the fire reaches next. The pair fixes the rest of the game
+whatever has burnt so far, so the memo maps it to the burn still to come.
+Protections are only branched inside the live region (protecting elsewhere
 can never change a future spread), plus passing when nothing useful remains.
+A branch is dropped once its burnt count, plus its threat minus the f
+protections of the next round, reaches the best value found.
 
 Finding the best orientation enumerates edge directions depth-first in edge
 order (bit 0 = lower id to higher id first) with three sound prunes:
@@ -108,7 +111,7 @@ class Engine:
 
     def start_value(self, start: int) -> int:
         live, threat = self._burn(self.full, 0, 1 << start)
-        return self._value(1 << start, live, threat, 1)
+        return self._value(live, threat, 1)
 
     def _burn(self, live: int, pm: int, spread: int) -> tuple[int, int]:
         """One transition: protect pm, burn spread, then return the region
@@ -134,21 +137,43 @@ class Engine:
             frontier = nxt & allowed & ~reached
         return reached, ou & reached
 
-    def _value(self, burnt: int, live: int, threat: int, count: int) -> int:
+    def _value(self, live: int, threat: int, count: int) -> int:
+        """Burned count under optimal defence of a state where count vertices
+        have burnt; a value at or above the cap comes back as some number at
+        least the cap, and start_value gets the cap itself.
+
+        The memo maps (live, threat) to the burn still to come. That is sound
+        because every out-neighbour of a burnt vertex is burnt, protected or
+        in threat, so threat is out(burnt) & live. The protect sets, the
+        spread and the next (live, threat) are all functions of the pair, so
+        the rest of the game does not depend on which vertices burnt, and
+        count only adds to it. A result at the cap only bounds the burn to
+        come from below; such an entry is stored complemented (~rest), gives
+        the cap to any later count that reaches the cap with it, and is
+        searched again otherwise.
+
+        A child is skipped once it cannot beat the best value so far: its
+        count alone reaches it, or so does its count plus its threat minus f,
+        since the next round can protect at most f threatened vertices.
+        """
         if not threat:
             return count
-        key = (burnt, live)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
+        key = (live, threat)
+        rest = self.memo.get(key)
+        if rest is not None:
+            if rest >= 0:
+                return count + rest
+            if count + ~rest >= self.cap:
+                return self.cap
         self.nodes += 1
-        if live.bit_count() <= self.f:
-            self.memo[key] = count
+        f = self.f
+        if live.bit_count() <= f:
+            self.memo[key] = 0
             return count
         best = count + live.bit_count()
         if best > self.cap:
             best = self.cap
-        for pm in _protect_masks(live, threat, self.f):
+        for pm in _protect_masks(live, threat, f):
             spread = threat & ~pm
             if not spread:
                 best = count
@@ -157,41 +182,41 @@ class Engine:
             if newcount >= best:
                 continue
             newlive, newthreat = self._burn(live, pm, spread)
-            v = self._value(burnt | spread, newlive, newthreat, newcount)
+            if newcount + newthreat.bit_count() - f >= best:
+                continue
+            v = self._value(newlive, newthreat, newcount)
             if v < best:
                 best = v
                 if best == count:
                     break
-        self.memo[key] = best
+        self.memo[key] = ~(best - count) if best >= self.cap else best - count
         return best
 
     def extract_trace(self, start: int) -> FireTrace:
         """Walk one optimal play out of the solved memo table."""
-        burnt = 1 << start
-        live, threat = self._burn(self.full, 0, burnt)
+        live, threat = self._burn(self.full, 0, 1 << start)
         count = 1
         events = [TraceEvent(1, "burn", (start,))]
         t = 1
         while threat:
-            pm = self._optimal_choice(burnt, live, threat, count)
+            pm = self._optimal_choice(live, threat, count)
             if pm:
                 events.append(TraceEvent(t, "protect", tuple(bits(pm))))
             spread = threat & ~pm
             if not spread:
                 break
-            burnt |= spread
             count += popcount(spread)
             live, threat = self._burn(live, pm, spread)
             t += 1
             events.append(TraceEvent(t, "burn", tuple(bits(spread))))
         return FireTrace(start=start, f=self.f, events=events, burned=count)
 
-    def _optimal_choice(self, burnt: int, live: int, threat: int, count: int) -> int:
+    def _optimal_choice(self, live: int, threat: int, count: int) -> int:
         """The first protect set, in _value's order, that keeps the memoised
         value of the state."""
         if popcount(live) <= self.f:
             return live
-        target = self._value(burnt, live, threat, count)
+        target = self._value(live, threat, count)
         for pm in _protect_masks(live, threat, self.f):
             spread = threat & ~pm
             if not spread:
@@ -202,7 +227,7 @@ class Engine:
             if newcount > target:
                 continue
             newlive, newthreat = self._burn(live, pm, spread)
-            if self._value(burnt | spread, newlive, newthreat, newcount) == target:
+            if self._value(newlive, newthreat, newcount) == target:
                 return pm
         raise AssertionError("memoised value has no matching play")
 

@@ -29,9 +29,11 @@ from firebreak.orient import (
     orient_unicyclic,
 )
 from firebreak.solve import (
+    Engine,
     SolverLimitError,
     naive_best_orientation,
     naive_solve_orientation,
+    naive_start_value,
     solve_best_orientation,
     solve_orientation,
     solve_undirected,
@@ -92,7 +94,7 @@ _K5_BEST = [[0, 1], [0, 2], [3, 0], [4, 0], [1, 2], [1, 3], [4, 1], [2, 3], [2, 
 PINNED = {
     "grid3x4-undirected-f1": (
         lambda: solve_undirected(grid_rect(3, 4), 1),
-        _pinned("undirected", 1, 7, 4, 505, [3, 4, 3, 6, 7, 6, 6, 7, 6, 3, 4, 3], [
+        _pinned("undirected", 1, 7, 4, 76, [3, 4, 3, 6, 7, 6, 6, 7, 6, 3, 4, 3], [
             (1, "burn", [4]), (1, "protect", [7]), (2, "burn", [1, 3, 5]), (2, "protect", [6]),
             (3, "burn", [0, 2, 8]), (3, "protect", [11])]),
     ),
@@ -355,3 +357,49 @@ def test_oracle_equivalence_property(seed):
     g = Graph(n, edges)
     o = orientation_from_bits(g, rng.randrange(1 << max(g.m, 1)))
     assert solve_orientation(o, 1, want_trace=False).beta == naive_solve_orientation(o, 1)
+
+
+def _check_capped_engine(out_mask, n, f):
+    # One engine per cap answers every start, ascending then descending, so
+    # later starts meet memo entries that earlier ones left at the cap.
+    naive = [naive_start_value(out_mask, n, f, 1 << s, 0) for s in range(n)]
+    for cap in range(1, n + 2):
+        eng = Engine(out_mask, n, f, cap=cap)
+        for s in [*range(n), *reversed(range(n))]:
+            assert eng.start_value(s) == min(naive[s], cap), (out_mask, f, cap, s)
+
+
+def _out_masks(n, arcs):
+    masks = [0] * n
+    for u, v in arcs:
+        masks[u] |= 1 << v
+    return masks
+
+
+def test_oracle_capped_engine_reused():
+    rng = random.Random(7)
+    for g in (g for n in range(2, 6) for g in enumerate_connected(n)):
+        o = orientation_from_bits(g, rng.randrange(1 << g.m))
+        for f in (1, 2):
+            _check_capped_engine(o.out_mask, g.n, f)
+
+
+def test_capped_engine_searches_a_marked_state_again():
+    # From 0 the fire threatens {5, 6, 7}, with {8, 9, 10} behind, in the same
+    # (live, threat) state along two plays: protect 1, then 3 (burnt 0, 2, 4)
+    # or protect 2 (burnt 0, 1). The first is searched first, and under caps
+    # 6 and 7 it leaves the state at the cap; the second must search it again.
+    arcs = [(0, 1), (0, 2), (2, 3), (2, 4)]
+    arcs += [(u, x) for u in (1, 3, 4) for x in (5, 6, 7)] + [(x, y) for x in (5, 6, 7) for y in (8, 9, 10)]
+    _check_capped_engine(_out_masks(11, arcs), 11, 1)
+
+
+def test_oracle_per_start_six_vertices():
+    sixes = random.Random(11).sample(list(enumerate_connected(6)), 40)
+    rng = random.Random(12)
+    for g in sixes:
+        o = orientation_from_bits(g, rng.randrange(1 << g.m))
+        for f in (1, 2, 3):
+            gv = solve_orientation(o, f, want_trace=False)
+            naive = {s: naive_start_value(o.out_mask, g.n, f, 1 << s, 0) for s in range(g.n)}
+            assert gv.per_start == naive, (g, o.arcs, f)
