@@ -58,15 +58,10 @@ class ScriptedStrategy(Strategy):
     def __init__(self, script: dict[int, list[int]]):
         if not isinstance(script, dict):
             raise GraphError("a script maps times to lists of vertices")
-        self.script = {}
         for t, vs in script.items():
-            try:
-                when = int(t)
-            except ValueError:
-                raise GraphError(f"script time {t!r} is not an integer") from None
-            if not isinstance(vs, (list, tuple)) or not all(isinstance(v, int) for v in vs):
+            if not isinstance(vs, list) or not all(isinstance(v, int) for v in vs):
                 raise GraphError(f"script time {t!r} must map to a list of vertices")
-            self.script[when] = list(vs)
+        self.script = {int(t): list(vs) for t, vs in script.items()}
 
     def decide(self, state: FireState) -> list[int]:
         return self.script.get(state.time, [])

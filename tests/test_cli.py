@@ -156,6 +156,9 @@ def test_malformed_input_exit_two(tmp_path, capsys):
     (["solve-best", "--in", "EMPTY"], "the graph has no vertices"),
     (["bounds", "--in", "EMPTY"], "the graph has no vertices"),
     (["bounds", "--family", "complete", "--n", "4", "--f", "0"], "f must be at least 1"),
+    (["generate", "--family", "grid_rect"], "family 'grid_rect' needs --w and --h"),
+    (["generate", "--family", "path_power", "--n", "5"], "family 'path_power' needs --k"),
+    (["bounds", "--family", "complete"], "family 'complete' needs --n"),
 ])
 def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     ofile = tmp_path / "k4.o"
@@ -171,24 +174,11 @@ def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["generate", "--family", "grid_rect"], "family 'grid_rect' needs --w and --h"),
-    (["generate", "--family", "path_power", "--n", "5"], "family 'path_power' needs --k"),
-    (["bounds", "--family", "complete"], "family 'complete' needs --n"),
-])
-def test_family_missing_flags_exit_two(capsys, argv, message):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize("script, message", [
     ("[1, 2]", "a script maps times to lists of vertices"),
     ("null", "a script maps times to lists of vertices"),
     ('{"1": 5}', "script time '1' must map to a list of vertices"),
     ('{"1": ["a"]}', "script time '1' must map to a list of vertices"),
-    ('{"x": [1]}', "script time 'x' is not an integer"),
 ])
 def test_bad_script_exit_two(tmp_path, capsys, script, message):
     ofile = tmp_path / "k4.o"

@@ -369,13 +369,6 @@ def _check_capped_engine(out_mask, n, f):
             assert eng.start_value(s) == min(naive[s], cap), (out_mask, f, cap, s)
 
 
-def _out_masks(n, arcs):
-    masks = [0] * n
-    for u, v in arcs:
-        masks[u] |= 1 << v
-    return masks
-
-
 def test_oracle_capped_engine_reused():
     rng = random.Random(7)
     for g in (g for n in range(2, 6) for g in enumerate_connected(n)):
@@ -391,7 +384,8 @@ def test_capped_engine_searches_a_marked_state_again():
     # 6 and 7 it leaves the state at the cap; the second must search it again.
     arcs = [(0, 1), (0, 2), (2, 3), (2, 4)]
     arcs += [(u, x) for u in (1, 3, 4) for x in (5, 6, 7)] + [(x, y) for x in (5, 6, 7) for y in (8, 9, 10)]
-    _check_capped_engine(_out_masks(11, arcs), 11, 1)
+    o = Orientation(Graph(11, arcs), arcs)
+    _check_capped_engine(o.out_mask, o.n, 1)
 
 
 def test_oracle_per_start_six_vertices():
