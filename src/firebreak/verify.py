@@ -130,18 +130,11 @@ def _timed(fn, *args, **kwargs):
 
 def suite_complete_exact(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("complete-exact", seed)
-    for n, expected in [(3, 1), (4, 2), (5, 2), (6, 3)]:
+    for n, expected in [(3, 1), (4, 2), (5, 2), (6, 3), (7, 4)]:
         g = gen.complete(n)
         gv, ms = _timed(solve_best_orientation, g, 1, want_trace=False)
         s.check(f"K{n}", expected, gv.beta, gv.beta == expected and gv.exact, ms)
         s.solved(g, 1, gv.beta)
-    if slow:
-        g = gen.complete(7)
-        gv, ms = _timed(solve_best_orientation, g, 1, want_trace=False)
-        s.check("K7", 4, gv.beta, gv.beta == 4 and gv.exact, ms)
-        s.solved(g, 1, gv.beta)
-    else:
-        s.capped("K7", "exhaustive scan of 2^21 orientations runs under slow mode")
     # multi-firefighter complete play: conjectured n - 3f, measured on the
     # cyclic tournament schedule (an upper bound, never asserted exact)
     from .orient import orient_complete

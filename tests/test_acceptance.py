@@ -74,6 +74,14 @@ def test_criterion_1_slow_k7():
              f"beta={beta}, {elapsed:.1f}s")
 
 
+def test_criterion_1_k8_exact():
+    t0 = time.perf_counter()
+    gv = solve_best_orientation(complete(8), 1, max_edges=28, want_trace=False)
+    elapsed = time.perf_counter() - t0
+    announce("1 K8 solves exactly to 5 in under 10 s", gv.beta == 5 and gv.exact and elapsed < 10,
+             f"beta={gv.beta}, exact={gv.exact}, {elapsed:.2f}s")
+
+
 def test_criterion_2_complete_bipartite_exact():
     t0 = time.perf_counter()
     b22 = solve_best_orientation(complete_bipartite(2, 2), 1, want_trace=False).beta
@@ -87,6 +95,14 @@ def test_criterion_2_complete_bipartite_exact():
         b22 == 1 and b44 == 3 and formula == 3 and elapsed <= 300,
         f"K22={b22}, K44={b44}, formula={formula}, {elapsed:.1f}s",
     )
+
+
+def test_criterion_2_k55_exact():
+    t0 = time.perf_counter()
+    gv = solve_best_orientation(complete_bipartite(5, 5), 1, max_edges=28, want_trace=False)
+    elapsed = time.perf_counter() - t0
+    announce("2 K5,5 solves exactly to 5 in under 10 s", gv.beta == 5 and gv.exact and elapsed < 10,
+             f"beta={gv.beta}, exact={gv.exact}, {elapsed:.2f}s")
 
 
 def test_criterion_3_subcubic_at_most_two():

@@ -159,6 +159,8 @@ def test_malformed_input_exit_two(tmp_path, capsys):
     (["generate", "--family", "grid_rect"], "family 'grid_rect' needs --w and --h"),
     (["generate", "--family", "path_power", "--n", "5"], "family 'path_power' needs --k"),
     (["bounds", "--family", "complete"], "family 'complete' needs --n"),
+    (["solve-best", "--family", "complete", "--n", "5", "--budget-ms", "-1"], "budget_ms must be non-negative, got -1.0"),
+    (["solve-best", "--family", "complete", "--n", "5", "--budget-ms", "nan"], "budget_ms must be non-negative, got nan"),
 ])
 def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     ofile = tmp_path / "k4.o"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firebreak.solve
 from firebreak.families import (
     complete,
     complete_bipartite,
@@ -31,6 +32,7 @@ from firebreak.orient import (
 from firebreak.solve import (
     Engine,
     SolverLimitError,
+    _twin_comparisons,
     naive_best_orientation,
     naive_solve_orientation,
     naive_start_value,
@@ -110,22 +112,22 @@ PINNED = {
     ),
     "K5-best-f1": (
         lambda: solve_best_orientation(complete(5), 1),
-        _pinned("best", 1, 2, 0, 85, [2] * 5, [
+        _pinned("best", 1, 2, 0, 3, [2] * 5, [
             (1, "burn", [0]), (1, "protect", [2]), (2, "burn", [1]), (2, "protect", [3])], _K5_BEST),
     ),
     "K5-best-f2": (
         lambda: solve_best_orientation(complete(5), 2),
-        _pinned("best", 2, 1, 0, 85, [1] * 5, [(1, "burn", [0]), (1, "protect", [1, 2])], _K5_BEST),
+        _pinned("best", 2, 1, 0, 3, [1] * 5, [(1, "burn", [0]), (1, "protect", [1, 2])], _K5_BEST),
     ),
     "K33-best-f1": (
         lambda: solve_best_orientation(k33(), 1),
-        _pinned("best", 1, 2, 0, 63, [2, 2, 1, 1, 2, 2], [
+        _pinned("best", 1, 2, 0, 5, [2, 2, 1, 1, 2, 2], [
             (1, "burn", [0]), (1, "protect", [4]), (2, "burn", [3])],
             [[0, 3], [0, 4], [5, 0], [1, 3], [4, 1], [1, 5], [2, 3], [4, 2], [5, 2]]),
     ),
     "K33-best-f2": (
         lambda: solve_best_orientation(k33(), 2),
-        _pinned("best", 2, 1, 0, 58, [1] * 6, [(1, "burn", [0]), (1, "protect", [3, 4])],
+        _pinned("best", 2, 1, 0, 2, [1] * 6, [(1, "burn", [0]), (1, "protect", [3, 4])],
                 [[0, 3], [0, 4], [5, 0], [1, 3], [1, 4], [5, 1], [2, 3], [4, 2], [2, 5]]),
     ),
 }
@@ -166,6 +168,9 @@ def test_bad_game_arguments_raise_graph_error():
             solve_orientation(orient_complete(4), 1, start=start)
         with pytest.raises(GraphError, match="out of range"):
             solve_undirected(complete(4), start=start)
+    for budget in ({"budget_ms": -1}, {"budget_ms": float("nan")}, {"budget_leaves": -1}):
+        with pytest.raises(GraphError, match="must be non-negative"):
+            solve_best_orientation(complete(5), **budget)
 
 
 def test_undirected_star_centre():
@@ -228,6 +233,79 @@ def test_best_multigraph_outdegree_limit_before_incumbent():
         assert gv.witness_orientation.arcs == ((0, 1), (0, 1), (1, 0))
 
 
+def _swapped_word(g, word, a, b):
+    """The edge word of the orientation of word with vertices a and b swapped."""
+    swap = {a: b, b: a}
+    index = {frozenset(e): i for i, e in enumerate(g.edges)}
+    out = 0
+    for x, y in orientation_from_bits(g, word).arcs:
+        x, y = swap.get(x, x), swap.get(y, y)
+        if x > y:
+            out |= 1 << index[frozenset((x, y))]
+    return out
+
+
+def _scan_key(word, m):
+    return tuple((word >> i) & 1 for i in range(m))
+
+
+def _passes(comps, word):
+    for i, j, flip in comps:
+        bit = (word >> i) & 1
+        if bit != ((word >> j) & 1) ^ flip:
+            return bit == 0
+    return True
+
+
+# 0, 2, 4 are true twins (a triangle, each joined to 3); 1, 5, 6 are false
+# twins (leaves on 3). The classes interleave, so some swaps flip edges.
+_MIXED_TWINS = Graph(7, [(0, 2), (0, 4), (2, 4), (0, 3), (2, 3), (3, 4), (1, 3), (3, 5), (3, 6)])
+_K33_INTERLEAVED = Graph(6, [(a, b) for a in (0, 2, 4) for b in (1, 3, 5)])
+
+
+def test_twin_classes():
+    assert list(_twin_comparisons(complete(5))) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    # the edge 0-1 is its own image, flipped; 0-2 and 1-2 trade places, as do 0-3 and 1-3
+    assert _twin_comparisons(complete(4))[0, 1] == ((0, 0, 1), (1, 3, 0), (2, 4, 0))
+    assert list(_twin_comparisons(complete_bipartite(3, 3))) == [(0, 1), (1, 2), (3, 4), (4, 5)]
+    assert list(_twin_comparisons(_MIXED_TWINS)) == [(0, 2), (2, 4), (1, 5), (5, 6)]
+    assert list(_twin_comparisons(_K33_INTERLEAVED)) == [(0, 2), (2, 4), (1, 3), (3, 5)]
+    # classes of two give no checks
+    assert list(_twin_comparisons(complete_bipartite(2, 3))) == [(2, 3), (3, 4)]
+    assert _twin_comparisons(cycle(4)) == {}
+    assert _twin_comparisons(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)])) == {}
+
+
+def test_twin_checks_decide_word_against_swapped_word():
+    for g in (complete(4), complete_bipartite(2, 3), _MIXED_TWINS, _K33_INTERLEAVED):
+        for (a, b), comps in _twin_comparisons(g).items():
+            for word in range(1 << g.m):
+                expected = _scan_key(word, g.m) <= _scan_key(_swapped_word(g, word, a, b), g.m)
+                assert _passes(comps, word) == expected, (g, a, b, word)
+
+
+def test_twin_prune_matches_unreduced_scan(monkeypatch):
+    # every connected graph with 2 to 5 vertices, and a seeded share of the
+    # 6-vertex ones with twin checks (on the others both scans are one path)
+    graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+    sixes = [g for g in enumerate_connected(6) if _twin_comparisons(g)]
+    graphs += random.Random(8).sample(sixes, 400)
+
+    def scan():
+        out = []
+        for g in graphs:
+            for f in (1, 2):
+                gv = solve_best_orientation(g, f, want_trace=False)
+                out.append((gv.beta, gv.witness_orientation.direction_bits(), gv.nodes_explored))
+        return out
+
+    reduced = scan()
+    monkeypatch.setattr(firebreak.solve, "_twin_comparisons", lambda g: {})
+    unreduced = scan()
+    assert [r[:2] for r in reduced] == [u[:2] for u in unreduced]
+    assert sum(r[2] for r in reduced) < sum(u[2] for u in unreduced)
+
+
 def test_best_witness_trace_replays():
     gv = solve_best_orientation(complete(5), 1)
     assert replay(gv.witness_orientation, gv.witness_trace).valid
@@ -242,12 +320,14 @@ def test_best_budget_flags_inexact():
 
 def test_best_budget_holds_under_bound_prune():
     # leaves are rare once the sub-digraph bound prunes, so the clock must
-    # also be polled on bound checks
+    # also be polled on bound checks. K7,7 is far from done after 500 ms, and
+    # its leaves then come up to seconds apart: read only every 64 leaves, the
+    # clock let the scan run on for 1.5 to 5.6 s
     t0 = time.perf_counter()
-    gv = solve_best_orientation(complete(8), 1, budget_ms=500, max_edges=28, want_trace=False)
+    gv = solve_best_orientation(complete_bipartite(7, 7), 1, budget_ms=500, max_edges=49, want_trace=False)
     assert not gv.exact
     assert time.perf_counter() - t0 < 2.0
-    assert gv.beta >= 4
+    assert gv.beta >= 4  # the density floor ceil(49 / 14)
 
 
 def test_best_leaf_budget_flags_inexact():
