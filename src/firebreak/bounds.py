@@ -1,9 +1,10 @@
 """Closed-form bound evaluation and burn-class checks.
 
-All arithmetic is exact (fractions.Fraction); floors and ceilings appear
-exactly where the source formulas place them. Every rule is emitted whether
-or not it applies to the instance, with an explicit applicability flag and
-hypothesis, so a bound can never be misused silently.
+All arithmetic is exact: values are int, or fractions.Fraction where a ratio
+arises; floors and ceilings appear exactly where the source formulas place
+them. Every rule is emitted whether or not it applies to the instance, with
+an explicit applicability flag and hypothesis, so a bound can never be
+misused silently.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 from .game import check_game
 from .graphs import Graph, GraphError, Orientation, bits, metrics, popcount
-from .orient import bipartition
+from .orient import _oneway_side, bipartition
 from .structure import exact_colouring, forest_peel, greedy_colouring, ktree_structure, min_fvs
 
 
@@ -23,7 +24,7 @@ from .structure import exact_colouring, forest_peel, greedy_colouring, ktree_str
 class BoundEntry:
     name: str
     kind: str  # "lower" or "upper"
-    value: Optional[Fraction]
+    value: Optional[int | Fraction]
     applicable: bool
     hypothesis: str
     note: str = ""
@@ -45,20 +46,20 @@ class BoundEntry:
 # wave recurrence and its closed form
 
 
-def burn_waves(delta: int, f: int, k: int) -> list[Fraction]:
+def burn_waves(delta: int, f: int, k: int) -> list[int]:
     """Worst-case burn counts per time unit on the layered orientation:
     1, delta - f, then each wave multiplies by delta - 1 and loses f. The
-    recurrence never leaves the integers, so it runs in int."""
+    recurrence never leaves the integers."""
     waves = [1]
     if k >= 2:
         waves.append(delta - f)
     for _ in range(3, k + 1):
         waves.append((delta - 1) * waves[-1] - f)
-    return [Fraction(w) for w in waves]
+    return waves
 
 
-def wave_total(delta: int, f: int, k: int) -> Fraction:
-    return Fraction(1) + sum(burn_waves(delta, f, k)[1:], Fraction(0))
+def wave_total(delta: int, f: int, k: int) -> int:
+    return sum(burn_waves(delta, f, k))
 
 
 def refined_colour_bound(delta: int, f: int, k: int) -> Fraction:
@@ -105,13 +106,16 @@ def _is_complete(g: Graph) -> bool:
 
 
 def _complete_bipartite_sides(g: Graph) -> Optional[tuple[int, int]]:
-    sides = bipartition(g)
-    if sides is None:
+    """(p, q) when g is K_{p,q}, with p counting the side of vertex 0: every
+    vertex is joined to exactly the side it is not on, and m == pq rules out
+    parallel edges."""
+    am = g.adj_mask
+    b = am[0] if am else 0
+    a = ((1 << g.n) - 1) & ~b
+    if not b or any(am[v] != (b if (a >> v) & 1 else a) for v in range(g.n)):
         return None
-    p, q = popcount(sides[0]), popcount(sides[1])
-    if p >= 1 and q >= 1 and g.m == p * q and not g.has_parallel_edges():
-        return p, q
-    return None
+    p, q = popcount(a), popcount(b)
+    return (p, q) if g.m == p * q else None
 
 
 def greedy_clique(g: Graph) -> int:
@@ -155,10 +159,10 @@ def _chromatic_number(g: Graph, bipartite: bool) -> tuple[int, bool]:
 
 def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
     entries = [
-        BoundEntry("trivial", "lower", Fraction(1), True, "the start vertex always burns")
+        BoundEntry("trivial", "lower", 1, True, "the start vertex always burns")
     ]
     n, m = g.n, g.m
-    density = Fraction(m, n) if n else Fraction(0)
+    density = Fraction(m, n) if n else 0
     entries.append(
         BoundEntry(
             "density", "lower", density, f == 1,
@@ -172,14 +176,13 @@ def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
             "one firefighter; m >= n*delta_min/2 feeds the density bound",
         )
     )
-    is_complete = _is_complete(g)
-    omega = g.n if is_complete else greedy_clique(g)
-    clique_value = Fraction(omega - 3) if omega >= 5 else Fraction(2) if omega == 4 else Fraction(1)
+    omega = greedy_clique(g)
+    clique_value = omega - 3 if omega >= 5 else 2 if omega == 4 else 1
     entries.append(
         BoundEntry(
             "clique", "lower", clique_value, f == 1,
             f"one firefighter; contains a clique on {omega} vertices (subgraph monotonicity)",
-            note="" if is_complete else "greedy clique, so possibly undersized",
+            note="" if _is_complete(g) else "greedy clique, so possibly undersized",
         )
     )
     sides = _complete_bipartite_sides(g)
@@ -200,7 +203,7 @@ def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
         )
         entries.append(
             BoundEntry(
-                "biclique-min-side", "lower", Fraction(min(p, q)),
+                "biclique-min-side", "lower", min(p, q),
                 f == 1 and min(p, q) >= 6,
                 f"complete bipartite K_{{{p},{q}}} with both sides at least 6, one firefighter",
             )
@@ -224,18 +227,18 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
 
     # trees and near-trees
     connected = g.is_connected()
-    is_tree = connected and g.is_acyclic()
-    entries.append(BoundEntry("tree", "upper", Fraction(1), is_tree, "graph is a tree"))
+    # a connected multigraph with n - 1 edges is a tree
+    entries.append(BoundEntry("tree", "upper", 1, connected and m == n - 1, "graph is a tree"))
     at_most_one_cycle = connected and m <= n
     entries.append(
         BoundEntry(
-            "one-cycle", "upper", Fraction(1), at_most_one_cycle and f >= 1,
+            "one-cycle", "upper", 1, at_most_one_cycle and f >= 1,
             "connected with at most one cycle; a 1-outregular orientation exists",
         )
     )
 
     # complete graphs
-    if _is_complete(g) and n >= 1:
+    if _is_complete(g):
         value = complete_upper_bound(n, f)
         entries.append(BoundEntry("complete", "upper", value, True, f"complete graph on {n} vertices"))
     else:
@@ -244,14 +247,10 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
     # bipartite one-way orientation
     sides = bipartition(g)
     if sides is not None and m > 0:
-        deg = g.degrees()
-        max_a = max((deg[v] for v in bits(sides[0])), default=0)
-        max_b = max((deg[v] for v in bits(sides[1])), default=0)
-        small = min(max_a, max_b)
-        value = max(Fraction(1), Fraction(1 + small - f))
+        _, small = _oneway_side(g, sides)
         entries.append(
             BoundEntry(
-                "bipartite-oneway", "upper", value, True,
+                "bipartite-oneway", "upper", max(1, 1 + small - f), True,
                 f"bipartite; all arcs leave the side with maximum degree {small}",
             )
         )
@@ -262,7 +261,7 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
     chromatic, chi_exact = _chromatic_number(g, sides is not None)
     chi_note = "" if chi_exact else "greedy colouring estimate"
     coarse_ok = 1 <= f < delta
-    coarse = Fraction(delta**chromatic) if delta >= 1 else None
+    coarse = delta**chromatic if delta >= 1 else None
     entries.append(
         BoundEntry(
             "chromatic-coarse", "upper", coarse, coarse_ok,
@@ -278,7 +277,7 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
             trunc_note = ""
         else:
             cut = next(i for i, w in enumerate(waves) if w <= 0)
-            refined = Fraction(1) + sum(waves[1:cut], Fraction(0))
+            refined = sum(waves[:cut])
             trunc_note = "wave sum truncated where the fire is contained"
         entries.append(
             BoundEntry(
@@ -296,12 +295,12 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
     a_est = len(forest_peel(g))
     entries.append(
         BoundEntry(
-            "arboricity-cover", "upper", Fraction(1), f >= a_est,
+            "arboricity-cover", "upper", 1, f >= a_est,
             f"f at least the forest partition size {a_est}",
             note="estimate-based: partition size bounds the arboricity from above",
         )
     )
-    rational = Fraction(1) + Fraction(n - 1, a_est) if a_est else None
+    rational = 1 + Fraction(n - 1, a_est) if a_est else None
     entries.append(
         BoundEntry(
             "arboricity-pace", "upper", rational, a_est > 0 and f >= a_est - 1,
@@ -317,7 +316,7 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
         size = popcount(fvs_mask)
         entries.append(
             BoundEntry(
-                "fvs", "upper", Fraction(max(1, size - f + 2)), True,
+                "fvs", "upper", max(1, size - f + 2), True,
                 f"removing the {size} set vertices leaves a forest",
             )
         )
@@ -333,9 +332,8 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
     structure = ktree_structure(g, k) if k is not None else None
     if structure is not None:
         diam = metrics(g).diam
-        cond = Fraction(2 * k, diam) if diam else None
-        if diam and f <= cond:
-            v1 = Fraction(1) + (diam // 2) * (k - f) - f
+        if diam and f * diam <= 2 * k:
+            v1 = 1 + (diam // 2) * (k - f) - f
             entries.append(
                 BoundEntry(
                     "ktree-walls", "upper", v1, True,
@@ -346,8 +344,8 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
             entries.append(
                 BoundEntry("ktree-walls", "upper", None, False, "needs a k-tree and f <= 2k/diam")
             )
-        if diam and f > cond:
-            v2 = Fraction(1) + k * (k // f - 1)
+        if diam and f * diam > 2 * k:
+            v2 = 1 + k * (k // f - 1)
             entries.append(
                 BoundEntry(
                     "ktree-anticipate", "upper", v2, True,
@@ -360,7 +358,7 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
             )
         entries.append(
             BoundEntry(
-                "ktree-half", "upper", Fraction(1 + -(-k // 2)), f >= k // 2,
+                "ktree-half", "upper", 1 + -(-k // 2), f >= k // 2,
                 f"{k}-tree with f >= floor(k/2)",
             )
         )
@@ -371,15 +369,13 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
     # degree ladder
     if f == 1 and delta >= 1:
         if delta <= 2:
-            ladder = None
             entries.append(
                 BoundEntry("degree-ladder", "upper", None, False, "maximum degree below 3: covered by one-cycle")
             )
         else:
-            ladder = beta_d_ladder(delta)
             entries.append(
                 BoundEntry(
-                    "degree-ladder", "upper", Fraction(ladder), True,
+                    "degree-ladder", "upper", beta_d_ladder(delta), True,
                     f"one firefighter, maximum degree {delta}",
                 )
             )
@@ -402,40 +398,38 @@ def _orientation_bounds(g: Graph, f: int, o: Optional[Orientation]) -> list[Boun
     rad = metrics(o).rad
     return [
         BoundEntry(
-            "outdegree-cover", "upper", Fraction(1), f >= dplus,
+            "outdegree-cover", "upper", 1, f >= dplus,
             f"f at least the orientation's maximum outdegree {dplus}",
         ),
         BoundEntry(
             "outdegree-pace", "upper",
-            Fraction(1) + Fraction(g.n - 1, dplus) if dplus else None,
+            1 + Fraction(g.n - 1, dplus) if dplus else None,
             dplus >= 1 and f >= dplus - 1,
             f"f at least {dplus - 1} on an orientation with maximum outdegree {dplus}",
         ),
         BoundEntry(
             "radius", "upper",
-            None if rad == math.inf else Fraction(g.n - int(rad)),
+            None if rad == math.inf else g.n - int(rad),
             f == 1 and rad != math.inf,
             "one firefighter; protect one vertex per distance layer of this orientation",
         ),
     ]
 
 
-def complete_upper_bound(n: int, f: int) -> Fraction:
+def complete_upper_bound(n: int, f: int) -> int:
     if n % 2 == 1:
-        quarter, half = Fraction(n - 1, 4), Fraction(n - 1, 2)
-        if f < quarter:
-            return Fraction(n - 3 * f)
-        if f < half:
-            return half - f + 1
-        return Fraction(1)
-    quarter, half = Fraction(n - 2, 4), Fraction(n - 2, 2)
-    if f < quarter:
-        return Fraction(n - 3 * f)
-    if f < half:
-        return Fraction(n, 2) - f + 1
-    if f < Fraction(n, 2):
-        return Fraction(2)
-    return Fraction(1)
+        if 4 * f < n - 1:
+            return n - 3 * f
+        if 2 * f < n - 1:
+            return (n - 1) // 2 - f + 1
+        return 1
+    if 4 * f < n - 2:
+        return n - 3 * f
+    if 2 * f < n - 2:
+        return n // 2 - f + 1
+    if 2 * f < n:
+        return 2
+    return 1
 
 
 # ---------------------------------------------------------------------------

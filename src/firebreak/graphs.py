@@ -358,7 +358,7 @@ def write_graph(g: Graph) -> str:
 
 def read_orientation(text: str) -> Orientation:
     meta = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("# meta "):
             import json
@@ -366,7 +366,9 @@ def read_orientation(text: str) -> Orientation:
             try:
                 meta = json.loads(line[len("# meta "):])
             except ValueError:
-                meta = None
+                raise ParseError("meta is not valid JSON", lineno) from None
+            if not isinstance(meta, dict):
+                raise ParseError("meta must be a JSON object", lineno)
             break
     n, arcs = _parse_listing(text, header="o", item="a", allow_parallel=True)
     edges = [(min(t, h), max(t, h)) for t, h in arcs]

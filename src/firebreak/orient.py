@@ -212,16 +212,20 @@ def bipartition(g: Graph) -> Optional[tuple[int, int]]:
     return a, ((1 << g.n) - 1) & ~a
 
 
+def _oneway_side(g: Graph, sides: tuple[int, int]) -> tuple[int, int]:
+    """The source side of the one-way orientation and its maximum degree:
+    the side whose maximum degree is smaller, side A on a tie."""
+    deg = g.degrees()
+    a, b = (max((deg[v] for v in bits(side)), default=0) for side in sides)
+    return (sides[0], a) if a <= b else (sides[1], b)
+
+
 def orient_bipartite(g: Graph) -> Orientation:
     """Orient all edges away from the side whose maximum degree is smaller."""
     sides = bipartition(g)
     if sides is None:
         raise GraphError("input is not bipartite")
-    a, b = sides
-    deg = g.degrees()
-    max_a = max((deg[v] for v in bits(a)), default=0)
-    max_b = max((deg[v] for v in bits(b)), default=0)
-    source = a if max_a <= max_b else b
+    source, _ = _oneway_side(g, sides)
     arcs = [(u, v) if (source >> u) & 1 else (v, u) for u, v in g.edges]
     return Orientation(g, arcs, meta={"scheme": "bipartite", "source": source})
 

@@ -9,8 +9,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import GraphError, Orientation, bits, popcount
+from .graphs import GraphError, Orientation, bits, metrics, popcount
 from .game import FireState, Strategy
+
+
+def _meta_field(o: Orientation, field: str, kind: type):
+    """``o.meta[field]`` as read by the strategy built for the orientation's
+    scheme: a positive int when ``kind`` is int, otherwise a list. Meta read
+    from a file may lack the field or hold another type; that raises
+    GraphError naming the scheme and the field."""
+    value = o.meta.get(field)
+    if kind is int:
+        ok, noun = isinstance(value, int) and value >= 1, "a positive integer"
+    else:
+        ok, noun = isinstance(value, (list, tuple)), "a list"
+    if not ok:
+        raise GraphError(f"orientation meta of scheme {o.meta.get('scheme')!r} needs {noun} {field!r}")
+    return value
 
 
 class GreedyOutdeg(Strategy):
@@ -39,8 +54,6 @@ class LayerStrategy(Strategy):
 
     def decide(self, state: FireState) -> list[int]:
         if self._dist is None:
-            from .graphs import metrics
-
             self._dist = metrics(state.orientation).dist[state.start]
         layer = [
             v
@@ -107,7 +120,7 @@ class CompleteCyclic(_ScriptOnFirstCall):
         meta = state.orientation.meta
         if meta.get("scheme") != "complete":
             return None
-        order = list(meta["order"])
+        order = list(_meta_field(state.orientation, "order", list))
         sink = meta.get("sink")
         f = state.f
         start = state.start
@@ -159,32 +172,15 @@ class KTreeAnticipate(Strategy):
             if meta.get("scheme") != "ktree":
                 self._fallback = GreedyOutdeg()
                 return self._fallback.decide(state)
-            k = meta["k"]
-            waves = _unobstructed_waves(state.orientation, state.start)
+            k = _meta_field(state.orientation, "k", int)
             arrival = -(-k // state.f)  # ceil(k/f)
-            target = waves[arrival] if arrival < len(waves) else 0
-            self._queue = sorted(bits(target))
+            dist = metrics(state.orientation).dist[state.start]
+            self._queue = [v for v in range(state.orientation.n) if dist[v] == arrival]
         chosen = [
             v for v in self._queue
             if not ((state.burnt | state.protected) >> v) & 1
         ][: state.f]
         return chosen
-
-
-def _unobstructed_waves(o: Orientation, start: int) -> list[int]:
-    """Burn sets per time unit with no defence: waves[i] burns at time i+1."""
-    om = o.out_mask
-    burnt = 1 << start
-    waves = [burnt]
-    frontier = om[start] & ~burnt
-    while frontier:
-        waves.append(frontier)
-        burnt |= frontier
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= om[v]
-        frontier = nxt & ~burnt
-    return waves
 
 
 class SubcubicBlock(Strategy):
@@ -202,15 +198,15 @@ class SubcubicBlock(Strategy):
         if self._fallback is not None:
             return self._fallback.decide(state)
         o = state.orientation
-        labels = o.meta["labels"]
+        labels = _meta_field(o, "labels", list)
         free = state.free()
         if state.time == 1:
             outs = [h for h in o.out[state.start] if (free >> h) & 1]
             if len(outs) <= state.f:
                 return sorted(outs)
             cycle_heads = [
-                h for i, (t, h) in enumerate(o.arcs)
-                if t == state.start and labels[i] == "cycle" and (free >> h) & 1
+                h for (t, h), label in zip(o.arcs, labels)
+                if t == state.start and label == "cycle" and (free >> h) & 1
             ]
             return sorted(cycle_heads)[: state.f] or sorted(outs)[: state.f]
         targets = 0
@@ -247,8 +243,8 @@ class GridRect(_ScriptOnFirstCall):
         meta = state.orientation.meta
         if meta.get("scheme") != "grid-rect":
             return None
-        w = meta["w"]
         o = state.orientation
+        w = _meta_field(o, "w", int)
         start = state.start
 
         def row_out(v):
@@ -281,7 +277,7 @@ class GridTri(_ScriptOnFirstCall):
         meta = state.orientation.meta
         if meta.get("scheme") != "grid-tri":
             return None
-        w, h = meta["w"], meta["h"]
+        w, h = _meta_field(state.orientation, "w", int), _meta_field(state.orientation, "h", int)
         start = state.start
         r, c = divmod(start, w)
         if r % 2 == 0:

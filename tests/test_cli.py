@@ -192,3 +192,35 @@ def test_bad_script_exit_two(tmp_path, capsys, script, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("payload, message", [
+    ("[1, 2]", "line 2: meta must be a JSON object"),
+    ("5", "line 2: meta must be a JSON object"),
+    ('"ab"', "line 2: meta must be a JSON object"),
+    ('{"scheme": ', "line 2: meta is not valid JSON"),
+])
+def test_malformed_meta_exit_two(tmp_path, capsys, payload, message):
+    ofile = tmp_path / "bad.o"
+    ofile.write_text(f"o 2 1\n# meta {payload}\na 0 1\n")
+    assert main(["solve", "--in", str(ofile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("strategy, meta, message", [
+    ("complete-cyclic", {"scheme": "complete"}, "scheme 'complete' needs a list 'order'"),
+    ("ktree-anticipate", {"scheme": "ktree"}, "scheme 'ktree' needs a positive integer 'k'"),
+    ("grid-rect", {"scheme": "grid-rect", "h": 2}, "scheme 'grid-rect' needs a positive integer 'w'"),
+    ("grid-tri", {"scheme": "grid-tri", "w": 2}, "scheme 'grid-tri' needs a positive integer 'h'"),
+    ("subcubic", {"scheme": "subcubic", "labels": 5}, "scheme 'subcubic' needs a list 'labels'"),
+])
+def test_strategy_meta_missing_field_exit_two(tmp_path, capsys, strategy, meta, message):
+    ofile = tmp_path / "meta.o"
+    ofile.write_text(f"# meta {json.dumps(meta)}\no 2 1\na 0 1\n")
+    argv = ["simulate", "--in", str(ofile), "--start", "0", "--strategy", strategy]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: orientation meta of {message}\n"
+    assert captured.out == ""

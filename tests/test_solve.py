@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -328,6 +330,26 @@ def test_best_budget_holds_under_bound_prune():
     assert not gv.exact
     assert time.perf_counter() - t0 < 2.0
     assert gv.beta >= 4  # the density floor ceil(49 / 14)
+
+
+def test_best_budget_clock_read_on_bound_checks(monkeypatch):
+    # the test above without its dependence on machine speed: each clock read
+    # advances 10 ms, so a scan that reads the clock on its bound checks stops
+    # after 14 leaf and bound solves, while one that reads it only every 64
+    # leaves runs on past the cap of 200
+    ticks = itertools.count()
+    monkeypatch.setattr(firebreak.solve, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 100))
+    solves = itertools.count(1)
+    beta_with_cutoff = firebreak.solve._beta_with_cutoff
+
+    def capped(*args):
+        if next(solves) > 200:
+            raise AssertionError("the scan ran on past its time budget")
+        return beta_with_cutoff(*args)
+
+    monkeypatch.setattr(firebreak.solve, "_beta_with_cutoff", capped)
+    gv = solve_best_orientation(complete_bipartite(7, 7), 1, budget_ms=100, max_edges=49, want_trace=False)
+    assert not gv.exact
 
 
 def test_best_leaf_budget_flags_inexact():
