@@ -346,7 +346,7 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def read_graph(text: str) -> Graph:
-    n, edges = _parse_listing(text, header="p", item="e", allow_parallel=False)
+    n, edges = _parse_listing(text, header="p", item="e")
     return Graph(n, edges)
 
 
@@ -370,14 +370,8 @@ def read_orientation(text: str) -> Orientation:
             if not isinstance(meta, dict):
                 raise ParseError("meta must be a JSON object", lineno)
             break
-    n, arcs = _parse_listing(text, header="o", item="a", allow_parallel=True)
-    edges = [(min(t, h), max(t, h)) for t, h in arcs]
-    seen = set()
-    for ln, e in enumerate(edges):
-        if e in seen:
-            raise ParseError(f"parallel edge ({e[0]},{e[1]})", ln + 2)
-        seen.add(e)
-    graph = Graph(n, edges)
+    n, arcs = _parse_listing(text, header="o", item="a")
+    graph = Graph(n, [(min(t, h), max(t, h)) for t, h in arcs])
     return Orientation(graph, arcs, meta=meta)
 
 
@@ -391,7 +385,7 @@ def write_orientation(o: Orientation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_listing(text: str, header: str, item: str, allow_parallel: bool):
+def _parse_listing(text: str, header: str, item: str):
     n = None
     m = None
     pairs: list[tuple[int, int]] = []
@@ -425,11 +419,10 @@ def _parse_listing(text: str, header: str, item: str, allow_parallel: bool):
                 raise ParseError(f"loop edge ({u},{u})", lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"endpoint out of range in ({u},{v})", lineno)
-            if not allow_parallel:
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    raise ParseError(f"parallel edge ({u},{v})", lineno)
-                seen.add(key)
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise ParseError(f"parallel edge ({u},{v})", lineno)
+            seen.add(key)
             pairs.append((u, v))
         else:
             raise ParseError(f"unknown record '{parts[0]}'", lineno)

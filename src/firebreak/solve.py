@@ -11,30 +11,37 @@ A branch is dropped once its burnt count, plus its threat minus the f
 protections of the next round, reaches the best value found.
 
 Finding the best orientation enumerates edge directions depth-first in edge
-order (bit 0 = lower id to higher id first) with four sound prunes:
+order (bit 0 = lower id to higher id first), in passes with a target t. The
+first pass has t = density_floor, the proven lower bound, and each pass that
+comes back empty raises t by one. A pass keeps t + 1 as its incumbent from the
+root and stops at its first leaf of value at most t, with three sound prunes:
 
 - outdegree: a partial assignment dies once some outdegree forces
-  1 + d+ - f >= incumbent (the fire's start burns that vertex, and at most f
-  of its out-neighbours are protected before they burn). This is checked at
-  internal nodes too: after the incumbent drops, arcs fixed under the old
-  limit can already break the new one;
+  1 + d+ - f > t (the fire's start burns that vertex, and at most f of its
+  out-neighbours are protected before they burn), so no vertex takes more
+  than t + f - 1 out-arcs;
 - twin symmetry (lex-leader): for twins u < v (N(u) - v = N(v) - u) swapping
   u and v is an automorphism sigma, and a partial word dies once it can no
   longer satisfy word <= sigma(word) in the scan's order. Relabelling keeps
-  the value, so sigma maps optima to optima; the first optimum in enumeration
-  order is the least word of its orbit, satisfies every such check, and is
-  found as before;
+  the value, so the orbit of the first optimum in enumeration order holds
+  only optima, and that word is the least of its orbit: it satisfies every
+  such check;
 - sub-digraph bound: a partial assignment dies once the digraph of the arcs
-  fixed so far already has a value of at least the incumbent. Adding an arc
-  never lowers the value (the larger digraph's optimal defence, played in the
-  smaller one, keeps the fire a subset of the larger one's at every step), so
-  every completion is at least as bad;
-- density floor: the scan stops when the incumbent reaches the proven floor.
+  fixed so far already has a value above t. Adding an arc never lowers the
+  value (the larger digraph's optimal defence, played in the smaller one,
+  keeps the fire a subset of the larger one's at every step), so every
+  completion is at least as bad.
 
-Only a strict improvement replaces the incumbent. The outdegree, sub-digraph
-and floor prunes drop only orientations that cannot improve on it, and the
-twin prune never drops the first optimum, so every leaf before that optimum
-is worse than it and the scan still returns it as the witness.
+The outdegree and sub-digraph prunes drop only orientations of value above t,
+and the twin prune never drops the first optimum. The floor, or the passes
+that came back empty, prove that no orientation has a value below t. So a
+pass that reaches a leaf of value at most t has found the first orientation of
+value exactly t in enumeration order, which is the first optimum, and a pass
+that comes back empty proves that the value is at least t + 1. This is
+iterative deepening on the value (Korf, "Depth-first iterative-deepening: an
+optimal admissible tree search", AI 1985). The leaf's engine is capped at
+t + 1, so its values below the cap, every start's among them, are exact: the
+per-start values and the witness trace come from it without a second solve.
 """
 
 from __future__ import annotations
@@ -55,7 +62,8 @@ class SolverLimitError(GraphError):
 @dataclass
 class GameValue:
     """Exact result of optimal play. nodes_explored counts leaves (complete
-    orientations) in mode "best", engine states in "fixed" and "undirected"."""
+    orientations) in mode "best", summed over the scan's passes, and engine
+    states in "fixed" and "undirected"."""
 
     beta: int
     f: int
@@ -105,9 +113,10 @@ class Engine:
     """Memoised optimal-defence search over a fixed digraph.
 
     With a cap, every value at or above it is reported as the cap, which lets
-    the search skip any play that already burns that many. The orientation
-    scan only asks whether a value reaches its incumbent, so it uses a capped
-    engine; trace extraction needs an uncapped one.
+    the search skip any play that already burns that many; values below the
+    cap are exact. The orientation scan only asks whether a value exceeds its
+    target, so it caps at target + 1, and trace extraction works on any
+    engine whose traced value lies below its cap.
     """
 
     def __init__(self, out_mask: list[int], n: int, f: int, cap: Optional[int] = None):
@@ -274,10 +283,7 @@ def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameV
     t0 = time.perf_counter()
     eng = Engine(out_mask, n, f)
     starts = [start] if start is not None else list(range(n))
-    per_start = {s: eng.start_value(s) for s in starts}
-    beta = max(per_start.values())
-    witness = next(s for s in starts if per_start[s] == beta)
-    trace = eng.extract_trace(witness) if want_trace else None
+    beta, witness, per_start, trace = _optimal_play(eng, starts, want_trace)
     return GameValue(
         beta=beta, f=f, mode=mode, exact=True,
         witness_start=witness, witness_trace=trace,
@@ -286,32 +292,39 @@ def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameV
     )
 
 
-def _beta_with_cutoff(out_mask, n, f, cutoff, starts) -> tuple[int, Optional[int]]:
-    """Worst value over the given starts and the start attaining it, giving up
-    once the value reaches cutoff; the value is exact when below cutoff."""
+def _optimal_play(eng: Engine, starts: list[int], want_trace: bool):
+    """The value over the starts, the first start attaining it, the value of
+    each start, and that start's optimal play when want_trace is set. Every
+    value must lie below the engine's cap."""
+    per_start = {s: eng.start_value(s) for s in starts}
+    beta = max(per_start.values())
+    witness = next(s for s in starts if per_start[s] == beta)
+    trace = eng.extract_trace(witness) if want_trace else None
+    return beta, witness, per_start, trace
+
+
+def _beta_with_cutoff(out_mask, n, f, cutoff, starts) -> tuple[int, Optional[int], Engine]:
+    """Worst value over the given starts, the start attaining it and the
+    engine, giving up once the value reaches cutoff; the value is exact when
+    below cutoff, and so is the engine's value of every start then."""
     eng = Engine(out_mask, n, f, cap=cutoff)
     worst, worst_start = 0, None
     for s in starts:
         v = eng.start_value(s)
         if v > worst:
             worst, worst_start = v, s
-            if cutoff is not None and worst >= cutoff:
+            if worst >= cutoff:
                 break
-    return worst, worst_start
+    return worst, worst_start, eng
 
 
 @dataclass
-class _BestState:
-    # An arc may leave a vertex only while its outdegree is below this: n
-    # with no incumbent (never binding on simple graphs), then incumbent + f - 2,
-    # the outdegree prune, so it is recomputed only when the incumbent changes.
-    max_outdeg: int
-    incumbent: Optional[int] = None
-    witness_word: Optional[int] = None
-    leaves: int = 0
-    hint: int = 0  # the start that last reached the incumbent
-    stopped: bool = False
-    budget_hit: bool = False
+class _ScanState:
+    leaves: int = 0  # over all passes
+    hint: int = 0  # the start that last reached the cap, at a check or a leaf
+    witness_word: int = 0  # orientation 0 until a pass reaches its leaf
+    witness_engine: Optional[Engine] = None
+    stopped: bool = False  # a leaf was found or a budget ran out
 
 
 # The sub-digraph bound is only checked with at least this many edges still
@@ -395,10 +408,14 @@ def _lex_step(lex: list, word: int, last: int) -> Optional[list]:
 
 
 def density_floor(g: Graph, f: int) -> int:
-    """Proven lower bound used for early stopping: ceil(m/n) when f = 1."""
-    if f == 1 and g.n > 0:
-        return max(1, -(-g.m // g.n))
-    return 1
+    """Proven lower bound on the best value, where the scan's first pass
+    starts: max(1, 1 + ceil(m/n) - f).
+
+    The outdegrees of any orientation sum to m, so some vertex has outdegree
+    at least ceil(m/n). A fire started there burns it, and at most f of its
+    out-neighbours are protected before the fire spreads to the rest.
+    """
+    return max(1, 1 + -(-g.m // g.n) - f) if g.n else 1
 
 
 def solve_best_orientation(
@@ -409,12 +426,16 @@ def solve_best_orientation(
     max_edges: int = 21,
     want_trace: bool = True,
 ) -> GameValue:
-    """Exact minimum of the fixed-orientation value over all 2^m orientations.
+    """Exact minimum of the fixed-orientation value over all 2^m orientations,
+    with the first orientation attaining it in enumeration order as witness.
 
-    An exhausted time or leaf budget turns the result into a flagged upper
-    bound instead of an exact value. budget_leaves counts visited leaves
-    (complete orientations), not the internal nodes the bounds cut. A
-    negative (or NaN) budget raises GraphError.
+    budget_ms and budget_leaves hold over all passes of the scan together:
+    one deadline and one count of visited leaves (complete orientations, not
+    the internal nodes the bounds cut). When either runs out before a pass
+    finds its leaf, the result is orientation 0, the one with every edge from
+    its lower end to its higher end, with its own value as a flagged upper
+    bound (exact false); its solve counts as one more leaf. A negative (or
+    NaN) budget raises GraphError.
     """
     if g.m > max_edges:
         raise SolverLimitError(f"instance has {g.m} edges, cap is {max_edges}")
@@ -423,49 +444,53 @@ def solve_best_orientation(
         if budget is not None and not budget >= 0:
             raise GraphError(f"{name} must be non-negative, got {budget}")
     t0 = time.perf_counter()
-    floor = density_floor(g, f)
-    beta, word, exact, leaves = _scan_orientations(g, f, floor, budget_ms, budget_leaves)
-    witness = orientation_from_bits(g, word)
-    fixed = solve_orientation(witness, f=f, want_trace=want_trace)
+    state = _scan_orientations(g, f, density_floor(g, f), budget_ms, budget_leaves)
+    witness = orientation_from_bits(g, state.witness_word)
+    eng = state.witness_engine
+    exact = eng is not None
+    if not exact:
+        eng = Engine(witness.out_mask, g.n, f)
+        state.leaves += 1
+    beta, start, per_start, trace = _optimal_play(eng, list(range(g.n)), want_trace)
     return GameValue(
         beta=beta, f=f, mode="best", exact=exact,
-        witness_start=fixed.witness_start, witness_trace=fixed.witness_trace,
-        witness_orientation=witness, per_start=fixed.per_start,
-        nodes_explored=leaves, wall_ms=(time.perf_counter() - t0) * 1000,
+        witness_start=start, witness_trace=trace,
+        witness_orientation=witness, per_start=per_start,
+        nodes_explored=state.leaves, wall_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
-def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves):
-    """Depth-first scan of orientation space.
+def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves) -> _ScanState:
+    """Depth-first scan of orientation space in passes with targets floor,
+    floor + 1, and so on (see the module docstring).
 
-    Returns (value, witness word, exact, leaves visited). The witness is the
-    first optimum in enumeration order.
+    Returns the scan state: the witness word and its capped engine once a
+    pass reaches a leaf of value at most its target, or word 0 and no engine
+    when a budget ran out first, with the leaves visited over all passes.
 
     The sub-digraph bound is sound at any node: by monotonicity every
-    completion of a partial digraph whose value reaches the incumbent is no
-    strict improvement. What it costs is a fixed-orientation solve per check,
-    so it is checked only where it is likely to pay:
+    completion of a partial digraph whose value exceeds the target is above
+    the target too. What it costs is a fixed-orientation solve per check, so
+    it is checked only where it is likely to pay:
 
     - right after an edge that was the last one of one of its endpoints, so
       that vertex's out-arcs are final, and only with at least
       _MIN_OPEN_EDGES edges still open, so the subtree it can cut is large;
-    - from at most two starts: the one that last reached the incumbent (at a
-      check or a leaf), then the one of largest outdegree so far. A start
-      that burns the incumbent in one orientation usually does so in its
+    - from at most two starts: the one that last burnt more than the target
+      (at a check or a leaf), then the one of largest outdegree so far. A
+      start that does so in one orientation usually does so in its
       neighbours, and a failed check then costs one or two starts, not n.
       Leaves try every start, from the same one on.
 
-    Every solve is capped at the incumbent, since the scan only asks whether
-    a value reaches it. Checking from every start cut the most leaves but
-    made K7 (f = 1) slower than no check at all, and checking at every depth
-    slower still.
+    Every solve is capped at target + 1, since the scan only asks whether a
+    value exceeds the target. Checking from every start cut the most leaves
+    but made K7 (f = 1) slower than no check at all, and checking at every
+    depth slower still.
 
-    The outdegree limit is checked on each new arc, and over all arcs only
-    when a node moves to its second child after the incumbent dropped below
-    its value at that node: every arc fixed since then obeyed the new limit,
-    so no leaf is ever reached that breaks it. The twin checks (see
-    _twin_comparisons) are stepped as each bit is set, at no cost on graphs
-    without a twin class of _MIN_TWIN_CLASS vertices.
+    The outdegree limit is checked on each new arc; it is fixed for the whole
+    pass. The twin checks (see _twin_comparisons) are stepped as each bit is
+    set, at no cost on graphs without a twin class of _MIN_TWIN_CLASS
+    vertices.
 
     The clock for budget_ms is read on every bound check as well as every 64
     leaves, because under the bound leaves become rare; budget_leaves counts
@@ -475,8 +500,8 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves):
     lo_hi = [(min(u, v), max(u, v)) for u, v in g.edges]
     outdeg = [0] * n
     out_mask = [0] * n
-    state = _BestState(max_outdeg=n)
-    start_clock = time.perf_counter()
+    state = _ScanState()
+    deadline = None if budget_ms is None else time.perf_counter() + budget_ms / 1000
 
     last_edge = {}
     for i, (u, v) in enumerate(lo_hi):
@@ -484,48 +509,39 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves):
     closing = {i + 1 for i in last_edge.values()}  # depths just after a vertex's last edge
     check_at = [i <= m - _MIN_OPEN_EDGES and i in closing for i in range(m + 1)]
 
-    def over_budget() -> bool:
-        return budget_ms is not None and (time.perf_counter() - start_clock) * 1000 > budget_ms
-
     def visit(word: int) -> None:
         state.leaves += 1
         starts = [(state.hint + k) % n for k in range(n)]
-        value, start = _beta_with_cutoff(out_mask, n, f, state.incumbent, starts)
-        if state.incumbent is not None and value >= state.incumbent:
-            state.hint = start
+        # a copy of out_mask: the engine outlives the leaf if it is the witness's
+        value, start, eng = _beta_with_cutoff(out_mask[:], n, f, cap, starts)
+        if value < cap:
+            state.witness_word, state.witness_engine = word, eng
+            state.stopped = True
         else:
-            state.incumbent = value
-            state.max_outdeg = value + f - 2
-            state.witness_word = word
-            if state.incumbent <= floor:
-                state.stopped = True
+            state.hint = start
 
     def rec(i: int, word: int, lex: list) -> None:
         if state.stopped:
             return
-        if state.incumbent is not None:
-            if (budget_leaves is not None and state.leaves >= budget_leaves) or (
-                (check_at[i] or state.leaves % 64 == 63) and over_budget()
-            ):
-                state.stopped = True
-                state.budget_hit = True
+        if (budget_leaves is not None and state.leaves >= budget_leaves) or (
+            deadline is not None and (check_at[i] or state.leaves % 64 == 63)
+            and time.perf_counter() > deadline
+        ):
+            state.stopped = True
+            return
+        if check_at[i]:
+            top = max(range(n), key=outdeg.__getitem__)
+            starts = [state.hint] if top == state.hint else [state.hint, top]
+            value, start, _ = _beta_with_cutoff(out_mask, n, f, cap, starts)
+            if value >= cap:
+                state.hint = start
                 return
-            if check_at[i]:
-                top = max(range(n), key=outdeg.__getitem__)
-                starts = [state.hint] if top == state.hint else [state.hint, top]
-                value, start = _beta_with_cutoff(out_mask, n, f, state.incumbent, starts)
-                if value >= state.incumbent:
-                    state.hint = start
-                    return
         if i == m:
             visit(word)
             return
         u, v = lo_hi[i]
-        incumbent = state.incumbent
         for bit, tail, head in ((0, u, v), (1, v, u)):
-            if state.incumbent != incumbent and max(outdeg) > state.max_outdeg:
-                return
-            if outdeg[tail] >= state.max_outdeg:
+            if outdeg[tail] >= max_outdeg:
                 continue
             child = word | (bit << i)
             child_lex = _lex_step(lex, child, i) if lex else lex
@@ -537,9 +553,15 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves):
             outdeg[tail] -= 1
             out_mask[tail] &= ~(1 << head)
 
-    rec(0, 0, [(comps, 0) for comps in _twin_comparisons(g).values()])
-    exact = not state.budget_hit
-    return state.incumbent, state.witness_word, exact, state.leaves
+    lex = [(comps, 0) for comps in _twin_comparisons(g).values()]
+    target = floor
+    while not state.stopped:
+        # a value above target fails: every solve's cap, and the outdegree at
+        # which a vertex takes no more out-arcs (1 + d+ - f > target beyond it)
+        cap, max_outdeg = target + 1, target + f - 1
+        rec(0, 0, lex)
+        target += 1
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 own pass/fail line.
 
 The labelled n=6 sweep (all 26,704 connected 6-vertex graphs, 5.1-5.3 s on
-Python 3.11.7, 2 cores) follows the CLI's slow gate: set FIREBREAK_SLOW=1 to
-include it. All tolerances are exact integer or exact
-rational comparisons.
+Python 3.11.7, 2 cores) and the dense frontier (K9 and K6,6, about 2 s each)
+follow the CLI's slow gate: set FIREBREAK_SLOW=1 to include them. All
+tolerances are exact integer or exact rational comparisons.
 """
 
 import os
@@ -83,6 +83,16 @@ def test_criterion_1_k8_exact():
              f"beta={gv.beta}, exact={gv.exact}, {elapsed:.2f}s")
 
 
+@slow_only
+def test_criterion_1_slow_dense_k9():
+    # above its density floor 4, so the scan pays for two empty passes
+    t0 = time.perf_counter()
+    gv = solve_best_orientation(complete(9), 1, max_edges=36, want_trace=False)
+    elapsed = time.perf_counter() - t0
+    announce("1s K9 solves exactly to 6 in under 10 s", gv.beta == 6 and gv.exact and elapsed < 10,
+             f"beta={gv.beta}, exact={gv.exact}, {elapsed:.2f}s")
+
+
 def test_criterion_2_complete_bipartite_exact():
     t0 = time.perf_counter()
     b22 = solve_best_orientation(complete_bipartite(2, 2), 1, want_trace=False).beta
@@ -103,6 +113,16 @@ def test_criterion_2_k55_exact():
     gv = solve_best_orientation(complete_bipartite(5, 5), 1, max_edges=28, want_trace=False)
     elapsed = time.perf_counter() - t0
     announce("2 K5,5 solves exactly to 5 in under 10 s", gv.beta == 5 and gv.exact and elapsed < 10,
+             f"beta={gv.beta}, exact={gv.exact}, {elapsed:.2f}s")
+
+
+@slow_only
+def test_criterion_2_slow_dense_k66():
+    # above its density floor 3, so the scan pays for three empty passes
+    t0 = time.perf_counter()
+    gv = solve_best_orientation(complete_bipartite(6, 6), 1, max_edges=36, want_trace=False)
+    elapsed = time.perf_counter() - t0
+    announce("2s K6,6 solves exactly to 6 in under 10 s", gv.beta == 6 and gv.exact and elapsed < 10,
              f"beta={gv.beta}, exact={gv.exact}, {elapsed:.2f}s")
 
 

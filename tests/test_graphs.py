@@ -79,6 +79,16 @@ def test_parse_errors_carry_line_numbers():
         read_graph("p 3 2\ne 0 1\ne 1 0\n")  # public format is simple
 
 
+@pytest.mark.parametrize("text, line", [
+    ('# meta {"scheme": "x"}\no 2 2\na 0 1\na 1 0\n', 4),
+    ("o 3 2\n\n# c\na 0 1\na 1 0\n", 5),
+])
+def test_orientation_parallel_arc_reports_its_line(text, line):
+    with pytest.raises(ParseError, match="parallel edge") as err:
+        read_orientation(text)
+    assert err.value.line == line
+
+
 def test_orientation_round_trip():
     o = orientation_from_bits(complete(4), 0b101010)
     o2 = read_orientation(write_orientation(o))

@@ -35,6 +35,7 @@ from firebreak.solve import (
     Engine,
     SolverLimitError,
     _twin_comparisons,
+    density_floor,
     naive_best_orientation,
     naive_solve_orientation,
     naive_start_value,
@@ -114,22 +115,22 @@ PINNED = {
     ),
     "K5-best-f1": (
         lambda: solve_best_orientation(complete(5), 1),
-        _pinned("best", 1, 2, 0, 3, [2] * 5, [
+        _pinned("best", 1, 2, 0, 1, [2] * 5, [
             (1, "burn", [0]), (1, "protect", [2]), (2, "burn", [1]), (2, "protect", [3])], _K5_BEST),
     ),
     "K5-best-f2": (
         lambda: solve_best_orientation(complete(5), 2),
-        _pinned("best", 2, 1, 0, 3, [1] * 5, [(1, "burn", [0]), (1, "protect", [1, 2])], _K5_BEST),
+        _pinned("best", 2, 1, 0, 1, [1] * 5, [(1, "burn", [0]), (1, "protect", [1, 2])], _K5_BEST),
     ),
     "K33-best-f1": (
         lambda: solve_best_orientation(k33(), 1),
-        _pinned("best", 1, 2, 0, 5, [2, 2, 1, 1, 2, 2], [
+        _pinned("best", 1, 2, 0, 4, [2, 2, 1, 1, 2, 2], [
             (1, "burn", [0]), (1, "protect", [4]), (2, "burn", [3])],
             [[0, 3], [0, 4], [5, 0], [1, 3], [4, 1], [1, 5], [2, 3], [4, 2], [5, 2]]),
     ),
     "K33-best-f2": (
         lambda: solve_best_orientation(k33(), 2),
-        _pinned("best", 2, 1, 0, 2, [1] * 6, [(1, "burn", [0]), (1, "protect", [3, 4])],
+        _pinned("best", 2, 1, 0, 1, [1] * 6, [(1, "burn", [0]), (1, "protect", [3, 4])],
                 [[0, 3], [0, 4], [5, 0], [1, 3], [1, 4], [5, 1], [2, 3], [4, 2], [2, 5]]),
     ),
 }
@@ -215,8 +216,10 @@ def _first_optimum(g, f):
 
 
 def test_best_witness_is_first_optimum():
+    # the scan's passes stop at their first leaf at the target, so this is
+    # what shows that no earlier orientation meets it
     fives = list(enumerate_connected(5))
-    graphs = [g for n in (2, 3, 4) for g in enumerate_connected(n)]
+    graphs = [g for n in (1, 2, 3, 4) for g in enumerate_connected(n)]
     graphs += random.Random(5).sample(fives, 120)
     for g in graphs:
         for f in (1, 2):
@@ -225,9 +228,10 @@ def test_best_witness_is_first_optimum():
 
 
 def test_best_multigraph_outdegree_limit_before_incumbent():
-    # Until the first leaf sets an incumbent, no vertex takes an n-th out-arc.
-    # Only parallel edges can reach that limit, and here it decides the witness:
-    # the all-forward word 0 is never visited.
+    # The first pass's outdegree limit, t + f - 1 for target t, holds from the
+    # root: 2 here at f = 1 (t = 2) and at f = 2 (t = 1). Only parallel edges
+    # can reach it before a leaf, and here it decides the witness: the
+    # all-forward word 0 is never visited.
     g = Graph(2, [(0, 1)] * 3)
     for f in (1, 2):
         gv = solve_best_orientation(g, f)
@@ -350,6 +354,33 @@ def test_best_budget_clock_read_on_bound_checks(monkeypatch):
     monkeypatch.setattr(firebreak.solve, "_beta_with_cutoff", capped)
     gv = solve_best_orientation(complete_bipartite(7, 7), 1, budget_ms=100, max_edges=49, want_trace=False)
     assert not gv.exact
+
+
+@pytest.mark.parametrize("budget", [{"budget_leaves": 0}, {"budget_leaves": 3}, {"budget_ms": 5}])
+def test_best_budget_inside_empty_pass(budget):
+    # K7,7 lies above its density floor 4, and its first pass runs for
+    # seconds before it comes back empty. A budget that runs out inside it
+    # leaves no witness, so the result is orientation 0 with its own value
+    gv = solve_best_orientation(complete_bipartite(7, 7), 1, max_edges=49, **budget)
+    assert not gv.exact
+    assert gv.witness_orientation.direction_bits() == 0
+    assert replay(gv.witness_orientation, gv.witness_trace).valid
+    assert gv.witness_trace.burned == gv.beta == max(gv.per_start.values())
+    if "budget_leaves" in budget:
+        assert gv.nodes_explored <= budget["budget_leaves"] + 1
+
+
+def test_density_floor_at_most_best_value(monkeypatch):
+    # for f >= 2 the floor is the outdegree prune's argument. Scanned from 1
+    # instead, every graph with up to 6 vertices whose floor is above 1 at
+    # f = 2 or 3 keeps its value, which is at least the floor
+    graphs = [g for n in range(2, 7) for g in enumerate_connected(n)]
+    cases = [(g, f) for g in graphs for f in (2, 3) if density_floor(g, f) > 1]
+    assert len(cases) == 121
+    values = [solve_best_orientation(g, f, want_trace=False).beta for g, f in cases]
+    monkeypatch.setattr(firebreak.solve, "density_floor", lambda g, f: 1)
+    for (g, f), value in zip(cases, values):
+        assert density_floor(g, f) <= solve_best_orientation(g, f, want_trace=False).beta == value, (g, f)
 
 
 def test_best_leaf_budget_flags_inexact():
