@@ -97,6 +97,23 @@ class Strategy:
         raise NotImplementedError
 
 
+class ScriptedStrategy(Strategy):
+    """Explicit per-time protect sets."""
+
+    name = "scripted"
+
+    def __init__(self, script: dict[int, list[int]]):
+        if not isinstance(script, dict):
+            raise GraphError("a script maps times to lists of vertices")
+        for t, vs in script.items():
+            if not isinstance(vs, list) or not all(isinstance(v, int) for v in vs):
+                raise GraphError(f"script time {t!r} must map to a list of vertices")
+        self.script = {int(t): list(vs) for t, vs in script.items()}
+
+    def decide(self, state: FireState) -> list[int]:
+        return self.script.get(state.time, [])
+
+
 def check_game(n: int, f: int, start: Optional[int] = None) -> None:
     """Raise GraphError unless a game on n vertices with f protections per
     step (and the given fire start, if any) is well defined."""
@@ -158,47 +175,40 @@ class ReplayResult:
 
 
 def replay(o: Orientation, trace: FireTrace) -> ReplayResult:
-    """Recompute the spread from a trace's protect events and check that the
-    recorded burn events match exactly."""
+    """Check a trace against the game's rules: play its protect events
+    through simulate and compare the play with the trace, event by event and
+    in the burned total. Every rule simulate enforces holds, the at-most-f
+    limit among them; time is the first time at which the trace departs from
+    the play."""
     n = o.n
-    burns: dict[int, tuple[int, ...]] = {}
-    protects: dict[int, tuple[int, ...]] = {}
+    recorded: dict[tuple[str, int], tuple[int, ...]] = {}
     for ev in trace.events:
         if any(not 0 <= v < n for v in ev.vertices):
             return ReplayResult(False, ev.t, "vertex out of range")
-        store = burns if ev.kind == "burn" else protects
-        if ev.t in store:
+        if (ev.kind, ev.t) in recorded:
             return ReplayResult(False, ev.t, f"duplicate {ev.kind} event")
-        store[ev.t] = ev.vertices
-    if burns.get(1) != (trace.start,):
+        recorded[ev.kind, ev.t] = tuple(sorted(ev.vertices))
+    if recorded.get(("burn", 1)) != (trace.start,):
         return ReplayResult(False, 1, "first burn event must be the start vertex")
-    om = o.out_mask
-    burnt = 1 << trace.start
-    protected = 0
-    threat = om[trace.start]
-    t = 1
-    last_t = max(list(burns) + list(protects))
-    while True:
-        for p in protects.get(t, ()):
-            if (burnt >> p) & 1:
-                return ReplayResult(False, t, "protecting a burning vertex")
-            if (protected >> p) & 1:
-                return ReplayResult(False, t, "protecting twice")
-            protected |= 1 << p
-        spread = threat & ~(burnt | protected)
-        expected = tuple(sorted(burns.get(t + 1, ())))
-        if not spread:
-            if expected:
-                return ReplayResult(False, t + 1, "trace burns where fire cannot spread")
-            break
-        if expected != tuple(sorted(bits(spread))):
-            return ReplayResult(False, t + 1, "burn event does not match the spread")
-        burnt |= spread
-        for v in bits(spread):
-            threat |= om[v]
-        t += 1
-    if popcount(burnt) != trace.burned:
-        return ReplayResult(False, last_t, "burned total does not match")
-    if any(tt > t for tt in protects):
-        return ReplayResult(False, min(tt for tt in protects if tt > t), "protect event after the game ended")
+    script = {t: list(vs) for (kind, t), vs in recorded.items() if kind == "protect"}
+    fault = None
+    try:
+        play = simulate(o, trace.start, trace.f, ScriptedStrategy(script))
+    except StrategyFault as exc:
+        # the play is legal up to the faulty protection: play that much
+        fault = exc
+        early = {t: vs for t, vs in script.items() if t < exc.time}
+        play = simulate(o, trace.start, trace.f, ScriptedStrategy(early))
+    except GraphError as exc:
+        return ReplayResult(False, 1, str(exc))
+    played = {(ev.kind, ev.t): ev.vertices for ev in play.events}
+    departs = [(t, kind) for kind, t in recorded.keys() | played.keys()
+               if recorded.get((kind, t), ()) != played.get((kind, t), ())]
+    if departs:
+        t, kind = min(departs)
+        if fault is not None and (t, kind) == (fault.time, "protect"):
+            return ReplayResult(False, t, str(fault))
+        return ReplayResult(False, t, f"{kind} event departs from the play")
+    if play.burned != trace.burned:
+        return ReplayResult(False, max(t for _, t in recorded), "burned total does not match")
     return ReplayResult(True)

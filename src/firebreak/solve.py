@@ -357,13 +357,10 @@ def _twin_comparisons(g: Graph) -> dict[tuple[int, int], tuple[tuple[int, int, i
     a < w < b, and the edge between two true twins is its own image, flipped:
     i = j, flip = 1. A swap is an involution, so a pair (i, j) compares equal
     at j once it did at i and gives one comparison. Swaps of isolated
-    vertices, and graphs with parallel edges, get no checks.
+    vertices get no checks.
     """
-    am = g.adj_mask
-    if sum(map(int.bit_count, am)) != 2 * g.m:  # parallel edges
-        return {}
     classes: dict[int, list[int]] = {}
-    for u, nbrs in enumerate(am):
+    for u, nbrs in enumerate(g.adj_mask):
         # an open neighbourhood never contains its vertex, a closed one always
         # does, so one table holds both kinds without a clash
         classes.setdefault(nbrs, []).append(u)
@@ -435,11 +432,14 @@ def solve_best_orientation(
     finds its leaf, the result is orientation 0, the one with every edge from
     its lower end to its higher end, with its own value as a flagged upper
     bound (exact false); its solve counts as one more leaf. A negative (or
-    NaN) budget raises GraphError.
+    NaN) budget, or a graph with parallel edges, raises GraphError: the
+    prunes count arcs as distinct out-neighbours.
     """
     if g.m > max_edges:
         raise SolverLimitError(f"instance has {g.m} edges, cap is {max_edges}")
     check_game(g.n, f)
+    if g.has_parallel_edges():
+        raise GraphError("the best-orientation scan needs a graph without parallel edges")
     for name, budget in (("budget_ms", budget_ms), ("budget_leaves", budget_leaves)):
         if budget is not None and not budget >= 0:
             raise GraphError(f"{name} must be non-negative, got {budget}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .graphs import GraphError, Orientation, bits, metrics, popcount
-from .game import FireState, Strategy
+from .game import FireState, ScriptedStrategy, Strategy
 
 
 def _meta_field(o: Orientation, field: str, kind: type):
@@ -43,43 +43,6 @@ class GreedyOutdeg(Strategy):
         return ranked[: state.f]
 
 
-class LayerStrategy(Strategy):
-    """Protect one vertex at distance t from the start at each time t, which
-    saves at least ecc(start) vertices overall."""
-
-    name = "layer"
-
-    def __init__(self):
-        self._dist: Optional[list[float]] = None
-
-    def decide(self, state: FireState) -> list[int]:
-        if self._dist is None:
-            self._dist = metrics(state.orientation).dist[state.start]
-        layer = [
-            v
-            for v in bits(state.free())
-            if self._dist[v] == state.time
-        ]
-        return layer[: state.f]
-
-
-class ScriptedStrategy(Strategy):
-    """Explicit per-time protect sets."""
-
-    name = "scripted"
-
-    def __init__(self, script: dict[int, list[int]]):
-        if not isinstance(script, dict):
-            raise GraphError("a script maps times to lists of vertices")
-        for t, vs in script.items():
-            if not isinstance(vs, list) or not all(isinstance(v, int) for v in vs):
-                raise GraphError(f"script time {t!r} must map to a list of vertices")
-        self.script = {int(t): list(vs) for t, vs in script.items()}
-
-    def decide(self, state: FireState) -> list[int]:
-        return self.script.get(state.time, [])
-
-
 class _ScriptOnFirstCall(Strategy):
     """Base for strategies that build a script once the start is known."""
 
@@ -103,6 +66,19 @@ class _ScriptOnFirstCall(Strategy):
             if not ((state.burnt | state.protected) >> v) & 1
         ]
         return chosen[: state.f]
+
+
+class LayerStrategy(_ScriptOnFirstCall):
+    """Protect one vertex at distance t from the start at each time t, which
+    saves at least ecc(start) vertices overall."""
+
+    name = "layer"
+
+    def build(self, state):
+        layers: dict[float, list[int]] = {}
+        for v, d in enumerate(metrics(state.orientation).dist[state.start]):
+            layers.setdefault(d, []).append(v)
+        return layers
 
 
 class CompleteCyclic(_ScriptOnFirstCall):
@@ -153,34 +129,22 @@ class CompleteCyclic(_ScriptOnFirstCall):
         }
 
 
-class KTreeAnticipate(Strategy):
+class KTreeAnticipate(_ScriptOnFirstCall):
     """Protect the burn wave that is ceil(k/f) units away instead of the
     vertices next to the fire; by the time that wave is reached it is fully
     protected and the fire dies against it."""
 
     name = "ktree-anticipate"
 
-    def __init__(self):
-        self._queue: Optional[list[int]] = None
-        self._fallback: Optional[Strategy] = None
-
-    def decide(self, state: FireState) -> list[int]:
-        if self._fallback is not None:
-            return self._fallback.decide(state)
-        if self._queue is None:
-            meta = state.orientation.meta
-            if meta.get("scheme") != "ktree":
-                self._fallback = GreedyOutdeg()
-                return self._fallback.decide(state)
-            k = _meta_field(state.orientation, "k", int)
-            arrival = -(-k // state.f)  # ceil(k/f)
-            dist = metrics(state.orientation).dist[state.start]
-            self._queue = [v for v in range(state.orientation.n) if dist[v] == arrival]
-        chosen = [
-            v for v in self._queue
-            if not ((state.burnt | state.protected) >> v) & 1
-        ][: state.f]
-        return chosen
+    def build(self, state):
+        if state.orientation.meta.get("scheme") != "ktree":
+            return None
+        k = _meta_field(state.orientation, "k", int)
+        arrival = -(-k // state.f)  # ceil(k/f)
+        dist = metrics(state.orientation).dist[state.start]
+        wave = [v for v in range(state.orientation.n) if dist[v] == arrival]
+        # each time protects at least one vertex of the wave until none is free
+        return {t: wave for t in range(1, len(wave) + 1)}
 
 
 class SubcubicBlock(Strategy):

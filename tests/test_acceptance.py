@@ -7,10 +7,15 @@ follow the CLI's slow gate: set FIREBREAK_SLOW=1 to include them. All
 tolerances are exact integer or exact rational comparisons.
 """
 
+import hashlib
+import json
 import os
 import time
+from pathlib import Path
 
 import pytest
+
+import firebreak
 
 from firebreak.bounds import (
     beta_d_ladder,
@@ -303,8 +308,15 @@ def test_criterion_10_bounds_sandwich():
              not problems, f"{len(problems)} violations, {elapsed:.1f}s")
 
 
+# sha256 of every suite's JSON at seed 0, wall_ms dropped, in the order below
+SUITES_PIN = "a02799f755554ea4bacb73c6aa63e2945f49078ae2c0503a0d43a29c064c9dd2"
+
+
 def test_verification_suites_all_pass():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(firebreak.__file__).parent / "schemas" / "suite.json").read_text())
     failures = []
+    objs = []
     for name in (
         "complete-exact", "bipartite-exact", "subcubic", "two-trees", "degree4",
         "b1-characterisation", "recurrence-closed-form", "grids",
@@ -314,4 +326,11 @@ def test_verification_suites_all_pass():
         print(f"[acceptance] suite {name}: {'PASS' if result.passed else 'FAIL'}")
         if not result.passed:
             failures.append(name)
+        obj = result.to_json_obj()
+        jsonschema.Draft7Validator(schema).validate(obj)
+        for check in obj["checks"]:
+            del check["wall_ms"]
+        objs.append(obj)
     assert not failures, failures
+    digest = hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest()
+    assert digest == SUITES_PIN

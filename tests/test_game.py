@@ -194,6 +194,41 @@ def test_replay_rejects_wrong_spread():
     assert not result.valid and result.time == 2
 
 
+def test_replay_rejects_more_than_f_protections():
+    o = orient_complete(5)
+    trace = simulate(o, 0, 2, make_strategy("greedy-outdeg"))
+    assert replay(o, trace).valid
+    assert [ev.vertices for ev in trace.events if ev.kind == "protect"] == [(1, 2)]
+    trace.f = 1
+    result = replay(o, trace)
+    assert not result.valid and result.time == 1
+    assert "more protections than firefighters" in result.reason
+
+
+def test_replay_rejects_burn_after_the_end():
+    # the game ends at time 1, so no burn event may follow, however late
+    o = orient_complete(5)
+    trace = simulate(o, 0, 2, make_strategy("greedy-outdeg"))
+    trace.events.append(TraceEvent(3, "burn", (4,)))
+    result = replay(o, trace)
+    assert not result.valid and result.time == 3
+
+
+def test_replay_time_is_first_departure():
+    # a protection that comes a step late lets the fire through first
+    o = orient_complete(5)
+    trace = simulate(o, 0, 1, make_strategy("scripted", script={1: [1]}))
+    late = FireTrace(
+        start=0, f=1,
+        events=[ev if ev.kind == "burn" else TraceEvent(ev.t + 1, "protect", ev.vertices)
+                for ev in trace.events],
+        burned=trace.burned,
+    )
+    result = replay(o, late)
+    assert not result.valid and result.time == 2
+    assert result.reason == "burn event departs from the play"
+
+
 def test_strategy_fault_on_illegal_protection():
     o = orient_complete(5)
 
