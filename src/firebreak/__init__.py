@@ -44,7 +44,6 @@ from .graphs import (
 from .orient import (
     RECIPES,
     apply_recipe,
-    bipartition,
     orient_bipartite,
     orient_bounded_degree,
     orient_by_colouring,
@@ -71,6 +70,7 @@ from .strategies import STRATEGIES, make_strategy
 from .structure import (
     KTreeStructure,
     SuppressedCubic,
+    bipartition,
     exact_colouring,
     forest_peel,
     greedy_colouring,

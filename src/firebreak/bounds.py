@@ -16,8 +16,16 @@ from typing import Optional
 
 from .game import check_game
 from .graphs import Graph, GraphError, Orientation, bits, metrics, popcount
-from .orient import _oneway_side, bipartition
-from .structure import exact_colouring, forest_peel, greedy_colouring, ktree_structure, min_fvs
+from .structure import (
+    _oneway_side,
+    bipartition,
+    exact_colouring,
+    forest_peel,
+    greedy_colouring,
+    is_complete,
+    ktree_structure,
+    min_fvs,
+)
 
 
 @dataclass
@@ -101,10 +109,6 @@ def beta_d_ladder(d: int, seed4: int = 5) -> int:
 # instance recognition helpers
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.n >= 1 and g.m == g.n * (g.n - 1) // 2 and not g.has_parallel_edges()
-
-
 def _complete_bipartite_sides(g: Graph) -> Optional[tuple[int, int]]:
     """(p, q) when g is K_{p,q}, with p counting the side of vertex 0: every
     vertex is joined to exactly the side it is not on, and m == pq rules out
@@ -182,7 +186,7 @@ def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
         BoundEntry(
             "clique", "lower", clique_value, f == 1,
             f"one firefighter; contains a clique on {omega} vertices (subgraph monotonicity)",
-            note="" if _is_complete(g) else "greedy clique, so possibly undersized",
+            note="" if is_complete(g) else "greedy clique, so possibly undersized",
         )
     )
     sides = _complete_bipartite_sides(g)
@@ -238,7 +242,7 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
     )
 
     # complete graphs
-    if _is_complete(g):
+    if is_complete(g):
         value = complete_upper_bound(n, f)
         entries.append(BoundEntry("complete", "upper", value, True, f"complete graph on {n} vertices"))
     else:

@@ -198,8 +198,9 @@ def random_ktree(n: int, k: int, seed: int = 0) -> Graph:
     return _tagged(n, edges, "random_ktree", n=n, k=k, seed=seed)
 
 
-def random_regular(n: int, d: int, seed: int = 0, connected: bool = True) -> Graph:
-    """Random d-regular simple graph by the pairing model with rejection."""
+def random_regular(n: int, d: int, seed: int = 0) -> Graph:
+    """Random connected d-regular simple graph by the pairing model with
+    rejection."""
     if n < d + 1 or (n * d) % 2 != 0:
         raise GraphError("d-regular graph needs n >= d+1 and n*d even")
     rng = random.Random(seed)
@@ -218,9 +219,8 @@ def random_regular(n: int, d: int, seed: int = 0, connected: bool = True) -> Gra
         if not ok:
             continue
         g = Graph(n, pairs, meta={"family": "random_regular", "n": n, "d": d, "seed": seed})
-        if connected and not g.is_connected():
-            continue
-        return g
+        if g.is_connected():
+            return g
     raise GraphError(f"no {d}-regular graph found for n={n}, seed={seed}")
 
 

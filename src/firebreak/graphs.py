@@ -123,17 +123,7 @@ class Graph:
         return False
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        stack = [0]
-        am = self.adj_mask
-        while stack:
-            v = stack.pop()
-            new = am[v] & ~seen
-            seen |= new
-            stack.extend(bits(new))
-        return popcount(seen) == self.n
+        return len(self.components()) <= 1
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks."""
@@ -433,12 +423,12 @@ def _parse_listing(text: str, header: str, item: str):
     return n, pairs
 
 
-def to_dot(obj: Graph | Orientation, name: str = "g") -> str:
+def to_dot(obj: Graph | Orientation) -> str:
     if isinstance(obj, Orientation):
-        lines = [f"digraph {name} {{"]
+        lines = ["digraph g {"]
         lines.extend(f"  {t} -> {h};" for t, h in obj.arcs)
     else:
-        lines = [f"graph {name} {{"]
+        lines = ["graph g {"]
         lines.extend(f"  {u} -- {v};" for u, v in obj.edges)
         for v in range(obj.n):
             if not obj.adj[v]:

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graphs import Graph, GraphError, Orientation, bits, bridges, mask_of, popcount
+from .graphs import Graph, GraphError, Orientation, bits, bridges, popcount
 from . import families as gen
 from .structure import (
+    _oneway_side,
+    bipartition,
+    exact_colouring,
     forest_peel,
     greedy_colouring,
+    is_complete,
     is_forest,
     is_proper_colouring,
     ktree_structure,
@@ -190,34 +194,6 @@ def orient_complete(n: int) -> Orientation:
     sink = _tournament(list(range(n)), index, arcs)
     meta = {"scheme": "complete", "n": n, "order": tuple(range(n)), "sink": sink}
     return Orientation(g, arcs, meta=meta)
-
-
-def bipartition(g: Graph) -> Optional[tuple[int, int]]:
-    """Two-colouring by BFS as (side A, side B) bitmasks, or None."""
-    colour = [-1] * g.n
-    for s in range(g.n):
-        if colour[s] >= 0:
-            continue
-        colour[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w, _ in g.adj[v]:
-                if colour[w] < 0:
-                    colour[w] = 1 - colour[v]
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    a = mask_of(v for v in range(g.n) if colour[v] == 0)
-    return a, ((1 << g.n) - 1) & ~a
-
-
-def _oneway_side(g: Graph, sides: tuple[int, int]) -> tuple[int, int]:
-    """The source side of the one-way orientation and its maximum degree:
-    the side whose maximum degree is smaller, side A on a tie."""
-    deg = g.degrees()
-    a, b = (max((deg[v] for v in bits(side)), default=0) for side in sides)
-    return (sides[0], a) if a <= b else (sides[1], b)
 
 
 def orient_bipartite(g: Graph) -> Orientation:
@@ -553,15 +529,13 @@ def _recipe_complete(graph=None, n=None, **_):
     if n is None:
         if graph is None:
             raise GraphError("complete recipe needs a graph or n")
-        n = graph.n
-        if graph.m != n * (n - 1) // 2 or graph.has_parallel_edges():
+        if not is_complete(graph):
             raise GraphError("input graph is not complete")
+        n = graph.n
     return orient_complete(n)
 
 def _recipe_colouring(graph, k=None, **_):
     if k is not None:
-        from .structure import exact_colouring
-
         parts = exact_colouring(graph, k)
         if parts is None:
             raise GraphError(f"graph admits no proper {k}-colouring")

@@ -4,9 +4,10 @@ The engine minimises the burned count over all defence schedules for a fixed
 digraph by depth-first search over (live, threat) states, where live is the
 region still reachable from the fire through unprotected vertices and threat
 the part of it the fire reaches next. The pair fixes the rest of the game
-whatever has burnt so far, so the memo maps it to the burn still to come.
-Protections are only branched inside the live region (protecting elsewhere
-can never change a future spread), plus passing when nothing useful remains.
+whatever has burnt so far, so the memo maps it to the burn still to come and
+to the first optimal move, which trace extraction follows. Protections are
+only branched inside the live region (protecting elsewhere can never change a
+future spread), and all of it is protected once it has at most f vertices.
 A branch is dropped once its burnt count, plus its threat minus the f
 protections of the next round, reaches the best value found.
 
@@ -62,8 +63,9 @@ class SolverLimitError(GraphError):
 @dataclass
 class GameValue:
     """Exact result of optimal play. nodes_explored counts leaves (complete
-    orientations) in mode "best", summed over the scan's passes, and engine
-    states in "fixed" and "undirected"."""
+    orientations) in mode "best", summed over the scan's passes, and in
+    "fixed" and "undirected" the engine states searched, none of them added
+    by trace extraction."""
 
     beta: int
     f: int
@@ -125,7 +127,7 @@ class Engine:
         self.f = f
         self.cap = n if cap is None else cap
         self.full = (1 << n) - 1
-        self.memo: dict[tuple[int, int], int] = {}
+        self.memo: dict[tuple[int, int], tuple[int, int]] = {}
         self.nodes = 0
 
     def start_value(self, start: int) -> int:
@@ -161,41 +163,49 @@ class Engine:
         have burnt; a value at or above the cap comes back as some number at
         least the cap, and start_value gets the cap itself.
 
-        The memo maps (live, threat) to the burn still to come. That is sound
-        because every out-neighbour of a burnt vertex is burnt, protected or
-        in threat, so threat is out(burnt) & live. The protect sets, the
-        spread and the next (live, threat) are all functions of the pair, so
-        the rest of the game does not depend on which vertices burnt, and
-        count only adds to it. A result at the cap only bounds the burn to
-        come from below; such an entry is stored complemented (~rest), gives
-        the cap to any later count that reaches the cap with it, and is
-        searched again otherwise.
+        The memo maps (live, threat) to the burn still to come and the
+        state's move. That is sound because every out-neighbour of a burnt
+        vertex is burnt, protected or in threat, so threat is out(burnt) &
+        live. The protect sets, the spread and the next (live, threat) are
+        all functions of the pair, so the rest of the game does not depend on
+        which vertices burnt, and count only adds to it. A result at the cap
+        only bounds the burn to come from below, so it is not stored, and the
+        state is searched again when it comes up again.
 
         A child is skipped once it cannot beat the best value so far: its
         count alone reaches it, or so does its count plus its threat minus f,
         since the next round can protect at most f threatened vertices.
+
+        The move is the first protect set, in _protect_masks order, whose
+        child reaches the state's value (live itself when at most f vertices
+        are live): the set at best's last change. Children are tried in that
+        order and best moves only on a strict improvement. A child skipped by
+        either bound has a value at least the best so far, and so has a
+        searched child that did not improve it, so every child before the
+        move is above the final value. Count only adds to the value, so one
+        move serves every count. A stored value lies below the cap, so the
+        move's child was stored too (or has no threat), and extract_trace
+        follows the moves to the end of the play.
         """
         if not threat:
             return count
         key = (live, threat)
-        rest = self.memo.get(key)
-        if rest is not None:
-            if rest >= 0:
-                return count + rest
-            if count + ~rest >= self.cap:
-                return self.cap
+        entry = self.memo.get(key)
+        if entry is not None:
+            return count + entry[0]
         self.nodes += 1
         f = self.f
         if live.bit_count() <= f:
-            self.memo[key] = 0
+            self.memo[key] = (0, live)
             return count
         best = count + live.bit_count()
         if best > self.cap:
             best = self.cap
+        move = 0
         for pm in _protect_masks(live, threat, f):
             spread = threat & ~pm
             if not spread:
-                best = count
+                best, move = count, pm
                 break
             newcount = count + spread.bit_count()
             if newcount >= best:
@@ -205,22 +215,22 @@ class Engine:
                 continue
             v = self._value(newlive, newthreat, newcount)
             if v < best:
-                best = v
-                if best == count:
-                    break
-        self.memo[key] = ~(best - count) if best >= self.cap else best - count
+                best, move = v, pm
+        if best < self.cap:
+            self.memo[key] = (best - count, move)
         return best
 
     def extract_trace(self, start: int) -> FireTrace:
-        """Walk one optimal play out of the solved memo table."""
+        """The first optimal play from start in protect-set order, read off
+        the moves in the memo; start's value must have been solved below the
+        cap."""
         live, threat = self._burn(self.full, 0, 1 << start)
         count = 1
         events = [TraceEvent(1, "burn", (start,))]
         t = 1
         while threat:
-            pm = self._optimal_choice(live, threat, count)
-            if pm:
-                events.append(TraceEvent(t, "protect", tuple(bits(pm))))
+            pm = self.memo[live, threat][1]
+            events.append(TraceEvent(t, "protect", tuple(bits(pm))))
             spread = threat & ~pm
             if not spread:
                 break
@@ -229,26 +239,6 @@ class Engine:
             t += 1
             events.append(TraceEvent(t, "burn", tuple(bits(spread))))
         return FireTrace(start=start, f=self.f, events=events, burned=count)
-
-    def _optimal_choice(self, live: int, threat: int, count: int) -> int:
-        """The first protect set, in _value's order, that keeps the memoised
-        value of the state."""
-        if popcount(live) <= self.f:
-            return live
-        target = self._value(live, threat, count)
-        for pm in _protect_masks(live, threat, self.f):
-            spread = threat & ~pm
-            if not spread:
-                if target == count:
-                    return pm
-                continue
-            newcount = count + popcount(spread)
-            if newcount > target:
-                continue
-            newlive, newthreat = self._burn(live, pm, spread)
-            if self._value(newlive, newthreat, newcount) == target:
-                return pm
-        raise AssertionError("memoised value has no matching play")
 
 
 def solve_orientation(
@@ -267,11 +257,10 @@ def solve_undirected(
     g: Graph,
     f: int = 1,
     start: Optional[int] = None,
-    max_vertices: int = 24,
 ) -> GameValue:
-    """Classic firefighting on an undirected graph: every edge carries both
-    arcs. The number saved is |V| minus the result."""
-    return _solve_fixed(list(g.adj_mask), g.n, f, start, max_vertices, True, "undirected")
+    """Classic firefighting on an undirected graph of at most 24 vertices:
+    every edge carries both arcs. The number saved is |V| minus the result."""
+    return _solve_fixed(list(g.adj_mask), g.n, f, start, 24, True, "undirected")
 
 
 def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameValue:
@@ -324,7 +313,7 @@ class _ScanState:
     hint: int = 0  # the start that last reached the cap, at a check or a leaf
     witness_word: int = 0  # orientation 0 until a pass reaches its leaf
     witness_engine: Optional[Engine] = None
-    stopped: bool = False  # a leaf was found or a budget ran out
+    stopped: bool = False  # a leaf was found or the budget ran out
 
 
 # The sub-digraph bound is only checked with at least this many edges still
@@ -419,32 +408,28 @@ def solve_best_orientation(
     g: Graph,
     f: int = 1,
     budget_ms: Optional[float] = None,
-    budget_leaves: Optional[int] = None,
     max_edges: int = 21,
     want_trace: bool = True,
 ) -> GameValue:
     """Exact minimum of the fixed-orientation value over all 2^m orientations,
     with the first orientation attaining it in enumeration order as witness.
 
-    budget_ms and budget_leaves hold over all passes of the scan together:
-    one deadline and one count of visited leaves (complete orientations, not
-    the internal nodes the bounds cut). When either runs out before a pass
-    finds its leaf, the result is orientation 0, the one with every edge from
-    its lower end to its higher end, with its own value as a flagged upper
-    bound (exact false); its solve counts as one more leaf. A negative (or
-    NaN) budget, or a graph with parallel edges, raises GraphError: the
-    prunes count arcs as distinct out-neighbours.
+    budget_ms holds over all passes of the scan together. When it runs out
+    before a pass finds its leaf, the result is orientation 0, the one with
+    every edge from its lower end to its higher end, with its own value as a
+    flagged upper bound (exact false); its solve counts as one more leaf. A
+    negative (or NaN) budget, or a graph with parallel edges, raises
+    GraphError: the prunes count arcs as distinct out-neighbours.
     """
     if g.m > max_edges:
         raise SolverLimitError(f"instance has {g.m} edges, cap is {max_edges}")
     check_game(g.n, f)
     if g.has_parallel_edges():
         raise GraphError("the best-orientation scan needs a graph without parallel edges")
-    for name, budget in (("budget_ms", budget_ms), ("budget_leaves", budget_leaves)):
-        if budget is not None and not budget >= 0:
-            raise GraphError(f"{name} must be non-negative, got {budget}")
+    if budget_ms is not None and not budget_ms >= 0:
+        raise GraphError(f"budget_ms must be non-negative, got {budget_ms}")
     t0 = time.perf_counter()
-    state = _scan_orientations(g, f, density_floor(g, f), budget_ms, budget_leaves)
+    state = _scan_orientations(g, f, density_floor(g, f), budget_ms)
     witness = orientation_from_bits(g, state.witness_word)
     eng = state.witness_engine
     exact = eng is not None
@@ -460,13 +445,13 @@ def solve_best_orientation(
     )
 
 
-def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves) -> _ScanState:
+def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
     """Depth-first scan of orientation space in passes with targets floor,
     floor + 1, and so on (see the module docstring).
 
     Returns the scan state: the witness word and its capped engine once a
     pass reaches a leaf of value at most its target, or word 0 and no engine
-    when a budget ran out first, with the leaves visited over all passes.
+    when the budget ran out first, with the leaves visited over all passes.
 
     The sub-digraph bound is sound at any node: by monotonicity every
     completion of a partial digraph whose value exceeds the target is above
@@ -492,9 +477,8 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves) -
     set, at no cost on graphs without a twin class of _MIN_TWIN_CLASS
     vertices.
 
-    The clock for budget_ms is read on every bound check as well as every 64
-    leaves, because under the bound leaves become rare; budget_leaves counts
-    leaves only.
+    The clock for budget_ms is read on every bound check and every leaf:
+    under the bound, leaves become rare.
     """
     n, m = g.n, g.m
     lo_hi = [(min(u, v), max(u, v)) for u, v in g.edges]
@@ -523,10 +507,7 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms, budget_leaves) -
     def rec(i: int, word: int, lex: list) -> None:
         if state.stopped:
             return
-        if (budget_leaves is not None and state.leaves >= budget_leaves) or (
-            deadline is not None and (check_at[i] or state.leaves % 64 == 63)
-            and time.perf_counter() > deadline
-        ):
+        if deadline is not None and (check_at[i] or i == m) and time.perf_counter() > deadline:
             state.stopped = True
             return
         if check_at[i]:

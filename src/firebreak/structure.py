@@ -1,4 +1,5 @@
-"""Structural subroutines used by the orientation constructions.
+"""Structural subroutines used by the orientation constructions and the
+bound report.
 
 Everything here is exhaustive or greedy-deterministic and intended for the
 small instances the rest of the package works with.
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, GraphError, bits, mask_of, popcount
+from .graphs import Graph, GraphError, bits, mask_of, metrics, popcount
 
 
 def greedy_colouring(g: Graph) -> list[list[int]]:
@@ -64,6 +65,39 @@ def is_proper_colouring(g: Graph, parts: list[list[int]]) -> bool:
     if len(colour) != g.n:
         return False
     return all(colour[u] != colour[v] for u, v in g.edges)
+
+
+def is_complete(g: Graph) -> bool:
+    """A complete graph on at least one vertex, without parallel edges."""
+    return g.n >= 1 and g.m == g.n * (g.n - 1) // 2 and not g.has_parallel_edges()
+
+
+def bipartition(g: Graph) -> Optional[tuple[int, int]]:
+    """Two-colouring by BFS as (side A, side B) bitmasks, or None."""
+    colour = [-1] * g.n
+    for s in range(g.n):
+        if colour[s] >= 0:
+            continue
+        colour[s] = 0
+        queue = [s]
+        while queue:
+            v = queue.pop()
+            for w, _ in g.adj[v]:
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
+                    queue.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    a = mask_of(v for v in range(g.n) if colour[v] == 0)
+    return a, ((1 << g.n) - 1) & ~a
+
+
+def _oneway_side(g: Graph, sides: tuple[int, int]) -> tuple[int, int]:
+    """The source side of the one-way orientation and its maximum degree:
+    the side whose maximum degree is smaller, side A on a tie."""
+    deg = g.degrees()
+    a, b = (max((deg[v] for v in bits(side)), default=0) for side in sides)
+    return (sides[0], a) if a <= b else (sides[1], b)
 
 
 def forest_peel(g: Graph) -> list[list[int]]:
@@ -320,8 +354,6 @@ def _simplicial_vertex(am: list[int], alive: int, k: int, forbidden: int) -> Opt
 
 
 def _central_clique(g: Graph, cliques: list[tuple[int, ...]]) -> tuple[int, ...]:
-    from .graphs import metrics
-
     dist = metrics(g).dist
     best = None
     for clique in cliques:

@@ -32,8 +32,9 @@ from firebreak.families import (
     random_tree,
 )
 from firebreak.graphs import Graph, GraphError, orientation_from_bits, popcount
-from firebreak.orient import bipartition, orient_subcubic
+from firebreak.orient import orient_subcubic
 from firebreak.solve import solve_best_orientation, solve_orientation
+from firebreak.structure import bipartition
 
 
 def by_name(entries):

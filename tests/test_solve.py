@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +33,7 @@ from firebreak.orient import (
 from firebreak.solve import (
     Engine,
     SolverLimitError,
+    _protect_masks,
     _twin_comparisons,
     density_floor,
     naive_best_orientation,
@@ -80,6 +80,59 @@ def test_witness_trace_replays():
         assert gv.witness_trace.burned == gv.beta
         assert gv.per_start[gv.witness_start] == gv.beta
     assert any(len(ev.vertices) == 2 for _, gv in cases for ev in gv.witness_trace.events if ev.kind == "protect")
+
+
+def test_trace_extraction_adds_no_state():
+    # the benchmark's random 5-regular orientation at f = 2, where a trace
+    # walk that re-solves children would search 3 more states for the
+    # witness start and 48 for all starts
+    g = random_regular(24, 5, 0)
+    o = orientation_from_bits(g, random.Random(0).getrandbits(g.m))
+    eng = Engine(o.out_mask, o.n, 2)
+    values = [eng.start_value(s) for s in range(o.n)]
+    nodes = eng.nodes
+    for s in range(o.n):
+        trace = eng.extract_trace(s)
+        assert trace.burned == values[s] and replay(o, trace).valid
+    assert eng.nodes == nodes
+
+
+def _first_optimal_moves(out_mask, n, f, trace):
+    """Mismatches between the trace's protect sets and the first move, in
+    _protect_masks order, whose successor keeps the state's value (live when
+    at most f vertices are live), by a fresh uncapped engine."""
+    ref = Engine(out_mask, n, f)
+    protects = [sum(1 << v for v in ev.vertices) for ev in trace.events if ev.kind == "protect"]
+    live, threat = ref._burn(ref.full, 0, 1 << trace.start)
+    count, mismatches = 1, []
+    for t, pm in enumerate(protects, 1):
+        value = ref._value(live, threat, count)
+        if live.bit_count() <= f:
+            first = live
+        else:
+            for first in _protect_masks(live, threat, f):
+                spread = threat & ~first
+                if not spread:
+                    if value == count:
+                        break
+                    continue
+                newlive, newthreat = ref._burn(live, first, spread)
+                if ref._value(newlive, newthreat, count + spread.bit_count()) == value:
+                    break
+        if pm != first:
+            mismatches.append((t, pm, first))
+        spread = threat & ~pm
+        count += spread.bit_count()
+        live, threat = ref._burn(live, pm, spread)
+    return mismatches
+
+
+def test_witness_trace_takes_first_optimal_moves():
+    graphs = [random_regular(18, 3, 0), random_regular(20, 3, 0), grid_rect(4, 5), random_regular(16, 4, 0)]
+    for g in graphs:
+        for f in (1, 2):
+            gv = solve_undirected(g, f)
+            assert _first_optimal_moves(list(g.adj_mask), g.n, f, gv.witness_trace) == [], (g.n, g.m, f)
 
 
 def _pinned(mode, f, beta, start, nodes, per_start, events, orientation=None):
@@ -171,9 +224,9 @@ def test_bad_game_arguments_raise_graph_error():
             solve_orientation(orient_complete(4), 1, start=start)
         with pytest.raises(GraphError, match="out of range"):
             solve_undirected(complete(4), start=start)
-    for budget in ({"budget_ms": -1}, {"budget_ms": float("nan")}, {"budget_leaves": -1}):
+    for budget_ms in (-1, float("nan")):
         with pytest.raises(GraphError, match="must be non-negative"):
-            solve_best_orientation(complete(5), **budget)
+            solve_best_orientation(complete(5), budget_ms=budget_ms)
 
 
 def test_undirected_star_centre():
@@ -332,13 +385,11 @@ def test_best_budget_holds_under_bound_prune():
     assert gv.beta >= 4  # the density floor ceil(49 / 14)
 
 
-def test_best_budget_clock_read_on_bound_checks(monkeypatch):
+def test_best_budget_clock_read_on_bound_checks(monkeypatch, ticking_clock):
     # the test above without its dependence on machine speed: each clock read
     # advances 10 ms, so a scan that reads the clock on its bound checks stops
-    # after 14 leaf and bound solves, while one that reads it only every 64
-    # leaves runs on past the cap of 200
-    ticks = itertools.count()
-    monkeypatch.setattr(firebreak.solve, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 100))
+    # after 14 leaf and bound solves, while one that reads it only at leaves
+    # runs on past the cap of 200
     solves = itertools.count(1)
     beta_with_cutoff = firebreak.solve._beta_with_cutoff
 
@@ -352,18 +403,23 @@ def test_best_budget_clock_read_on_bound_checks(monkeypatch):
     assert not gv.exact
 
 
-@pytest.mark.parametrize("budget", [{"budget_leaves": 0}, {"budget_leaves": 3}, {"budget_ms": 5}])
-def test_best_budget_inside_empty_pass(budget):
+@pytest.mark.parametrize("budget", [(0, "ticking"), (30, "ticking"), (5, "real")])
+def test_best_budget_inside_empty_pass(budget, request):
     # K7,7 lies above its density floor 4, and its first pass runs for
     # seconds before it comes back empty. A budget that runs out inside it
-    # leaves no witness, so the result is orientation 0 with its own value
-    gv = solve_best_orientation(complete_bipartite(7, 7), 1, max_edges=49, **budget)
+    # leaves no witness, so the result is orientation 0 with its own value.
+    # Every leaf reads the clock, so under the ticking clock a budget of
+    # 10k ms allows at most k leaves
+    budget_ms, clock = budget
+    if clock == "ticking":
+        request.getfixturevalue("ticking_clock")
+    gv = solve_best_orientation(complete_bipartite(7, 7), 1, budget_ms=budget_ms, max_edges=49)
     assert not gv.exact
     assert gv.witness_orientation.direction_bits() == 0
     assert replay(gv.witness_orientation, gv.witness_trace).valid
     assert gv.witness_trace.burned == gv.beta == max(gv.per_start.values())
-    if "budget_leaves" in budget:
-        assert gv.nodes_explored <= budget["budget_leaves"] + 1
+    if clock == "ticking":
+        assert gv.nodes_explored <= budget_ms // 10 + 1
 
 
 def test_density_floor_at_most_best_value(monkeypatch):
@@ -379,8 +435,9 @@ def test_density_floor_at_most_best_value(monkeypatch):
         assert density_floor(g, f) <= solve_best_orientation(g, f, want_trace=False).beta == value, (g, f)
 
 
-def test_best_leaf_budget_flags_inexact():
-    gv = solve_best_orientation(complete(7), 1, budget_leaves=5)
+def test_best_leaf_budget_flags_inexact(ticking_clock):
+    # every leaf reads the ticking clock, so 50 ms allow at most five leaves
+    gv = solve_best_orientation(complete(7), 1, budget_ms=50)
     assert not gv.exact
     assert gv.nodes_explored <= 6
     assert gv.beta >= 4
@@ -490,7 +547,8 @@ def test_oracle_equivalence_property(seed):
 
 def _check_capped_engine(out_mask, n, f):
     # One engine per cap answers every start, ascending then descending, so
-    # later starts meet memo entries that earlier ones left at the cap.
+    # later starts meet states that earlier ones searched up to the cap and
+    # left unstored.
     naive = [naive_start_value(out_mask, n, f, 1 << s, 0) for s in range(n)]
     for cap in range(1, n + 2):
         eng = Engine(out_mask, n, f, cap=cap)

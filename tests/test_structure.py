@@ -19,8 +19,8 @@ from firebreak.families import (
     star,
 )
 from firebreak.graphs import Graph, GraphError, mask_of, popcount
-from firebreak.orient import bipartition
 from firebreak.structure import (
+    bipartition,
     exact_colouring,
     forest_peel,
     greedy_colouring,
