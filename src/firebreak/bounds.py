@@ -124,37 +124,45 @@ def _complete_bipartite_sides(g: Graph) -> Optional[tuple[int, int]]:
 
 def greedy_clique(g: Graph) -> int:
     """Size of a clique found greedily; a valid lower-bound witness, exact on
-    complete graphs."""
+    complete graphs.
+
+    From each start v, the vertices are scanned in ascending order and each
+    one that is adjacent to everything taken so far joins. ``common`` is the
+    mask of vertices adjacent to everything taken, so the next vertex to join
+    is its lowest member: a lower member would have been in ``common`` when
+    the scan passed it (``common`` only shrinks) and so would have joined.
+    """
     best = 1 if g.n else 0
     am = g.adj_mask
     for v in range(g.n):
-        mask = 1 << v
-        for u in range(g.n):
-            if (mask >> u) & 1:
-                continue
-            if mask & ~am[u]:
-                continue
-            mask |= 1 << u
-        best = max(best, popcount(mask))
+        size, common = 1, am[v]
+        while common:
+            size += 1
+            common &= am[(common & -common).bit_length() - 1]
+        best = max(best, size)
     return best
 
 
 def _chromatic_number(g: Graph, bipartite: bool) -> tuple[int, bool]:
     """(chromatic number or greedy part count, exact flag).
 
-    Exact up to 16 vertices. A 1-colouring exists exactly when there is no
+    Exact for 1 to 16 vertices. A 1-colouring exists exactly when there is no
     edge (loops are forbidden) and a 2-colouring exactly when the graph is
-    bipartite, so those answers need no search, and the search for any other
-    graph starts at 3. Above 16 vertices the greedy count is returned.
+    bipartite, so those answers need no search. Any other graph searches
+    k = 3 up to one below the greedy count and stops there: the greedy
+    colouring is itself proper, so when no smaller k colours the graph, the
+    greedy count is the chromatic number. Above 16 vertices the greedy count
+    is returned as an estimate.
     """
     if 1 <= g.n <= 16 and bipartite:
         return (2 if g.m else 1), True
     greedy = len(greedy_colouring(g))
-    if g.n <= 16:
-        for k in range(3, greedy + 1):
-            if exact_colouring(g, k) is not None:
-                return k, True
-    return greedy, False
+    if g.n > 16:
+        return greedy, False
+    for k in range(3, greedy):
+        if exact_colouring(g, k) is not None:
+            return k, True
+    return greedy, g.n >= 1
 
 
 # ---------------------------------------------------------------------------

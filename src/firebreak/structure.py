@@ -15,16 +15,21 @@ from .graphs import Graph, GraphError, bits, mask_of, metrics, popcount
 
 
 def greedy_colouring(g: Graph) -> list[list[int]]:
-    """Proper colouring by smallest available colour in ascending id order."""
-    colour = [-1] * g.n
+    """Proper colouring by smallest available colour in ascending id order.
+
+    Each colour class is a vertex bitmask; a vertex joins the first class that
+    holds none of its neighbours.
+    """
+    am = g.adj_mask
+    classes: list[int] = []
     for v in range(g.n):
-        used = {colour[w] for w, _ in g.adj[v] if colour[w] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colour[v] = c
-    parts = max(colour, default=-1) + 1
-    return [[v for v in range(g.n) if colour[v] == c] for c in range(parts)]
+        for c, cls in enumerate(classes):
+            if not cls & am[v]:
+                classes[c] = cls | (1 << v)
+                break
+        else:
+            classes.append(1 << v)
+    return [list(bits(cls)) for cls in classes]
 
 
 def exact_colouring(g: Graph, k: int) -> Optional[list[list[int]]]:
@@ -54,7 +59,8 @@ def exact_colouring(g: Graph, k: int) -> Optional[list[list[int]]]:
 
     if not assign(0, 0):
         return None
-    return [[v for v in range(g.n) if colour[v] == c] for c in range(max(colour) + 1)]
+    parts = max(colour, default=-1) + 1
+    return [[v for v in range(g.n) if colour[v] == c] for c in range(parts)]
 
 
 def is_proper_colouring(g: Graph, parts: list[list[int]]) -> bool:
@@ -176,16 +182,42 @@ def min_fvs(g: Graph) -> int:
     below n keeps a vertex, and size n - 1 always succeeds, so the rule never
     meets n - size = 0 except on the empty graph, which returns the empty mask
     either way.
+
+    The forest test compares counts. A component on k_i vertices is connected,
+    so it has at least k_i - 1 edges, and exactly k_i - 1 when it is a tree (a
+    parallel edge is a cycle and costs one edge more). Summed over the c
+    components of the kept k vertices, the kept edges number at least k - c,
+    with equality exactly when the kept graph is acyclic. Edges are counted
+    with their multiplicity; components are found on the neighbourhood masks,
+    where parallel edges do not change connectivity.
     """
     n = g.n
+    am = g.adj_mask
+    full = (1 << n) - 1
     ends = [(1 << u) | (1 << v) for u, v in g.edges]
     for size in range(n + 1):
         for subset in combinations(range(n), size):
             removed = mask_of(subset)
-            keep = [i for i, e in enumerate(ends) if not e & removed]
-            if len(keep) < n - size and is_forest(g, keep):
+            kept = sum(1 for e in ends if not e & removed)
+            if kept < n - size and kept == n - size - _component_count(am, full & ~removed):
                 return removed
-    return (1 << n) - 1
+    return full
+
+
+def _component_count(am: list[int], alive: int) -> int:
+    """Connected components of the subgraph induced on the bitmask ``alive``."""
+    count = 0
+    while alive:
+        seen = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= am[v]
+            frontier = reach & alive & ~seen
+            seen |= frontier
+        alive &= ~seen
+        count += 1
+    return count
 
 
 def perfect_matching(g: Graph, must_include: Optional[int] = None) -> Optional[list[int]]:

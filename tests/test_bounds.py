@@ -34,7 +34,7 @@ from firebreak.families import (
 from firebreak.graphs import Graph, GraphError, orientation_from_bits, popcount
 from firebreak.orient import orient_subcubic
 from firebreak.solve import solve_best_orientation, solve_orientation
-from firebreak.structure import bipartition
+from firebreak.structure import bipartition, exact_colouring, greedy_colouring
 
 
 def by_name(entries):
@@ -315,6 +315,23 @@ def test_sandwich_orientation_skips_structural_upper_bounds(monkeypatch):
     for name in ("min_fvs", "forest_peel", "_chromatic_number"):
         monkeypatch.setattr(bounds, name, unused)
     assert check_sandwich(g, 1, 4, orientation=o) == []
+
+
+def test_chromatic_search_stops_below_greedy_count(monkeypatch):
+    # the greedy colouring already proves its own count, so the exact search
+    # never tries k >= that count
+    calls = []
+
+    def counted(g, k):
+        calls.append(k)
+        return exact_colouring(g, k)
+
+    monkeypatch.setattr(bounds, "exact_colouring", counted)
+    for g, chi in [(cycle(5), 3), (complete(4), 4), (petersen(), 3), (grid_tri(4, 4), 3)]:
+        calls.clear()
+        greedy = len(greedy_colouring(g))
+        assert bounds._chromatic_number(g, False) == (chi, True)
+        assert all(k < greedy for k in calls), (g.n, greedy, calls)
 
 
 def test_sandwich_flags_contradiction():

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -117,6 +118,16 @@ def test_verify_suite_json(capsys):
     code, out = run(capsys, "verify", "recurrence-closed-form", "--json")
     assert code == 0
     load_schema("suite.json")(json.loads(out))
+
+
+def test_orient_colouring_empty_graph(monkeypatch, capsys):
+    outputs = []
+    for extra in ([], ["--k", "0"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO("p 0 0\n"))
+        outputs.append(run(capsys, "orient", "--recipe", "colouring", *extra))
+    (code, out), (code_k, out_k) = outputs
+    assert code == code_k == 0
+    assert out_k == out and "o 0 0" in out
 
 
 def test_orient_family_with_recipe_flags(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firebreak.bounds import _chromatic_number
+from firebreak.bounds import _chromatic_number, greedy_clique
 from firebreak.families import (
     complete,
     cycle,
@@ -53,6 +53,10 @@ def test_exact_colouring_c5():
 
 def test_exact_colouring_k4_infeasible():
     assert exact_colouring(complete(4), 3) is None
+
+
+def test_exact_colouring_empty_graph():
+    assert exact_colouring(Graph(0, []), 0) == []
 
 
 def test_greedy_colouring_petersen():
@@ -118,6 +122,49 @@ MULTIGRAPHS = [
     Graph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (3, 4)]),
 ]
 
+# a tree plus a cycle, and a double edge hanging off a path beside an
+# isolated vertex
+DISCONNECTED = [
+    Graph(7, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (6, 4)]),
+    Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 3)]),
+]
+
+# isolated vertices beside edges, including the empty and edgeless graphs
+WITH_ISOLATED = [
+    Graph(0, []),
+    Graph(1, []),
+    Graph(5, []),
+    Graph(5, [(1, 2), (2, 3), (3, 1)]),
+    Graph(7, [(6, 0), (0, 4), (4, 6), (4, 2), (2, 6), (0, 2), (1, 3)]),
+] + DISCONNECTED
+
+
+def greedy_clique_reference(g):
+    best = 1 if g.n else 0
+    am = g.adj_mask
+    for v in range(g.n):
+        mask = 1 << v
+        for u in range(g.n):
+            if (mask >> u) & 1:
+                continue
+            if mask & ~am[u]:
+                continue
+            mask |= 1 << u
+        best = max(best, popcount(mask))
+    return best
+
+
+def greedy_colouring_reference(g):
+    colour = [-1] * g.n
+    for v in range(g.n):
+        used = {colour[w] for w, _ in g.adj[v] if colour[w] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        colour[v] = c
+    parts = max(colour, default=-1) + 1
+    return [[v for v in range(g.n) if colour[v] == c] for c in range(parts)]
+
 
 def min_fvs_reference(g):
     for size in range(g.n + 1):
@@ -176,7 +223,7 @@ def chromatic_reference(g):
 
 def test_min_fvs_matches_reference():
     cases = [g for n in range(1, 7) for g in enumerate_connected(n)]
-    for g in cases + [Graph(0, []), Graph(5, [])] + MULTIGRAPHS:
+    for g in cases + [Graph(0, []), Graph(5, [])] + MULTIGRAPHS + DISCONNECTED:
         assert min_fvs(g) == min_fvs_reference(g), g.edges
 
 
@@ -193,6 +240,22 @@ def test_chromatic_number_matches_reference():
     cases += [Graph(0, []), Graph(5, []), Graph(17, []), cycle(17), path(18)] + MULTIGRAPHS
     for g in cases:
         assert _chromatic_number(g, bipartition(g) is not None) == chromatic_reference(g), g.edges
+
+
+def greedy_cases():
+    cases = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    cases += [g for i, g in enumerate(enumerate_connected(6)) if i % 7 == 0]
+    return cases + MULTIGRAPHS + WITH_ISOLATED
+
+
+def test_greedy_clique_matches_reference():
+    for g in greedy_cases():
+        assert greedy_clique(g) == greedy_clique_reference(g), g.edges
+
+
+def test_greedy_colouring_matches_reference():
+    for g in greedy_cases():
+        assert greedy_colouring(g) == greedy_colouring_reference(g), g.edges
 
 
 # --- perfect matchings
