@@ -86,6 +86,21 @@ def refined_colour_bound(delta: int, f: int, k: int) -> Fraction:
     return Fraction(num, (d - 2) ** 2)
 
 
+def _wave_value(delta: int, f: int, k: int) -> tuple[int | Fraction, bool]:
+    """The chromatic-refined value at chromatic number k (delta > 2, k >= 1),
+    and whether the wave sum was truncated: the closed form while every wave
+    is positive, else the sum of the waves before the first one that is not.
+
+    Non-decreasing in k: one more colour appends one wave, which either adds
+    a positive term to the sum or is cut off with everything after it.
+    """
+    waves = burn_waves(delta, f, k)
+    cut = next((i for i, w in enumerate(waves) if w <= 0), None)
+    if cut is None:
+        return refined_colour_bound(delta, f, k), False
+    return sum(waves[:cut]), True
+
+
 def beta_d_ladder(d: int, seed4: int = 5) -> int:
     """Worst-case burn bound for maximum degree d with one firefighter:
     the degree recursion max(d, prev*(d-2) + 2) capped by (d-1)!.
@@ -120,6 +135,29 @@ def _complete_bipartite_sides(g: Graph) -> Optional[tuple[int, int]]:
         return None
     p, q = popcount(a), popcount(b)
     return (p, q) if g.m == p * q else None
+
+
+def _clique_value(omega: int) -> int:
+    """The clique rule's value for a clique on omega vertices; non-decreasing
+    in omega."""
+    return omega - 3 if omega >= 5 else 2 if omega == 4 else 1
+
+
+def _oneway_value(small: int, f: int) -> int:
+    """The bipartite-oneway value when the source side has maximum degree
+    ``small``."""
+    return max(1, 1 + small - f)
+
+
+def _pace_value(n: int, parts: int) -> Fraction:
+    """One new burn per unit while each unit retires ``parts`` vertices: the
+    arboricity-pace and outdegree-pace value."""
+    return 1 + Fraction(n - 1, parts)
+
+
+def _fvs_value(size: int, f: int) -> int:
+    """The fvs value for a feedback vertex set of ``size`` vertices."""
+    return max(1, size - f + 2)
 
 
 def greedy_clique(g: Graph) -> int:
@@ -189,41 +227,40 @@ def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
         )
     )
     omega = greedy_clique(g)
-    clique_value = omega - 3 if omega >= 5 else 2 if omega == 4 else 1
     entries.append(
         BoundEntry(
-            "clique", "lower", clique_value, f == 1,
+            "clique", "lower", _clique_value(omega), f == 1,
             f"one firefighter; contains a clique on {omega} vertices (subgraph monotonicity)",
             note="" if is_complete(g) else "greedy clique, so possibly undersized",
         )
     )
     sides = _complete_bipartite_sides(g)
     if sides is not None:
-        p, q = sides
-        ratio = Fraction(p * q, p + q)
-        entries.append(
-            BoundEntry(
-                "biclique-outdegree", "lower", ratio + 1 - f, True,
-                f"complete bipartite K_{{{p},{q}}}",
-            )
-        )
-        entries.append(
-            BoundEntry(
-                "biclique-outdegree-plus", "lower", ratio + 2 - f, f <= ratio - 1,
-                f"complete bipartite K_{{{p},{q}}} with f <= pq/(p+q) - 1",
-            )
-        )
-        entries.append(
-            BoundEntry(
-                "biclique-min-side", "lower", min(p, q),
-                f == 1 and min(p, q) >= 6,
-                f"complete bipartite K_{{{p},{q}}} with both sides at least 6, one firefighter",
-            )
-        )
+        entries += _biclique_bounds(*sides, f)
     else:
         for rule in ("biclique-outdegree", "biclique-outdegree-plus", "biclique-min-side"):
             entries.append(BoundEntry(rule, "lower", None, False, "graph is not complete bipartite"))
     return entries
+
+
+def _biclique_bounds(p: int, q: int, f: int) -> list[BoundEntry]:
+    """The lower bounds of the complete bipartite graph K_{p,q}."""
+    ratio = Fraction(p * q, p + q)
+    return [
+        BoundEntry(
+            "biclique-outdegree", "lower", ratio + 1 - f, True,
+            f"complete bipartite K_{{{p},{q}}}",
+        ),
+        BoundEntry(
+            "biclique-outdegree-plus", "lower", ratio + 2 - f, f <= ratio - 1,
+            f"complete bipartite K_{{{p},{q}}} with f <= pq/(p+q) - 1",
+        ),
+        BoundEntry(
+            "biclique-min-side", "lower", min(p, q),
+            f == 1 and min(p, q) >= 6,
+            f"complete bipartite K_{{{p},{q}}} with both sides at least 6, one firefighter",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +299,7 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
         _, small = _oneway_side(g, sides)
         entries.append(
             BoundEntry(
-                "bipartite-oneway", "upper", max(1, 1 + small - f), True,
+                "bipartite-oneway", "upper", _oneway_value(small, f), True,
                 f"bipartite; all arcs leave the side with maximum degree {small}",
             )
         )
@@ -283,14 +320,8 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
         )
     )
     if delta > 2 and 1 <= f < delta:
-        waves = burn_waves(delta, f, chromatic)
-        if all(w > 0 for w in waves):
-            refined = refined_colour_bound(delta, f, chromatic)
-            trunc_note = ""
-        else:
-            cut = next(i for i, w in enumerate(waves) if w <= 0)
-            refined = sum(waves[:cut])
-            trunc_note = "wave sum truncated where the fire is contained"
+        refined, truncated = _wave_value(delta, f, chromatic)
+        trunc_note = "wave sum truncated where the fire is contained" if truncated else ""
         entries.append(
             BoundEntry(
                 "chromatic-refined", "upper", refined, True,
@@ -312,7 +343,7 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
             note="estimate-based: partition size bounds the arboricity from above",
         )
     )
-    rational = 1 + Fraction(n - 1, a_est) if a_est else None
+    rational = _pace_value(n, a_est) if a_est else None
     entries.append(
         BoundEntry(
             "arboricity-pace", "upper", rational, a_est > 0 and f >= a_est - 1,
@@ -328,7 +359,7 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
         size = popcount(fvs_mask)
         entries.append(
             BoundEntry(
-                "fvs", "upper", max(1, size - f + 2), True,
+                "fvs", "upper", _fvs_value(size, f), True,
                 f"removing the {size} set vertices leaves a forest",
             )
         )
@@ -400,14 +431,16 @@ def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[Bound
 
 def _orientation_bounds(g: Graph, f: int, o: Optional[Orientation]) -> list[BoundEntry]:
     """Upper bounds on the value of the one orientation ``o`` of ``g``; unlike
-    the other rules they hold for that orientation, not only for the best."""
-    if o is None or o.graph != g:
+    the other rules they hold for that orientation, not only for the best.
+    The caller makes sure that ``o`` orients ``g``. The radius rule needs one
+    firefighter, so the radius is measured only then."""
+    if o is None:
         return [
             BoundEntry(rule, "upper", None, False, "no orientation supplied")
             for rule in ("outdegree-cover", "outdegree-pace", "radius")
         ]
     dplus = o.max_out_degree()
-    rad = metrics(o).rad
+    rad = metrics(o).rad if f == 1 else math.inf
     return [
         BoundEntry(
             "outdegree-cover", "upper", 1, f >= dplus,
@@ -415,7 +448,7 @@ def _orientation_bounds(g: Graph, f: int, o: Optional[Orientation]) -> list[Boun
         ),
         BoundEntry(
             "outdegree-pace", "upper",
-            1 + Fraction(g.n - 1, dplus) if dplus else None,
+            _pace_value(g.n, dplus) if dplus else None,
             dplus >= 1 and f >= dplus - 1,
             f"f at least {dplus - 1} on an orientation with maximum outdegree {dplus}",
         ),
@@ -508,13 +541,108 @@ def check_sandwich(g: Graph, f: int, beta: int, orientation: Optional[Orientatio
     bounds, which hold for every orientation, and the rules for that
     orientation; the structural upper bounds speak about the best orientation
     only, and the suites assert them separately.
+
+    The messages are those the bound report's entries give, in report order,
+    but no report is built: each rule is decided against beta, a message
+    with the rule's exact value is formatted only for a violated rule, and a
+    costly structural routine runs only when a cheap certificate cannot show
+    that its rules hold:
+
+    (a) beta <= 1 violates no upper rule, since every upper value is at
+        least 1: tree, one-cycle, arboricity-cover and outdegree-cover are 1,
+        the complete bands, bipartite-oneway and fvs are at least 1, the
+        coarse value is delta^chi with delta > f >= 1, the wave sum starts
+        with the wave 1, the pace values are 1 + (n - 1)/parts,
+        degree-ladder is at least 2, radius is n - rad >= 1, and the k-tree
+        rules never apply here, since no k is given.
+    (b) The chromatic rules apply only when 1 <= f < delta, so the graph has
+        an edge and chi >= chi_lo, with chi_lo = 2 when it is bipartite and
+        3 otherwise; an estimate above 16 vertices is a proper colouring's
+        count, never below chi. delta^k and the wave value are
+        non-decreasing in k, so the chromatic number is computed only when a
+        rule's value at chi_lo is below beta. Likewise the clique value is
+        non-decreasing in omega and omega <= delta + 1, so the clique is
+        grown only when the value at delta + 1 exceeds beta.
+    (c) Each part of a forest partition holds at most n - 1 edges, so it has
+        at least a_lo = ceil(m / (n - 1)) parts: arboricity-cover needs
+        f >= a_lo. Where arboricity-pace applies, the part count is at most
+        f + 1, so its value is at least 1 + (n - 1)/(f + 1); it also needs an
+        edge and a_lo <= f + 1. The forests are peeled only when these facts
+        leave a rule open.
+    (d) For beta >= 2, max(1, size - f + 2) < beta exactly when the minimum
+        feedback vertex set has fewer than beta + f - 2 vertices, so only
+        those sizes are searched, in ``min_fvs``'s own order.
+    (e) A graph with more edges than vertices is neither a tree nor
+        unicyclic, so connectivity is tested only when m <= n.
+
+    Raises GraphError on a game that is not defined (no vertices, f < 1) and
+    on an orientation of another graph.
     """
-    problems = []
-    for entry in lower_bounds(g, f):
-        if entry.applicable and entry.value is not None and entry.value > beta:
-            problems.append(f"lower bound {entry.name} = {entry.value} exceeds beta = {beta}")
-    uppers = upper_bounds(g, f) if orientation is None else _orientation_bounds(g, f, orientation)
-    for entry in uppers:
-        if entry.applicable and entry.value is not None and entry.value < beta:
-            problems.append(f"upper bound {entry.name} = {entry.value} is below beta = {beta}")
+    check_game(g.n, f)
+    if orientation is not None and orientation.graph is not g and orientation.graph != g:
+        raise GraphError("the orientation is of another graph")
+    n, m = g.n, g.m
+    deg = g.degrees()
+    delta = max(deg)
+    problems: list[str] = []
+
+    def lower(name: str, value) -> None:
+        if value > beta:
+            problems.append(f"lower bound {name} = {value} exceeds beta = {beta}")
+
+    def upper(name: str, value) -> None:
+        if value < beta:
+            problems.append(f"upper bound {name} = {value} is below beta = {beta}")
+
+    lower("trivial", 1)
+    if f == 1:
+        if m > beta * n:
+            lower("density", Fraction(m, n))
+        if min(deg) > 2 * beta:
+            lower("min-degree-half", Fraction(min(deg), 2))
+        if _clique_value(delta + 1) > beta:
+            lower("clique", _clique_value(greedy_clique(g)))
+    sides = _complete_bipartite_sides(g)
+    if sides is not None:
+        for entry in _biclique_bounds(*sides, f):
+            if entry.applicable:
+                lower(entry.name, entry.value)
+
+    if beta <= 1:  # (a)
+        return problems
+    if orientation is not None:
+        for entry in _orientation_bounds(g, f, orientation):
+            if entry.applicable:
+                upper(entry.name, entry.value)
+        return problems
+
+    if m <= n and g.is_connected():  # (e)
+        if m == n - 1:
+            upper("tree", 1)
+        upper("one-cycle", 1)
+    if is_complete(g):
+        upper("complete", complete_upper_bound(n, f))
+    halves = bipartition(g)
+    if halves is not None and m > 0:
+        upper("bipartite-oneway", _oneway_value(_oneway_side(g, halves)[1], f))
+    if f < delta:  # (b)
+        chi_lo = 2 if halves is not None else 3
+        if delta**chi_lo < beta or (delta > 2 and _wave_value(delta, f, chi_lo)[0] < beta):
+            chi = _chromatic_number(g, halves is not None)[0]
+            upper("chromatic-coarse", delta**chi)
+            if delta > 2:
+                upper("chromatic-refined", _wave_value(delta, f, chi)[0])
+    a_lo = -(-m // (n - 1)) if n > 1 else 0  # (c)
+    if f >= a_lo or (m and a_lo <= f + 1 and n - 1 < (beta - 1) * (f + 1)):
+        parts = len(forest_peel(g))
+        if f >= parts:
+            upper("arboricity-cover", 1)
+        if parts and f >= parts - 1:
+            upper("arboricity-pace", _pace_value(n, parts))
+    if n <= 18:  # (d)
+        fvs = min_fvs(g, below=beta + f - 2)
+        if fvs is not None:
+            upper("fvs", _fvs_value(popcount(fvs), f))
+    if f == 1 and delta >= 3:
+        upper("degree-ladder", beta_d_ladder(delta))
     return problems

@@ -172,9 +172,12 @@ def is_forest(g: Graph, edge_indices) -> bool:
     return True
 
 
-def min_fvs(g: Graph) -> int:
+def min_fvs(g: Graph, *, below: Optional[int] = None) -> Optional[int]:
     """Smallest vertex bitmask whose removal leaves a forest, by exhaustive
     search in increasing size; intended for n up to about 20.
+
+    With ``below``, only the sizes under it are tried, in the same order, and
+    None is returned when every such set has at least ``below`` vertices.
 
     A subset whose removal keeps at least n - size edges is skipped without a
     forest test: a forest on n - size >= 1 vertices has at most n - size - 1
@@ -195,13 +198,13 @@ def min_fvs(g: Graph) -> int:
     am = g.adj_mask
     full = (1 << n) - 1
     ends = [(1 << u) | (1 << v) for u, v in g.edges]
-    for size in range(n + 1):
+    for size in range(n + 1 if below is None else min(n + 1, below)):
         for subset in combinations(range(n), size):
             removed = mask_of(subset)
             kept = sum(1 for e in ends if not e & removed)
             if kept < n - size and kept == n - size - _component_count(am, full & ~removed):
                 return removed
-    return full
+    return full if below is None or n < below else None
 
 
 def _component_count(am: list[int], alive: int) -> int:

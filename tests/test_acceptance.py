@@ -2,8 +2,9 @@
 own pass/fail line.
 
 The labelled n=6 sweep (all 26,704 connected 6-vertex graphs, 5.1-5.3 s on
-Python 3.11.7, 2 cores) and the dense frontier (K9 and K6,6, about 2 s each)
-follow the CLI's slow gate: set FIREBREAK_SLOW=1 to include them. All
+Python 3.11.7, 2 cores), the bound screen's equivalence with the full report
+on those graphs (about 45 s) and the dense frontier (K9 and K6,6, about 2 s
+each) follow the CLI's slow gate: set FIREBREAK_SLOW=1 to include them. All
 tolerances are exact integer or exact rational comparisons.
 """
 
@@ -202,6 +203,17 @@ def test_criterion_6_slow_n6():
     )
     elapsed = time.perf_counter() - t0
     announce("6s burn class 1 characterisation at n = 6", ok, f"{elapsed:.1f}s")
+
+
+@slow_only
+def test_sandwich_equivalence_slow_n6():
+    from test_bounds import sandwich_mismatches
+
+    t0 = time.perf_counter()
+    bad = sandwich_mismatches(enumerate_connected(6), (1, 2))
+    elapsed = time.perf_counter() - t0
+    announce("check_sandwich matches the full report on all connected n = 6 graphs, f = 1, 2",
+             not bad, f"{len(bad)} mismatches, {elapsed:.1f}s")
 
 
 def test_criterion_7_formula_suite():

@@ -1,11 +1,13 @@
+import collections
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from firebreak import bounds
+from firebreak import bounds, structure
 from firebreak.bounds import (
     beta_d_ladder,
     bk_necessary,
@@ -337,6 +339,136 @@ def test_chromatic_search_stops_below_greedy_count(monkeypatch):
 def test_sandwich_flags_contradiction():
     problems = check_sandwich(complete(7), 1, 1)
     assert problems  # the clique lower bound alone rules out beta = 1
+
+
+def test_sandwich_validates_the_game():
+    # the same GraphError as the report, not a silent empty list
+    for g, f in [(complete(5), 0), (complete(5), -1), (Graph(0, []), 1)]:
+        with pytest.raises(GraphError):
+            bound_report(g, f)
+        with pytest.raises(GraphError):
+            check_sandwich(g, f, 2)
+
+
+def test_sandwich_rejects_an_orientation_of_another_graph():
+    with pytest.raises(GraphError):
+        check_sandwich(complete(5), 1, 9, orientation_from_bits(cycle(5), 0))
+    # an equal graph built separately is the same graph
+    assert check_sandwich(complete(5), 1, 4, orientation_from_bits(complete(5), 0)) == []
+
+
+def sandwich_reference(g, f, betas, orientation=None):
+    """The screen's first body, which drew its messages from the full report,
+    for each beta in ``betas``."""
+    lowers = lower_bounds(g, f)
+    uppers = upper_bounds(g, f) if orientation is None else bounds._orientation_bounds(g, f, orientation)
+    out = {}
+    for beta in betas:
+        problems = []
+        for entry in lowers:
+            if entry.applicable and entry.value is not None and entry.value > beta:
+                problems.append(f"lower bound {entry.name} = {entry.value} exceeds beta = {beta}")
+        for entry in uppers:
+            if entry.applicable and entry.value is not None and entry.value < beta:
+                problems.append(f"upper bound {entry.name} = {entry.value} is below beta = {beta}")
+        out[beta] = problems
+    return out
+
+
+def sandwich_mismatches(graphs, fs, seed=0):
+    """Cases where check_sandwich and the reference disagree, for every f in
+    ``fs`` and beta = 0..n+1, without an orientation and with one seeded
+    orientation of each graph."""
+    rng = random.Random(seed)
+    bad = []
+    for g in graphs:
+        o = orientation_from_bits(g, rng.getrandbits(g.m))
+        betas = range(g.n + 2)
+        for f in fs:
+            for orientation in (None, o):
+                expected = sandwich_reference(g, f, betas, orientation)
+                for beta in betas:
+                    got = check_sandwich(g, f, beta, orientation)
+                    if got != expected[beta]:
+                        bad.append((g.n, g.edges, f, beta, orientation is not None, got, expected[beta]))
+    return bad
+
+
+def _random_graph(rng):
+    n = rng.randint(2, 11)
+    p = rng.uniform(0.15, 0.8)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_sandwich_computes_structure_only_when_needed(monkeypatch):
+    calls = collections.Counter()
+    sizes = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("forest_peel", "_chromatic_number", "exact_colouring"):
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+    monkeypatch.setattr(Graph, "is_connected", counted("is_connected", Graph.is_connected))
+
+    def tried(pool, r):
+        sizes.append(r)
+        return itertools.combinations(pool, r)
+
+    monkeypatch.setattr(structure, "combinations", tried)
+
+    # certified: best values at f = 1 of every connected graph up to n = 5,
+    # and of K_n and K_{p,q}; no search tries an fvs size the rule cannot
+    # violate, and no graph with more edges than vertices is walked
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    graphs += [complete(6), complete(7), complete_bipartite(3, 3), complete_bipartite(4, 4)]
+    f = 1
+    for g in graphs:
+        beta = solve_best_orientation(g, f, want_trace=False).beta
+        calls.clear()
+        sizes.clear()
+        assert check_sandwich(g, f, beta) == []
+        if g.m > g.n:
+            assert not calls, (g.edges, beta, calls)
+        else:
+            assert set(calls) <= {"is_connected"}, (g.edges, beta, calls)
+        assert all(r < beta + f - 2 for r in sizes), (g.edges, beta, sizes)
+
+    # each certificate fails once, and its routine runs
+    for g, f, beta, name in [
+        (path(5), 1, 2, "is_connected"),  # (e): m <= n
+        (complete(4), 2, 3, "_chromatic_number"),  # (b): truncated waves 1, 1 at chi_lo = 3
+        (complete(4), 2, 3, "exact_colouring"),  # k = 3 below the greedy count 4
+        (path(5), 1, 2, "forest_peel"),  # (c): a tree needs one forest, f >= 1
+        (complete(5), 2, 3, "forest_peel"),  # (c): arboricity-pace may fall below 3
+    ]:
+        calls.clear()
+        check_sandwich(g, f, beta)
+        assert calls[name] >= 1, (g.edges, f, beta, name)
+    sizes.clear()
+    assert check_sandwich(cycle(5), 1, 3)[-1] == "upper bound fvs = 2 is below beta = 3"
+    assert sizes == [0, 1]  # (d): sizes below beta + f - 2 = 2
+    sizes.clear()
+    calls.clear()
+    check_sandwich(complete(5), 1, 1)  # (a): beta <= 1 settles every upper rule
+    assert not calls and not sizes
+
+
+def test_sandwich_matches_full_report():
+    from test_structure import MULTIGRAPHS, WITH_ISOLATED
+
+    rng = random.Random(11)
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    graphs += [g for i, g in enumerate(enumerate_connected(6)) if i % 7 == 0]
+    graphs += [_random_graph(rng) for _ in range(150)]
+    graphs += [_random_multigraph(rng) for _ in range(300)]
+    graphs += [g for g in MULTIGRAPHS + WITH_ISOLATED if g.n]
+    graphs += [complete(n) for n in range(1, 10)]
+    graphs += [complete_bipartite(p, q) for p in range(1, 8) for q in range(p, 8)]
+    assert sandwich_mismatches(graphs, (1, 2, 3)) == []
 
 
 def test_bound_report_shape():

@@ -227,6 +227,14 @@ def test_min_fvs_matches_reference():
         assert min_fvs(g) == min_fvs_reference(g), g.edges
 
 
+def test_min_fvs_below_stops_at_the_bound():
+    cases = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    for g in cases + [Graph(0, []), Graph(5, [])] + MULTIGRAPHS + DISCONNECTED:
+        full = min_fvs(g)
+        for below in range(-1, g.n + 2):
+            assert min_fvs(g, below=below) == (full if popcount(full) < below else None), (g.edges, below)
+
+
 def test_forest_peel_matches_reference():
     cases = [g for n in range(1, 6) for g in enumerate_connected(n)]
     for g in cases + [grid_tri(6, 6), complete(9)] + MULTIGRAPHS:
