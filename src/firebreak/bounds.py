@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .game import check_game
-from .graphs import Graph, GraphError, Orientation, bits, metrics, popcount
+from .graphs import Graph, GraphError, Orientation, bits, metrics, popcount, radius
 from .structure import (
     _oneway_side,
     bipartition,
@@ -440,7 +440,7 @@ def _orientation_bounds(g: Graph, f: int, o: Optional[Orientation]) -> list[Boun
             for rule in ("outdegree-cover", "outdegree-pace", "radius")
         ]
     dplus = o.max_out_degree()
-    rad = metrics(o).rad if f == 1 else math.inf
+    rad = radius(o) if f == 1 else math.inf
     return [
         BoundEntry(
             "outdegree-cover", "upper", 1, f >= dplus,

@@ -485,6 +485,47 @@ def metrics(obj: Graph | Orientation) -> Metrics:
     return Metrics(dist=dist, ecc=ecc, rad=rad, diam=diam)
 
 
+def radius(obj: Graph | Orientation) -> float:
+    """``metrics(obj).rad`` without the distance matrix: one bitmask BFS per
+    source, dropped once it has gone one layer short of the least
+    eccentricity so far without reaching every vertex, since it can no
+    longer beat it.
+
+    A vertex that no arc enters is reached from no other vertex, so two of
+    them make every eccentricity infinite, and one of them is the only
+    source whose eccentricity can be finite.
+    """
+    if isinstance(obj, Orientation):
+        n, nbr = obj.graph.n, obj.out_mask
+    else:
+        n, nbr = obj.n, obj.adj_mask
+    if n <= 1:
+        return 0
+    full = (1 << n) - 1
+    entered = 0
+    for mask in nbr:
+        entered |= mask
+    sources = full & ~entered
+    if sources & (sources - 1):
+        return INF
+    best = INF
+    for s in bits(sources or full):
+        seen = frontier = 1 << s
+        depth = 0
+        while frontier and seen != full and depth < best - 1:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~seen
+            seen |= frontier
+            depth += 1
+        if seen == full:
+            best = depth
+    return best
+
+
 # ---------------------------------------------------------------------------
 # bridges
 

@@ -271,8 +271,9 @@ def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameV
     check_game(n, f, start)
     t0 = time.perf_counter()
     eng = Engine(out_mask, n, f)
-    starts = [start] if start is not None else list(range(n))
-    beta, witness, per_start, trace = _optimal_play(eng, starts, want_trace)
+    starts = [start] if start is not None else range(n)
+    per_start = {s: eng.start_value(s) for s in starts}
+    beta, witness, trace = _optimal_play(eng, per_start, want_trace)
     return GameValue(
         beta=beta, f=f, mode=mode, exact=True,
         witness_start=witness, witness_trace=trace,
@@ -281,30 +282,27 @@ def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameV
     )
 
 
-def _optimal_play(eng: Engine, starts: list[int], want_trace: bool):
-    """The value over the starts, the first start attaining it, the value of
-    each start, and that start's optimal play when want_trace is set. Every
-    value must lie below the engine's cap."""
-    per_start = {s: eng.start_value(s) for s in starts}
+def _optimal_play(eng: Engine, per_start: dict[int, int], want_trace: bool):
+    """The worst of the engine's per-start values (each below its cap), the
+    first start in per_start's order attaining it, and that start's optimal
+    play when want_trace is set."""
     beta = max(per_start.values())
-    witness = next(s for s in starts if per_start[s] == beta)
+    witness = next(s for s, v in per_start.items() if v == beta)
     trace = eng.extract_trace(witness) if want_trace else None
-    return beta, witness, per_start, trace
+    return beta, witness, trace
 
 
-def _beta_with_cutoff(out_mask, n, f, cutoff, starts) -> tuple[int, Optional[int], Engine]:
-    """Worst value over the given starts, the start attaining it and the
-    engine, giving up once the value reaches cutoff; the value is exact when
-    below cutoff, and so is the engine's value of every start then."""
-    eng = Engine(out_mask, n, f, cap=cutoff)
-    worst, worst_start = 0, None
+def _capped_values(out_mask, n, f, cap, starts) -> tuple[Optional[int], Engine, dict[int, int]]:
+    """Solve the starts in order on one engine capped at cap, until one
+    reaches the cap: that start (None when none does), the engine, and the
+    values found. Every value below the cap is exact."""
+    eng = Engine(out_mask, n, f, cap=cap)
+    values = {}
     for s in starts:
-        v = eng.start_value(s)
-        if v > worst:
-            worst, worst_start = v, s
-            if worst >= cutoff:
-                break
-    return worst, worst_start, eng
+        v = values[s] = eng.start_value(s)
+        if v >= cap:
+            return s, eng, values
+    return None, eng, values
 
 
 @dataclass
@@ -313,6 +311,7 @@ class _ScanState:
     hint: int = 0  # the start that last reached the cap, at a check or a leaf
     witness_word: int = 0  # orientation 0 until a pass reaches its leaf
     witness_engine: Optional[Engine] = None
+    witness_values: Optional[dict[int, int]] = None  # every start's, exact
     stopped: bool = False  # a leaf was found or the budget ran out
 
 
@@ -433,10 +432,14 @@ def solve_best_orientation(
     witness = orientation_from_bits(g, state.witness_word)
     eng = state.witness_engine
     exact = eng is not None
-    if not exact:
+    if exact:
+        # the leaf solved every start below its cap: reorder, do not re-solve
+        per_start = {s: state.witness_values[s] for s in range(g.n)}
+    else:
         eng = Engine(witness.out_mask, g.n, f)
         state.leaves += 1
-    beta, start, per_start, trace = _optimal_play(eng, list(range(g.n)), want_trace)
+        per_start = {s: eng.start_value(s) for s in range(g.n)}
+    beta, start, trace = _optimal_play(eng, per_start, want_trace)
     return GameValue(
         beta=beta, f=f, mode="best", exact=exact,
         witness_start=start, witness_trace=trace,
@@ -497,12 +500,12 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
         state.leaves += 1
         starts = [(state.hint + k) % n for k in range(n)]
         # a copy of out_mask: the engine outlives the leaf if it is the witness's
-        value, start, eng = _beta_with_cutoff(out_mask[:], n, f, cap, starts)
-        if value < cap:
-            state.witness_word, state.witness_engine = word, eng
+        blocker, eng, values = _capped_values(out_mask[:], n, f, cap, starts)
+        if blocker is None:
+            state.witness_word, state.witness_engine, state.witness_values = word, eng, values
             state.stopped = True
         else:
-            state.hint = start
+            state.hint = blocker
 
     def rec(i: int, word: int, lex: list) -> None:
         if state.stopped:
@@ -513,9 +516,9 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
         if check_at[i]:
             top = max(range(n), key=outdeg.__getitem__)
             starts = [state.hint] if top == state.hint else [state.hint, top]
-            value, start, _ = _beta_with_cutoff(out_mask, n, f, cap, starts)
-            if value >= cap:
-                state.hint = start
+            blocker = _capped_values(out_mask, n, f, cap, starts)[0]
+            if blocker is not None:
+                state.hint = blocker
                 return
         if i == m:
             visit(word)
@@ -551,43 +554,98 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
 
 def naive_start_value(out_mask: list[int], n: int, f: int, burnt: int, protected: int) -> int:
     """Plain minimax with no memo, no pruning, and protect sets drawn from all
-    of V including passing. The oracle the fast engine is checked against."""
-    full = (1 << n) - 1
-    threat = 0
-    for v in bits(burnt):
-        threat |= out_mask[v]
-    threat &= ~(burnt | protected) & full
+    of V including passing. The oracle the fast engine is checked against.
+
+    Every protect set of size 0..f among the vertices neither burnt nor
+    protected is tried at every node, and the game ends only when the fire has
+    nothing left to threaten. Only the loop mechanics are tuned: bits are
+    iterated inline, and each node passes the out-neighbourhood of its burnt
+    set down, so a child ORs in the out-masks of its new spread alone."""
+    out = 0
+    part = burnt
+    while part:
+        low = part & -part
+        out |= out_mask[low.bit_length() - 1]
+        part ^= low
+    return _naive_value(out_mask, f, (1 << n) - 1, burnt, protected, out)
+
+
+def _naive_value(out_mask: list[int], f: int, full: int, burnt: int, protected: int, out: int) -> int:
+    """naive_start_value's recursion; out is the union of the burnt vertices'
+    out-masks."""
+    free = full & ~(burnt | protected)
+    threat = out & free
     if not threat:
-        return popcount(burnt)
-    free = ~(burnt | protected) & full
-    best = None
-    options = [()]
-    for size in range(1, f + 1):
-        options.extend(combinations(bits(free), size))
-    for chosen in options:
-        pm = 0
-        for p in chosen:
-            pm |= 1 << p
-        spread = threat & ~pm
-        if spread:
-            value = naive_start_value(out_mask, n, f, burnt | spread, protected | pm)
-        else:
-            value = popcount(burnt)
-        if best is None or value < best:
-            best = value
+        return burnt.bit_count()
+    singles = []
+    while free:
+        low = free & -free
+        singles.append(low)
+        free ^= low
+    best = full.bit_length() + 1
+    for size in range(f + 1):
+        for pm in map(sum, combinations(singles, size)):
+            spread = threat & ~pm
+            if not spread:
+                value = burnt.bit_count()
+            else:
+                grown = out
+                part = spread
+                while part:
+                    low = part & -part
+                    grown |= out_mask[low.bit_length() - 1]
+                    part ^= low
+                value = _naive_value(out_mask, f, full, burnt | spread, protected | pm, grown)
+            if value < best:
+                best = value
     return best
 
 
 def naive_solve_orientation(o: Orientation, f: int = 1, start: Optional[int] = None) -> int:
+    """The naive value of a fixed orientation: the worst start's
+    naive_start_value, or the given start's. Raises GraphError on a game that
+    solve_orientation rejects."""
+    check_game(o.n, f, start)
     starts = [start] if start is not None else range(o.n)
     return max(naive_start_value(o.out_mask, o.n, f, 1 << s, 0) for s in starts)
 
 
 def naive_best_orientation(g: Graph, f: int = 1) -> int:
-    best = None
+    """The naive best value: the minimum over all 2^m edge words, in order, of
+    the maximum over starts of naive_start_value. Raises GraphError on a game
+    that solve_best_orientation rejects.
+
+    A word's out-masks are built from its bits directly (bit i = 0 orients
+    edge i from its lower end to its higher end). Its starts are tried from
+    the one that last reached the best value so far, and the word is dropped
+    once its running maximum reaches that value: its maximum can then only
+    be at least the best, so it cannot lower the minimum. This is the
+    alpha-beta cut-off at the root's min-max level alone (Knuth and Moore,
+    "An analysis of alpha-beta pruning", AI 1975); each start's game below
+    it stays an exhaustive minimax. Nothing else ends the scan early: no
+    density floor, no bound from the paper and no stop at value 1, so the
+    oracle leans on none of what it checks."""
+    check_game(g.n, f)
+    n = g.n
+    full = (1 << n) - 1
+    lo_hi = [(min(u, v), max(u, v)) for u, v in g.edges]
+    best = n + 1  # above every value, so the first word sets it
+    hint = 0
     for word in range(1 << g.m):
-        o = orientation_from_bits(g, word)
-        value = naive_solve_orientation(o, f)
-        if best is None or value < best:
-            best = value
+        out_mask = [0] * n
+        for i, (lo, hi) in enumerate(lo_hi):
+            if word >> i & 1:
+                out_mask[hi] |= 1 << lo
+            else:
+                out_mask[lo] |= 1 << hi
+        worst, first = 0, hint
+        for k in range(n):
+            s = (first + k) % n
+            value = _naive_value(out_mask, f, full, 1 << s, 0, out_mask[s])
+            if value > worst:
+                worst, hint = value, s
+                if worst >= best:
+                    break
+        else:
+            best = worst
     return best

@@ -2,9 +2,9 @@
 own pass/fail line.
 
 The labelled n=6 sweep (all 26,704 connected 6-vertex graphs, 5.1-5.3 s on
-Python 3.11.7, 2 cores), the bound screen's equivalence with the full report
-on those graphs (about 45 s) and the dense frontier (K9 and K6,6, about 2 s
-each) follow the CLI's slow gate: set FIREBREAK_SLOW=1 to include them. All
+Python 3.11.7, 2 cores), the naive oracle's check on those graphs (about
+12 s), the bound screen's equivalence with the full report on them (about
+45 s) and the dense frontier (K9 and K6,6, about 2 s each) follow the CLI's slow gate: set FIREBREAK_SLOW=1 to include them. All
 tolerances are exact integer or exact rational comparisons.
 """
 
@@ -284,6 +284,23 @@ def test_criterion_9_oracle_equivalence():
     announce("9 pruned solver equals the naive oracle on all graphs n<=5",
              fixed_ok and best_ok and elapsed <= 300,
              f"fixed={fixed_ok}, best={best_ok}, {elapsed:.1f}s")
+
+
+@slow_only
+def test_oracle_equivalence_slow_n6():
+    # criterion 9 one size up: the naive oracle once per class of the 112
+    # connected 6-vertex classes, the pruned solver on all 26,704 graphs
+    t0 = time.perf_counter()
+    naive = {}
+    bad = 0
+    for g in enumerate_connected(6):
+        key = canonical_form(g)
+        if key not in naive:
+            naive[key] = naive_best_orientation(g, 1)
+        bad += solve_best_orientation(g, 1, want_trace=False).beta != naive[key]
+    elapsed = time.perf_counter() - t0
+    announce("9s pruned solver equals the naive oracle on all connected graphs n = 6",
+             bad == 0 and len(naive) == 112, f"{bad} mismatches, {len(naive)} classes, {elapsed:.1f}s")
 
 
 def test_criterion_10_bounds_sandwich():

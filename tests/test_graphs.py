@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -15,6 +16,7 @@ from firebreak.graphs import (
     metrics,
     orientation_from_bits,
     popcount,
+    radius,
     read_graph,
     read_orientation,
     to_dot,
@@ -137,6 +139,20 @@ def test_metrics_unreachable_is_infinite():
     assert m.dist[2][0] == math.inf
     assert m.ecc[2] == math.inf
     assert m.rad == 2  # vertex 0 reaches everything
+
+
+def test_radius_matches_metrics():
+    cases = [Graph(0, []), Graph(1, []), orientation_from_bits(Graph(1, []), 0)]
+    for g in (g for n in range(2, 5) for g in enumerate_connected(n)):
+        cases += [orientation_from_bits(g, word) for word in range(1 << g.m)]
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randrange(2, 11)
+        density = rng.choice((0.2, 0.4, 0.7))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+        cases += [g, orientation_from_bits(g, rng.getrandbits(max(g.m, 1)))]
+    for obj in cases:
+        assert radius(obj) == metrics(obj).rad, obj
 
 
 def test_bridges_path():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,15 @@ from firebreak.families import (
     star,
 )
 from firebreak.game import replay
-from firebreak.graphs import Graph, GraphError, Orientation, canonical_form, orientation_from_bits
+from firebreak.graphs import (
+    Graph,
+    GraphError,
+    Orientation,
+    bits,
+    canonical_form,
+    orientation_from_bits,
+    popcount,
+)
 from firebreak.orient import (
     orient_bounded_degree,
     orient_complete,
@@ -280,6 +289,38 @@ def test_best_witness_is_first_optimum():
             assert (gv.beta, gv.witness_orientation.direction_bits()) == _first_optimum(g, f), (g, f)
 
 
+def test_best_per_start_comes_from_the_witness_leaf(monkeypatch):
+    # the leaf that found the witness solved every start below its cap, so
+    # no start is solved again after the scan, and the values are those of a
+    # fresh solve of the witness orientation
+    scanning = [False]
+    start_value = Engine.start_value
+    scan_orientations = firebreak.solve._scan_orientations
+
+    def guarded(self, s):
+        assert scanning[0], "a start was solved again after the scan"
+        return start_value(self, s)
+
+    def scan(*args):
+        scanning[0] = True
+        state = scan_orientations(*args)
+        scanning[0] = False
+        return state
+
+    monkeypatch.setattr(Engine, "start_value", guarded)
+    monkeypatch.setattr(firebreak.solve, "_scan_orientations", scan)
+    graphs = [g for n in (1, 2, 3, 4) for g in enumerate_connected(n)]
+    graphs += random.Random(6).sample(list(enumerate_connected(5)), 60) + [complete(6), k33()]
+    for g in graphs:
+        for f in (1, 2):
+            gv = solve_best_orientation(g, f)
+            scanning[0] = True
+            fixed = solve_orientation(gv.witness_orientation, f)
+            scanning[0] = False
+            assert (gv.beta, gv.witness_start, gv.per_start, gv.witness_trace) == (
+                fixed.beta, fixed.witness_start, fixed.per_start, fixed.witness_trace), (g, f)
+
+
 def test_best_rejects_multigraph():
     # the prunes count arcs as distinct out-neighbours, so parallel edges
     # break them: the second graph's value at f = 1 is 1, where a scan gave 2
@@ -391,14 +432,14 @@ def test_best_budget_clock_read_on_bound_checks(monkeypatch, ticking_clock):
     # after 14 leaf and bound solves, while one that reads it only at leaves
     # runs on past the cap of 200
     solves = itertools.count(1)
-    beta_with_cutoff = firebreak.solve._beta_with_cutoff
+    capped_values = firebreak.solve._capped_values
 
     def capped(*args):
         if next(solves) > 200:
             raise AssertionError("the scan ran on past its time budget")
-        return beta_with_cutoff(*args)
+        return capped_values(*args)
 
-    monkeypatch.setattr(firebreak.solve, "_beta_with_cutoff", capped)
+    monkeypatch.setattr(firebreak.solve, "_capped_values", capped)
     gv = solve_best_orientation(complete_bipartite(7, 7), 1, budget_ms=100, max_edges=49, want_trace=False)
     assert not gv.exact
 
@@ -484,6 +525,105 @@ def test_oracle_suite_runs_naive_once_per_class(monkeypatch):
     assert verify.suite_oracle().passed
     assert len(calls) == len(set(calls))
     assert sum(f == 1 for f, _ in calls) == 31 and sum(f == 2 for f, _ in calls) == 10
+
+
+def test_naive_oracle_validates_the_game():
+    o = orient_complete(4)
+    for f in (0, -1):
+        with pytest.raises(GraphError, match="f must be"):
+            naive_solve_orientation(o, f)
+        with pytest.raises(GraphError, match="f must be"):
+            naive_best_orientation(complete(4), f)
+    for start in (7, -1):
+        with pytest.raises(GraphError, match="out of range"):
+            naive_solve_orientation(o, 1, start=start)
+    with pytest.raises(GraphError, match="no vertices"):
+        naive_best_orientation(Graph(0, []))
+
+
+# The oracle as it was before its loops were tuned and its scan learnt the
+# cut-off across starts, kept verbatim as the reference for the tuned one.
+
+
+def reference_start_value(out_mask, n, f, burnt, protected):
+    full = (1 << n) - 1
+    threat = 0
+    for v in bits(burnt):
+        threat |= out_mask[v]
+    threat &= ~(burnt | protected) & full
+    if not threat:
+        return popcount(burnt)
+    free = ~(burnt | protected) & full
+    best = None
+    options = [()]
+    for size in range(1, f + 1):
+        options.extend(combinations(bits(free), size))
+    for chosen in options:
+        pm = 0
+        for p in chosen:
+            pm |= 1 << p
+        spread = threat & ~pm
+        if spread:
+            value = reference_start_value(out_mask, n, f, burnt | spread, protected | pm)
+        else:
+            value = popcount(burnt)
+        if best is None or value < best:
+            best = value
+    return best
+
+
+def reference_solve_orientation(o, f=1, start=None):
+    starts = [start] if start is not None else range(o.n)
+    return max(reference_start_value(o.out_mask, o.n, f, 1 << s, 0) for s in starts)
+
+
+def reference_best_orientation(g, f=1):
+    best = None
+    for word in range(1 << g.m):
+        o = orientation_from_bits(g, word)
+        value = reference_solve_orientation(o, f)
+        if best is None or value < best:
+            best = value
+    return best
+
+
+def test_naive_oracle_matches_reference():
+    for g in (g for n in range(1, 5) for g in enumerate_connected(n)):
+        for f in (1, 2, 3):
+            assert naive_best_orientation(g, f) == reference_best_orientation(g, f), (g, f)
+    # random digraphs of three densities, one or two vertices burnt and a few
+    # protected
+    rng = random.Random(15)
+    for _ in range(3000):
+        n = rng.randrange(2, 8)
+        density = rng.choice((0.25, 0.5, 0.75))
+        out_mask = [sum(1 << w for w in range(n) if w != v and rng.random() < density) for v in range(n)]
+        f = rng.randrange(1, 4)
+        burnt = 1 << rng.randrange(n) | 1 << rng.randrange(n) if rng.random() < 0.3 else 1 << rng.randrange(n)
+        protected = sum(1 << v for v in range(n) if not burnt >> v & 1 and rng.random() < 0.15)
+        state = (out_mask, n, f, burnt, protected)
+        assert naive_start_value(*state) == reference_start_value(*state), state
+    # a rare state where the best first move protects a vertex the fire does
+    # not yet threaten: 4 burn, against 5 when only threatened ones are tried
+    state = ([112, 188, 11, 224, 162, 130, 32, 79], 8, 1, 1, 0)
+    assert naive_start_value(*state) == reference_start_value(*state) == 4
+    # the smallest graph where the cut-off's start order matters: a scan that
+    # skips starts while it rotates them finds 2 here
+    g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if (u, v) != (4, 5)])
+    assert naive_best_orientation(g, 1) == 3
+
+
+def test_oracle_best_two_firefighters_up_to_n5():
+    # the naive oracle once per isomorphism class, as in suite_oracle
+    naive = {}
+    count = 0
+    for g in (g for n in range(1, 6) for g in enumerate_connected(n)):
+        count += 1
+        key = canonical_form(g)
+        if key not in naive:
+            naive[key] = naive_best_orientation(g, 2)
+        assert solve_best_orientation(g, 2, want_trace=False).beta == naive[key], g
+    assert (count, len(naive)) == (772, 31)
 
 
 def test_oracle_two_firefighters():
