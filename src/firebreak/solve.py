@@ -9,7 +9,9 @@ to the first optimal move, which trace extraction follows. Protections are
 only branched inside the live region (protecting elsewhere can never change a
 future spread), and all of it is protected once it has at most f vertices.
 A branch is dropped once its burnt count, plus its threat minus the f
-protections of the next round, reaches the best value found.
+protections of the next round, reaches the best value found. The threat is
+the first layer of the branch's live region, so it is checked against that
+bound before the region is searched.
 
 Finding the best orientation enumerates edge directions depth-first in edge
 order (bit 0 = lower id to higher id first), in passes with a target t. The
@@ -47,6 +49,7 @@ per-start values and the witness trace come from it without a second solve.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -134,20 +137,30 @@ class Engine:
         live, threat = self._burn(self.full, 0, 1 << start)
         return self._value(live, threat, 1)
 
-    def _burn(self, live: int, pm: int, spread: int) -> tuple[int, int]:
+    def _burn(self, live: int, pm: int, spread: int, limit: float = math.inf, ou: int = 0) -> tuple[int, int]:
         """One transition: protect pm, burn spread, then return the region
         the fire can still reach through unprotected vertices and the part of
-        it under threat next."""
+        it under threat next. ou, when not 0, is out(spread), which the
+        caller already has.
+
+        The threat is the region's first layer, out(spread) & live & ~pm &
+        ~spread, so it is found before the region. When it has at least limit
+        vertices the region is not searched and comes back as 0: _value drops
+        such a child on its threat alone and would never read the region. A
+        threat is never empty when the region is not, so (0, threat) with a
+        non-empty threat marks the cut."""
         om = self.out_mask
-        ou = 0
-        part = spread
-        while part:
-            low = part & -part
-            ou |= om[low.bit_length() - 1]
-            part ^= low
+        if not ou:
+            part = spread
+            while part:
+                low = part & -part
+                ou |= om[low.bit_length() - 1]
+                part ^= low
         allowed = live & ~pm & ~spread
+        threat = frontier = ou & allowed
+        if threat.bit_count() >= limit:
+            return 0, threat
         reached = 0
-        frontier = ou & allowed
         while frontier:
             reached |= frontier
             nxt = 0
@@ -156,7 +169,7 @@ class Engine:
                 nxt |= om[low.bit_length() - 1]
                 frontier ^= low
             frontier = nxt & allowed & ~reached
-        return reached, ou & reached
+        return reached, threat
 
     def _value(self, live: int, threat: int, count: int) -> int:
         """Burned count under optimal defence of a state where count vertices
@@ -174,7 +187,21 @@ class Engine:
 
         A child is skipped once it cannot beat the best value so far: its
         count alone reaches it, or so does its count plus its threat minus f,
-        since the next round can protect at most f threatened vertices.
+        since the next round can protect at most f threatened vertices. The
+        second bound is decided in _burn as soon as the threat is known:
+        newcount + |newthreat| - f >= best is |newthreat| >= best - newcount
+        + f, the limit _burn gets, and a child cut there is skipped.
+
+        A protect set that misses the threat spreads all of it, so its child
+        burns out(threat), computed once per state and handed to _burn, and
+        its next threat is out(threat) & live & ~threat less at most the f
+        protected vertices. Its count plus threat minus f is then at least
+        tail = count + |threat| + |out(threat) & live & ~threat| - 2f. These
+        sets come last in _protect_masks order (their lowest vertex lies past
+        every threatened one), and best never rises, so once tail reaches
+        best the second bound drops every child left and the loop stops.
+        Neither cut drops a child the second bound would search, so the
+        states searched, the values and the moves stay as they were.
 
         The move is the first protect set, in _protect_masks order, whose
         child reaches the state's value (live itself when at most f vertices
@@ -202,6 +229,7 @@ class Engine:
         if best > self.cap:
             best = self.cap
         move = 0
+        ot = None
         for pm in _protect_masks(live, threat, f):
             spread = threat & ~pm
             if not spread:
@@ -210,8 +238,22 @@ class Engine:
             newcount = count + spread.bit_count()
             if newcount >= best:
                 continue
-            newlive, newthreat = self._burn(live, pm, spread)
-            if newcount + newthreat.bit_count() - f >= best:
+            if spread != threat:
+                newlive, newthreat = self._burn(live, pm, spread, best - newcount + f)
+            else:
+                if ot is None:
+                    ot = 0
+                    part = threat
+                    om = self.out_mask
+                    while part:
+                        low = part & -part
+                        ot |= om[low.bit_length() - 1]
+                        part ^= low
+                    tail = newcount + (ot & live & ~threat).bit_count() - 2 * f
+                if tail >= best:
+                    break
+                newlive, newthreat = self._burn(live, pm, spread, best - newcount + f, ot)
+            if newthreat and not newlive:
                 continue
             v = self._value(newlive, newthreat, newcount)
             if v < best:

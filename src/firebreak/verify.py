@@ -291,7 +291,14 @@ def suite_grids(slow: bool = False, seed: int = 0) -> SuiteResult:
 
 def suite_oracle(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("oracle-equivalence", seed)
-    graphs5 = [g for n in range(2, 6) for g in gen.enumerate_connected(n)]
+    # every connected graph up to n = 5, in enumeration order, with the index
+    # of its isomorphism class. The key is taken on a copy: canonical_form
+    # builds a graph's adjacency lists, and keeping them on all 772 graphs
+    # doubled the suite's peak memory.
+    classes: dict[Graph, int] = {}
+    indexed = [(g, classes.setdefault(canonical_form(Graph(g.n, g.edges)), len(classes)))
+               for n in range(1, 6) for g in gen.enumerate_connected(n)]
+    graphs5 = [g for g, _ in indexed if g.n >= 2]
     bad = 0
     for i in range(50):
         rng = random.Random(seed + i)
@@ -307,17 +314,17 @@ def suite_oracle(slow: bool = False, seed: int = 0) -> SuiteResult:
     # the naive value is a class invariant, and equal canonical forms prove
     # the graphs isomorphic. The pruned solver still runs on every graph.
     def best_check(f: int, top: int) -> None:
-        naive: dict[Graph, int] = {}
+        naive: dict[int, int] = {}
         bad = 0
         count = 0
-        for n in range(1, top + 1):
-            for g in gen.enumerate_connected(n):
-                count += 1
-                key = canonical_form(g)
-                if key not in naive:
-                    naive[key] = naive_best_orientation(g, f)
-                if solve_best_orientation(g, f, want_trace=False).beta != naive[key]:
-                    bad += 1
+        for g, cls in indexed:
+            if g.n > top:
+                break
+            count += 1
+            if cls not in naive:
+                naive[cls] = naive_best_orientation(g, f)
+            if solve_best_orientation(g, f, want_trace=False).beta != naive[cls]:
+                bad += 1
         at = "" if f == 1 else f" at f={f}"
         s.check(f"best orientation{at} on all {count} connected graphs up to n={top}", "0 mismatches",
                 f"{bad} mismatches, {len(naive)} classes", bad == 0)

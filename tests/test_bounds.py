@@ -272,6 +272,20 @@ def test_ktree_half_bound_holds_for_best_orientation():
         assert solve_best_orientation(g, 1, want_trace=False).beta <= 3
 
 
+def test_ktree_report_upper_entries_hold():
+    # every applicable upper rule of a report that knows k, the k-tree rules
+    # among them, is at least the solved best value; K4 with k = 3 is where
+    # ktree-walls once read 0 against beta 2
+    cases = [(complete(4), 3)]
+    cases += [(random_ktree(n, k, seed), k) for k in (1, 2, 3) for n in range(k + 1, 9) for seed in range(3)]
+    for g, k in cases:
+        for f in (1, 2, 3):
+            beta = solve_best_orientation(g, f, want_trace=False).beta
+            below = [(e.name, e.value) for e in bound_report(g, f, k=k)
+                     if e.kind == "upper" and e.applicable and e.value < beta]
+            assert below == [], (g.edges, k, f, beta)
+
+
 def test_bound_report_pinned():
     # every entry of every report, frozen before the structure routines,
     # the colouring and the closed forms were made cheaper

@@ -106,6 +106,126 @@ def test_trace_extraction_adds_no_state():
     assert eng.nodes == nodes
 
 
+@pytest.mark.parametrize("g, f, beta, nodes, per_start", [
+    (grid_rect(4, 5), 1, 14, 1696, [4, 6, 6, 4, 8, 10, 10, 8, 9, 14, 14, 9, 8, 10, 10, 8, 4, 6, 6, 4]),
+    (grid_rect(4, 5), 2, 5, 72, [1, 2, 2, 1, 2, 4, 4, 2, 2, 5, 5, 2, 2, 4, 4, 2, 1, 2, 2, 1]),
+    (random_regular(18, 3, 0), 1, 10, 843, [9, 9, 9, 7, 8, 8, 10, 8, 8, 8, 8, 8, 5, 8, 7, 5, 5, 8]),
+    (random_regular(20, 3, 0), 1, 9, 909, [8, 5, 8, 5, 5, 8, 7, 5, 8, 7, 8, 5, 9, 5, 8, 6, 8, 5, 7, 5]),
+    (random_regular(16, 4, 0), 2, 7, 127, [4, 4, 5, 4, 4, 4, 4, 7, 5, 3, 5, 3, 3, 5, 7, 5]),
+], ids=["grid4x5-f1", "grid4x5-f2", "cubic-n18-f1", "cubic-n20-f1", "4reg-n16-f2"])
+def test_fixed_benchmark_instances_pinned(g, f, beta, nodes, per_start):
+    # the undirected instances of the benchmark's fixed workload, unrelabelled:
+    # a change to the engine's bounds or child order moves a count here
+    gv = solve_undirected(g, f)
+    assert (gv.beta, gv.nodes_explored, [gv.per_start[s] for s in range(g.n)]) == (beta, nodes, per_start)
+
+
+def test_burn_limit_skips_only_the_region():
+    rng = random.Random(3)
+    for _ in range(2000):
+        n = rng.randrange(1, 11)
+        out_mask = [rng.getrandbits(n) & ~(1 << u) for u in range(n)]
+        eng = Engine(out_mask, n, 1)
+        live = rng.getrandbits(n)
+        pm = rng.getrandbits(n) & live
+        spread = rng.getrandbits(n) & live & ~pm
+        ou = 0
+        for u in bits(spread):
+            ou |= out_mask[u]
+        region, threat = eng._burn(live, pm, spread)
+        for limit in range(n + 2):
+            expected = (region if threat.bit_count() < limit else 0, threat)
+            assert eng._burn(live, pm, spread, limit) == expected
+            assert eng._burn(live, pm, spread, limit, ou) == expected
+
+
+class _ReferenceEngine(Engine):
+    """The engine before the threat was bounded ahead of the region search:
+    _burn always searches the region, and _value bounds a child only once
+    _burn has returned."""
+
+    def _burn(self, live, pm, spread):
+        om = self.out_mask
+        ou = 0
+        part = spread
+        while part:
+            low = part & -part
+            ou |= om[low.bit_length() - 1]
+            part ^= low
+        allowed = live & ~pm & ~spread
+        reached = 0
+        frontier = ou & allowed
+        while frontier:
+            reached |= frontier
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= om[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & allowed & ~reached
+        return reached, ou & reached
+
+    def _value(self, live, threat, count):
+        if not threat:
+            return count
+        key = (live, threat)
+        entry = self.memo.get(key)
+        if entry is not None:
+            return count + entry[0]
+        self.nodes += 1
+        f = self.f
+        if live.bit_count() <= f:
+            self.memo[key] = (0, live)
+            return count
+        best = count + live.bit_count()
+        if best > self.cap:
+            best = self.cap
+        move = 0
+        for pm in _protect_masks(live, threat, f):
+            spread = threat & ~pm
+            if not spread:
+                best, move = count, pm
+                break
+            newcount = count + spread.bit_count()
+            if newcount >= best:
+                continue
+            newlive, newthreat = self._burn(live, pm, spread)
+            if newcount + newthreat.bit_count() - f >= best:
+                continue
+            v = self._value(newlive, newthreat, newcount)
+            if v < best:
+                best, move = v, pm
+        if best < self.cap:
+            self.memo[key] = (best - count, move)
+        return best
+
+
+def _assert_matches_reference(out_mask, n, f):
+    # values, states searched and memo tables, under every cap and with
+    # starts revisited, so capped states are searched again
+    for cap in range(1, n + 2):
+        eng, ref = Engine(out_mask, n, f, cap), _ReferenceEngine(out_mask, n, f, cap)
+        for s in [*range(n), *reversed(range(n))]:
+            assert eng.start_value(s) == ref.start_value(s), (out_mask, f, cap, s)
+        assert (eng.nodes, eng.memo) == (ref.nodes, ref.memo), (out_mask, f, cap)
+
+
+def test_engine_matches_reference():
+    rng = random.Random(5)
+    for g in (g for n in range(1, 6) for g in enumerate_connected(n)):
+        o = orientation_from_bits(g, rng.randrange(1 << g.m))
+        for f in (1, 2, 3):
+            _assert_matches_reference(o.out_mask, g.n, f)
+    # the stop on protect sets that miss the threat needs a second layer of
+    # more than f vertices behind a threat the defence cannot hold, which
+    # these larger digraphs have
+    for _ in range(60):
+        n = rng.randrange(6, 11)
+        out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < 0.35) for u in range(n)]
+        for f in (1, 2):
+            _assert_matches_reference(out_mask, n, f)
+
+
 def _first_optimal_moves(out_mask, n, f, trace):
     """Mismatches between the trace's protect sets and the first move, in
     _protect_masks order, whose successor keeps the state's value (live when
