@@ -8,6 +8,7 @@ codes: 0 success or suite pass, 1 suite failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -23,9 +24,9 @@ from .graphs import (
     write_graph,
     write_orientation,
 )
-from .orient import RECIPES, apply_recipe
+from .orient import RECIPES
 from .solve import SolverLimitError, solve_best_orientation, solve_orientation, solve_undirected
-from .strategies import STRATEGIES, make_strategy
+from .strategies import STRATEGIES
 from .verify import SUITES, run_suite
 
 
@@ -48,28 +49,22 @@ def _emit_json(obj, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=False) + "\n", out)
 
 
-def _family_params(args) -> dict:
-    params = {}
-    for key in ("n", "p", "q", "k", "w", "h", "d", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    return params
+def _call(registry, kind: str, name: str, /, *args, **flags):
+    """Call ``registry[name]`` with ``args`` and the flags its signature
+    names. A flag left at None is unset, and a flag the callee does not name
+    is dropped, since one command line feeds both a family and a recipe. A
+    required parameter that no flag sets is a usage error."""
+    fn = registry[name]
+    params = list(inspect.signature(fn).parameters.values())[len(args):]
+    given = {p.name: flags[p.name] for p in params if flags.get(p.name) is not None}
+    missing = [f"--{p.name}" for p in params if p.default is p.empty and p.name not in given]
+    if missing:
+        raise GraphError(f"{kind} '{name}' needs {' and '.join(missing)}")
+    return fn(*args, **given)
 
 
 def _build_family(args) -> Graph:
-    """Generate from --family, passing only the flags its builder accepts."""
-    import inspect
-
-    if args.family not in gen.FAMILIES:
-        raise GraphError(f"unknown family '{args.family}'")
-    builder = gen.FAMILIES[args.family]
-    accepted = inspect.signature(builder).parameters
-    params = {k: v for k, v in _family_params(args).items() if k in accepted}
-    missing = [f"--{k}" for k, p in accepted.items() if p.default is p.empty and k not in params]
-    if missing:
-        raise GraphError(f"family '{args.family}' needs {' and '.join(missing)}")
-    return builder(**params)
+    return _call(gen.FAMILIES, "family", args.family, **vars(args))
 
 
 def _load_graph(args) -> Graph:
@@ -161,26 +156,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_orient(args) -> int:
-    standalone = args.recipe in ("grid-rect", "grid-tri", "grid-hex") or (
-        args.recipe == "complete" and args.n is not None
-    )
-    graph = None
-    if args.infile or args.family or not standalone:
-        graph = _load_graph(args)
-    params = _family_params(args)
-    if args.root is not None:
-        params["root"] = args.root
-    o = apply_recipe(args.recipe, graph, **params)
+    standalone = args.recipe.startswith("grid-") or (args.recipe == "complete" and args.n is not None)
+    graph = _load_graph(args) if args.infile or args.family or not standalone else None
+    o = _call(RECIPES, "recipe", args.recipe, graph, **vars(args))
     _emit(to_dot(o) if args.dot else write_orientation(o), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     o = read_orientation(_read_text(args.infile))
-    params = {}
+    scripts = []
     if args.script is not None:
-        params["script"] = json.loads(_read_text(args.script))
-    strat = make_strategy(args.strategy, **params)
+        if args.strategy != "scripted":
+            raise GraphError(f"strategy '{args.strategy}' takes no --script")
+        scripts.append(json.loads(_read_text(args.script)))
+    strat = _call(STRATEGIES, "strategy", args.strategy, *scripts)
     trace = simulate(o, args.start, args.f, strat)
     check = replay(o, trace)
     obj = trace.to_json_obj()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import GraphError, Orientation, bits, mask_of, popcount
+from .graphs import GraphError, Orientation, bits, popcount
 
 
 class StrategyFault(ValueError):
@@ -134,12 +134,12 @@ def simulate(o: Orientation, start: int, f: int, strategy: Strategy) -> FireTrac
     protected = 0
     events = [TraceEvent(1, "burn", (start,))]
     threat = om[start]
+    spread = burnt
     t = 1
     while True:
         state = FireState(
             orientation=o, f=f, time=t, start=start,
-            burnt=burnt, protected=protected,
-            last_burned=mask_of(events[-1].vertices) if events[-1].kind == "burn" else 0,
+            burnt=burnt, protected=protected, last_burned=spread,
         )
         chosen = list(strategy.decide(state))
         if len(chosen) > f:

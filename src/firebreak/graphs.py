@@ -290,7 +290,9 @@ def canonical_form(g: Graph) -> Graph:
 
     Sound by construction: the output is a literal relabelling of ``g``'s
     edge set, so equal outputs prove two graphs isomorphic, however weak the
-    refinement. Complete for simple graphs: the refinement is
+    refinement. That holds on a multigraph too, whose parallel edges collapse
+    in the neighbourhood masks the refinement reads but not in the edge
+    list that is relabelled. Complete for simple graphs: the refinement is
     isomorphism-invariant (a colour is the rank of a signature built from
     invariant data), so an isomorphism carries the cell-respecting labellings
     of one graph onto those of the other, both minimise over the same set of
@@ -301,7 +303,7 @@ def canonical_form(g: Graph) -> Graph:
     nothing on a regular graph, which then costs n! labellings.
     """
     n = g.n
-    nbrs = [[w for w, _ in a] for a in g.adj]
+    nbrs = [list(bits(a)) for a in g.adj_mask]
     colour = [len(a) for a in nbrs]
     count = len(set(colour))
     while count < n:

@@ -519,22 +519,23 @@ def orient_grid(kind: str, w: int, h: int) -> Orientation:
 
 # ---------------------------------------------------------------------------
 # recipe registry
+#
+# Each recipe takes the input graph first (None when there is none) and then
+# exactly its own parameters.
 
 
-def _recipe_tree(graph, **params):
-    return orient_tree(graph, root=params.get("root", 0))
-
-
-def _recipe_complete(graph=None, n=None, **_):
-    if n is None:
-        if graph is None:
-            raise GraphError("complete recipe needs a graph or n")
+def _recipe_complete(graph=None, n=None):
+    """Orient the input graph, which must be complete; without one, K_n."""
+    if graph is not None:
         if not is_complete(graph):
             raise GraphError("input graph is not complete")
         n = graph.n
+    elif n is None:
+        raise GraphError("complete recipe needs a graph or n")
     return orient_complete(n)
 
-def _recipe_colouring(graph, k=None, **_):
+
+def _recipe_colouring(graph, k=None):
     if k is not None:
         parts = exact_colouring(graph, k)
         if parts is None:
@@ -544,45 +545,39 @@ def _recipe_colouring(graph, k=None, **_):
     return orient_by_colouring(graph, parts)
 
 
-def _recipe_forests(graph, **_):
-    return orient_by_forests(graph, forest_peel(graph))
+def _recipe_bounded(graph, d=None):
+    return orient_bounded_degree(graph, max(4, graph.max_degree()) if d is None else d)
 
 
-def _recipe_fvs(graph, **_):
-    return orient_by_fvs(graph, min_fvs(graph))
-
-
-def _recipe_ktree(graph, k=None, **_):
-    if k is None:
-        raise GraphError("ktree recipe needs k")
-    return orient_ktree(graph, k)
-
-
-def _recipe_bounded(graph, k=None, **_):
-    d = k if k is not None else max(4, graph.max_degree())
-    return orient_bounded_degree(graph, d)
+def _recipe_grid(kind: str):
+    def recipe(graph=None, w=9, h=9):
+        if graph is not None:
+            raise GraphError(f"grid-{kind} builds its own patch and takes no input graph")
+        return orient_grid(kind, w, h)
+    return recipe
 
 
 RECIPES = {
-    "tree": _recipe_tree,
-    "half": lambda graph, **_: orient_half(graph),
-    "unicyclic": lambda graph, **_: orient_unicyclic(graph),
+    "tree": orient_tree,
+    "half": orient_half,
+    "unicyclic": orient_unicyclic,
     "complete": _recipe_complete,
-    "bipartite": lambda graph, **_: orient_bipartite(graph),
+    "bipartite": orient_bipartite,
     "colouring": _recipe_colouring,
-    "forests": _recipe_forests,
-    "fvs": _recipe_fvs,
-    "ktree": _recipe_ktree,
-    "subcubic": lambda graph, **_: orient_subcubic(graph),
+    "forests": lambda graph: orient_by_forests(graph, forest_peel(graph)),
+    "fvs": lambda graph: orient_by_fvs(graph, min_fvs(graph)),
+    "ktree": orient_ktree,
+    "subcubic": orient_subcubic,
     "bounded-degree": _recipe_bounded,
-    "grid-rect": lambda graph=None, w=None, h=None, **_: orient_grid("rect", w or 9, h or 9),
-    "grid-tri": lambda graph=None, w=None, h=None, **_: orient_grid("tri", w or 9, h or 9),
-    "grid-hex": lambda graph=None, w=None, h=None, **_: orient_grid("hex", w or 9, h or 9),
+    "grid-rect": _recipe_grid("rect"),
+    "grid-tri": _recipe_grid("tri"),
+    "grid-hex": _recipe_grid("hex"),
 }
 
 
 def apply_recipe(name: str, graph: Optional[Graph] = None, **params) -> Orientation:
-    """Run a named orientation recipe; see RECIPES for the registry."""
+    """Run a named orientation recipe; see RECIPES for the registry. A
+    parameter the recipe does not take raises TypeError."""
     try:
         recipe = RECIPES[name]
     except KeyError:

@@ -292,11 +292,9 @@ def suite_grids(slow: bool = False, seed: int = 0) -> SuiteResult:
 def suite_oracle(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("oracle-equivalence", seed)
     # every connected graph up to n = 5, in enumeration order, with the index
-    # of its isomorphism class. The key is taken on a copy: canonical_form
-    # builds a graph's adjacency lists, and keeping them on all 772 graphs
-    # doubled the suite's peak memory.
+    # of its isomorphism class
     classes: dict[Graph, int] = {}
-    indexed = [(g, classes.setdefault(canonical_form(Graph(g.n, g.edges)), len(classes)))
+    indexed = [(g, classes.setdefault(canonical_form(g), len(classes)))
                for n in range(1, 6) for g in gen.enumerate_connected(n)]
     graphs5 = [g for g, _ in indexed if g.n >= 2]
     bad = 0

@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,13 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from firebreak.cli import main
+from firebreak.families import petersen
+from firebreak.graphs import write_graph
+from firebreak.orient import RECIPES
+from firebreak.strategies import STRATEGIES
 
-SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "firebreak" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMAS = ROOT / "src" / "firebreak" / "schemas"
 
 
 def load_schema(name):
@@ -172,15 +178,22 @@ def test_malformed_input_exit_two(tmp_path, capsys):
     (["bounds", "--family", "complete"], "family 'complete' needs --n"),
     (["solve-best", "--family", "complete", "--n", "5", "--budget-ms", "-1"], "budget_ms must be non-negative, got -1.0"),
     (["solve-best", "--family", "complete", "--n", "5", "--budget-ms", "nan"], "budget_ms must be non-negative, got nan"),
+    (["simulate", "--start", "0", "--strategy", "scripted"], "strategy 'scripted' needs --script"),
+    (["simulate", "--start", "0", "--strategy", "layer", "--script", "SCRIPT"], "strategy 'layer' takes no --script"),
+    (["orient", "--recipe", "complete", "--family", "path", "--n", "3"], "input graph is not complete"),
+    (["orient", "--recipe", "complete", "--in", "PETERSEN", "--n", "4"], "input graph is not complete"),
+    (["orient", "--recipe", "grid-rect", "--in", "PETERSEN"], "grid-rect builds its own patch and takes no input graph"),
+    (["orient", "--recipe", "ktree", "--in", "PETERSEN"], "recipe 'ktree' needs --k"),
 ])
 def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     ofile = tmp_path / "k4.o"
     run(capsys, "orient", "--recipe", "complete", "--n", "4", "--out", str(ofile))
-    empty = tmp_path / "empty.g"
-    empty.write_text("p 0 0\n")
-    if argv[0] == "solve":
+    files = {"EMPTY": "p 0 0\n", "PETERSEN": write_graph(petersen()), "SCRIPT": '{"1": [1]}'}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    if argv[0] in ("solve", "simulate"):
         argv = argv + ["--in", str(ofile)]
-    argv = [str(empty) if a == "EMPTY" else a for a in argv]
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
@@ -235,3 +248,60 @@ def test_strategy_meta_missing_field_exit_two(tmp_path, capsys, strategy, meta, 
     captured = capsys.readouterr()
     assert captured.err == f"error: orientation meta of {message}\n"
     assert captured.out == ""
+
+
+def test_flag_binding_sweep(tmp_path, monkeypatch, capsys):
+    # every recipe on three inputs under three flag sets, and every strategy
+    # with and without a script: exit 0, or exit 2 with one error line
+    ofile = tmp_path / "k5.o"
+    run(capsys, "orient", "--recipe", "complete", "--n", "5", "--out", str(ofile))
+    sfile = tmp_path / "script.json"
+    sfile.write_text('{"1": [1]}')
+    runs = [
+        ["orient", "--recipe", recipe, *source, *flags]
+        for recipe in sorted(RECIPES)
+        for source in ([], ["--family", "petersen"], ["--family", "complete", "--n", "5"])
+        for flags in ([], ["--n", "4"], ["--k", "2"])
+    ] + [
+        ["simulate", "--in", str(ofile), "--start", "0", "--strategy", strategy, *script]
+        for strategy in sorted(STRATEGIES)
+        for script in ([], ["--script", str(sfile)])
+    ]
+    pet = write_graph(petersen())
+    for argv in runs:
+        monkeypatch.setattr("sys.stdin", io.StringIO(pet))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2), argv
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("error: "), argv
+            assert captured.err.count("\n") == 1, argv
+        else:
+            assert captured.out and captured.err == "", argv
+
+
+def _readme_cli_lines():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("firebreak ")]
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    # each example runs in order in one directory, pipes chained through
+    # stdin; the --slow line is left to the slow CI step
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in _readme_cli_lines() if "--slow" not in line]
+    assert len(lines) >= 8
+    for line in lines:
+        text = ""
+        for stage in line.split(" | "):
+            argv = shlex.split(stage)
+            target = None
+            if ">" in argv:
+                argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
+            assert argv[0] == "firebreak", stage
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(argv[1:]) == 0, stage
+            text = capsys.readouterr().out
+        if target is not None:
+            Path(target).write_text(text)
