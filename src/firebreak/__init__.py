@@ -28,12 +28,11 @@ from .families import FAMILIES, enumerate_connected, generate
 from .graphs import (
     Graph,
     GraphError,
-    Metrics,
     Orientation,
     ParseError,
     bridges,
     canonical_form,
-    metrics,
+    distances,
     orientation_from_bits,
     read_graph,
     read_orientation,

@@ -86,19 +86,18 @@ def refined_colour_bound(delta: int, f: int, k: int) -> Fraction:
     return Fraction(num, (d - 2) ** 2)
 
 
-def _wave_value(delta: int, f: int, k: int) -> tuple[int | Fraction, bool]:
-    """The chromatic-refined value at chromatic number k (delta > 2, k >= 1),
-    and whether the wave sum was truncated: the closed form while every wave
-    is positive, else the sum of the waves before the first one that is not.
+def _wave_value(delta: int, f: int, k: int) -> tuple[int, bool]:
+    """The chromatic-refined value at chromatic number k (delta > 2, k >= 1):
+    the sum of the waves before the first one that is not positive, and
+    whether that cut dropped a wave. Uncut, it is the whole wave total, which
+    ``refined_colour_bound``'s closed form equals.
 
     Non-decreasing in k: one more colour appends one wave, which either adds
     a positive term to the sum or is cut off with everything after it.
     """
     waves = burn_waves(delta, f, k)
-    cut = next((i for i, w in enumerate(waves) if w <= 0), None)
-    if cut is None:
-        return refined_colour_bound(delta, f, k), False
-    return sum(waves[:cut]), True
+    cut = next((i for i, w in enumerate(waves) if w <= 0), len(waves))
+    return sum(waves[:cut]), cut < len(waves)
 
 
 def beta_d_ladder(d: int, seed4: int = 5) -> int:

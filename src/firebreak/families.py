@@ -1,8 +1,9 @@
 """Graph family generators and small-graph enumeration.
 
 Every generator tags the result with its family name and parameters in
-``Graph.meta`` so downstream bound evaluation can recognise instances it has
-exact formulas for. Random families are deterministic in the seed.
+``Graph.meta``. The tags only describe the instance: the bound report
+recognises structure from the graph itself, and ``verify`` reads ``family``
+only to label a check. Random families are deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -91,9 +92,7 @@ def prism(n: int = 3) -> Graph:
 
 
 def k33() -> Graph:
-    g = complete_bipartite(3, 3)
-    g.meta.update(family="complete_bipartite", p=3, q=3)
-    return g
+    return complete_bipartite(3, 3)
 
 
 def grid_rect(w: int, h: int) -> Graph:

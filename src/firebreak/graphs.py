@@ -9,7 +9,6 @@ simple graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -127,38 +126,7 @@ class Graph:
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks."""
-        remaining = (1 << self.n) - 1
-        am = self.adj_mask
-        comps = []
-        while remaining:
-            v = (remaining & -remaining).bit_length() - 1
-            seen = 1 << v
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                new = am[u] & ~seen
-                seen |= new
-                stack.extend(bits(new))
-            comps.append(seen)
-            remaining &= ~seen
-        return comps
-
-    def is_acyclic(self) -> bool:
-        """True when the edge multiset contains no cycle (parallel edges count)."""
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        return components(self.adj_mask, (1 << self.n) - 1)
 
     def subgraph(self, vertices: int) -> tuple["Graph", list[int]]:
         """Induced subgraph on a vertex bitmask; returns it with the id map back."""
@@ -440,67 +408,64 @@ def to_dot(obj: Graph | Orientation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distances and components
 
 
-@dataclass
-class Metrics:
-    """All-pairs BFS distances with eccentricities, radius, and diameter.
-
-    Unreachable pairs have distance inf, and eccentricities account for them;
-    diameter is the largest finite pairwise distance.
-    """
-
-    dist: list[list[float]]
-    ecc: list[float]
-    rad: float
-    diam: float
+def _neighbourhoods(obj: Graph | Orientation) -> list[int]:
+    """Out-neighbourhood masks of an orientation, neighbourhood masks of a graph."""
+    return obj.out_mask if isinstance(obj, Orientation) else obj.adj_mask
 
 
-def metrics(obj: Graph | Orientation) -> Metrics:
-    if isinstance(obj, Orientation):
-        n, nbr = obj.graph.n, obj.out_mask
-    else:
-        n, nbr = obj.n, obj.adj_mask
-    dist: list[list[float]] = []
-    for s in range(n):
-        row: list[float] = [INF] * n
-        row[s] = 0
-        frontier = 1 << s
-        seen = frontier
-        d = 0
+def distances(obj: Graph | Orientation, source: int) -> list[float]:
+    """BFS distances from ``source`` along the edges of a graph or the arcs of
+    an orientation; inf where a vertex is unreachable."""
+    nbr = _neighbourhoods(obj)
+    dist: list[float] = [INF] * len(nbr)
+    dist[source] = 0
+    seen = frontier = 1 << source
+    d = 0
+    while frontier:
+        d += 1
+        reach = 0
+        for v in bits(frontier):
+            reach |= nbr[v]
+        frontier = reach & ~seen
+        seen |= frontier
+        for v in bits(frontier):
+            dist[v] = d
+    return dist
+
+
+def components(nbr: list[int], alive: int) -> list[int]:
+    """Components, as vertex bitmasks, of the subgraph induced on the bitmask
+    ``alive`` by the neighbourhood masks ``nbr``; lowest vertex first."""
+    comps = []
+    while alive:
+        seen = frontier = alive & -alive
         while frontier:
-            d += 1
-            nxt = 0
+            reach = 0
             for v in bits(frontier):
-                nxt |= nbr[v]
-            nxt &= ~seen
-            for v in bits(nxt):
-                row[v] = d
-            seen |= nxt
-            frontier = nxt
-        dist.append(row)
-    ecc = [max(row) if n > 1 else 0 for row in dist]
-    rad = min(ecc) if n else 0
-    finite = [d for row in dist for d in row if d != INF]
-    diam = max(finite) if finite else 0
-    return Metrics(dist=dist, ecc=ecc, rad=rad, diam=diam)
+                reach |= nbr[v]
+            frontier = reach & alive & ~seen
+            seen |= frontier
+        comps.append(seen)
+        alive &= ~seen
+    return comps
 
 
 def radius(obj: Graph | Orientation) -> float:
-    """``metrics(obj).rad`` without the distance matrix: one bitmask BFS per
-    source, dropped once it has gone one layer short of the least
-    eccentricity so far without reaching every vertex, since it can no
-    longer beat it.
+    """The least eccentricity over all sources, 0 with at most one vertex. A
+    source's eccentricity is the largest of its ``distances``, inf when it
+    misses a vertex. One bitmask BFS per source, dropped once it has gone one
+    layer short of the least eccentricity so far without reaching every
+    vertex, since it can no longer beat it.
 
     A vertex that no arc enters is reached from no other vertex, so two of
     them make every eccentricity infinite, and one of them is the only
     source whose eccentricity can be finite.
     """
-    if isinstance(obj, Orientation):
-        n, nbr = obj.graph.n, obj.out_mask
-    else:
-        n, nbr = obj.n, obj.adj_mask
+    nbr = _neighbourhoods(obj)
+    n = len(nbr)
     if n <= 1:
         return 0
     full = (1 << n) - 1

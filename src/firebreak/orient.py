@@ -112,7 +112,7 @@ def _find_cycle(g: Graph, alive: set[int]):
 
 def orient_tree(t: Graph, root: int = 0) -> Orientation:
     """Orient every edge of a tree towards the root; max outdegree 1."""
-    if not t.is_connected() or not t.is_acyclic():
+    if t.m != t.n - 1 or not t.is_connected():
         raise GraphError("input is not a tree")
     if not 0 <= root < t.n:
         raise GraphError("root out of range")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import GraphError, Orientation, bits, metrics, popcount
+from .graphs import GraphError, Orientation, bits, distances, popcount
 from .game import FireState, ScriptedStrategy, Strategy
 
 
@@ -76,7 +76,7 @@ class LayerStrategy(_ScriptOnFirstCall):
 
     def build(self, state):
         layers: dict[float, list[int]] = {}
-        for v, d in enumerate(metrics(state.orientation).dist[state.start]):
+        for v, d in enumerate(distances(state.orientation, state.start)):
             layers.setdefault(d, []).append(v)
         return layers
 
@@ -141,7 +141,7 @@ class KTreeAnticipate(_ScriptOnFirstCall):
             return None
         k = _meta_field(state.orientation, "k", int)
         arrival = -(-k // state.f)  # ceil(k/f)
-        dist = metrics(state.orientation).dist[state.start]
+        dist = distances(state.orientation, state.start)
         wave = [v for v in range(state.orientation.n) if dist[v] == arrival]
         # each time protects at least one vertex of the wave until none is free
         return {t: wave for t in range(1, len(wave) + 1)}

@@ -8,10 +8,11 @@ small instances the rest of the package works with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 from typing import Optional
 
-from .graphs import Graph, GraphError, bits, mask_of, metrics, popcount
+from .graphs import Graph, GraphError, bits, components, distances, mask_of, popcount
 
 
 def greedy_colouring(g: Graph) -> list[list[int]]:
@@ -172,9 +173,16 @@ def is_forest(g: Graph, edge_indices) -> bool:
     return True
 
 
+FVS_SUBSET_LIMIT = 1 << 20
+"""Vertex subsets ``min_fvs`` tries before it gives up. Every graph on at
+most 20 vertices stays within it, as do the at most 18-vertex graphs that the
+bound report passes."""
+
+
 def min_fvs(g: Graph, *, below: Optional[int] = None) -> Optional[int]:
     """Smallest vertex bitmask whose removal leaves a forest, by exhaustive
-    search in increasing size; intended for n up to about 20.
+    search in increasing size. Raises GraphError once it has tried
+    ``FVS_SUBSET_LIMIT`` subsets and more remain.
 
     With ``below``, only the sizes under it are tried, in the same order, and
     None is returned when every such set has at least ``below`` vertices.
@@ -198,29 +206,18 @@ def min_fvs(g: Graph, *, below: Optional[int] = None) -> Optional[int]:
     am = g.adj_mask
     full = (1 << n) - 1
     ends = [(1 << u) | (1 << v) for u, v in g.edges]
+    budget = FVS_SUBSET_LIMIT
     for size in range(n + 1 if below is None else min(n + 1, below)):
-        for subset in combinations(range(n), size):
+        for subset in islice(combinations(range(n), size), budget):
             removed = mask_of(subset)
             kept = sum(1 for e in ends if not e & removed)
-            if kept < n - size and kept == n - size - _component_count(am, full & ~removed):
+            if kept < n - size and kept == n - size - len(components(am, full & ~removed)):
                 return removed
+        budget -= comb(n, size)
+        if budget < 0:
+            raise GraphError(f"feedback vertex set search gave up after {FVS_SUBSET_LIMIT} "
+                             f"subsets of {n} vertices")
     return full if below is None or n < below else None
-
-
-def _component_count(am: list[int], alive: int) -> int:
-    """Connected components of the subgraph induced on the bitmask ``alive``."""
-    count = 0
-    while alive:
-        seen = frontier = alive & -alive
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= am[v]
-            frontier = reach & alive & ~seen
-            seen |= frontier
-        alive &= ~seen
-        count += 1
-    return count
 
 
 def perfect_matching(g: Graph, must_include: Optional[int] = None) -> Optional[list[int]]:
@@ -389,7 +386,7 @@ def _simplicial_vertex(am: list[int], alive: int, k: int, forbidden: int) -> Opt
 
 
 def _central_clique(g: Graph, cliques: list[tuple[int, ...]]) -> tuple[int, ...]:
-    dist = metrics(g).dist
+    dist = [distances(g, v) for v in range(g.n)]
     best = None
     for clique in cliques:
         radius = max(min(dist[v][w] for w in clique) for v in range(g.n))

@@ -7,6 +7,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import firebreak.structure
 from firebreak.cli import main
 from firebreak.families import petersen
 from firebreak.graphs import write_graph
@@ -198,6 +199,18 @@ def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_fvs_recipe_over_the_subset_limit_exits_two(capsys, monkeypatch):
+    # Petersen's smallest feedback vertex sets have 3 vertices; the sizes
+    # below take 1 + 10 + 45 subsets
+    monkeypatch.setattr(firebreak.structure, "FVS_SUBSET_LIMIT", 56)
+    assert main(["orient", "--recipe", "fvs", "--family", "petersen"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: feedback vertex set search gave up after 56 subsets of 10 vertices\n"
+    assert captured.out == ""
+    monkeypatch.setattr(firebreak.structure, "FVS_SUBSET_LIMIT", 1 + 10 + 45 + 120)
+    assert main(["orient", "--recipe", "fvs", "--family", "petersen"]) == 0
 
 
 @pytest.mark.parametrize("script, message", [

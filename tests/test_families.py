@@ -13,6 +13,7 @@ from firebreak.families import (
     random_tree,
 )
 from firebreak.graphs import Graph, GraphError
+from firebreak.structure import is_forest
 
 
 def test_complete_edge_count():
@@ -61,7 +62,7 @@ def test_seed_determinism():
 def test_random_tree_is_tree():
     for seed in range(5):
         g = random_tree(15, seed)
-        assert g.m == 14 and g.is_connected() and g.is_acyclic()
+        assert g.m == 14 and g.is_connected() and is_forest(g, range(g.m))
 
 
 def test_random_regular_properties():

@@ -12,7 +12,7 @@ from firebreak.families import (
     random_tree,
 )
 from firebreak.game import FireTrace, StrategyFault, TraceEvent, replay, simulate
-from firebreak.graphs import Graph, Orientation, metrics
+from firebreak.graphs import Graph, Orientation, radius
 from firebreak.orient import (
     orient_bipartite,
     orient_complete,
@@ -60,12 +60,12 @@ def test_complete_cyclic_piecewise_values(n, f, expected):
 
 def test_layer_strategy_radius_guarantee():
     for o in (orient_complete(7), orient_unicyclic(cycle(8)), orient_half(petersen())):
-        m = metrics(o)
-        if m.rad == float("inf"):
+        rad = radius(o)
+        if rad == float("inf"):
             continue
         for s in range(o.n):
             trace = simulate(o, s, 1, make_strategy("layer"))
-            assert trace.burned <= o.n - m.rad
+            assert trace.burned <= o.n - rad
 
 
 def test_greedy_with_enough_firefighters_one_burn():

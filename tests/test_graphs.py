@@ -12,8 +12,9 @@ from firebreak.graphs import (
     bits,
     bridges,
     canonical_form,
+    components,
+    distances,
     mask_of,
-    metrics,
     orientation_from_bits,
     popcount,
     radius,
@@ -122,23 +123,42 @@ def test_dot_export():
 def test_metrics_directed_cycle():
     arcs = [(i, (i + 1) % 5) for i in range(5)]
     o = Orientation(cycle(5), arcs)
-    m = metrics(o)
-    assert m.ecc == [4] * 5
-    assert m.rad == 4
+    assert distances(o, 0) == [0, 1, 2, 3, 4]
+    assert distances(o, 3) == [2, 3, 4, 0, 1]
+    assert distances(cycle(5), 0) == [0, 1, 2, 2, 1]
+    assert radius(o) == 4
 
 
 def test_metrics_path_and_complete():
-    m = metrics(path(5))
-    assert m.diam == 4 and m.rad == 2
-    assert metrics(complete(6)).diam == 1
+    assert distances(path(5), 0) == [0, 1, 2, 3, 4]
+    assert distances(path(5), 2) == [2, 1, 0, 1, 2]
+    assert radius(path(5)) == 2
+    assert distances(complete(6), 4) == [1, 1, 1, 1, 0, 1]
 
 
 def test_metrics_unreachable_is_infinite():
     o = orientation_from_bits(path(3), 0)  # 0 -> 1 -> 2
-    m = metrics(o)
-    assert m.dist[2][0] == math.inf
-    assert m.ecc[2] == math.inf
-    assert m.rad == 2  # vertex 0 reaches everything
+    assert distances(o, 2) == [math.inf, math.inf, 0]
+    assert distances(o, 1) == [math.inf, 0, 1]
+    assert distances(Graph(3, [(0, 1)]), 0) == [0, 1, math.inf]
+    assert radius(o) == 2  # vertex 0 reaches everything
+
+
+def test_components_of_induced_masks():
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    am = g.adj_mask
+    assert components(am, 0) == []
+    assert components(am, 0b1111111) == [0b1111, 0b110000, 0b1000000]
+    assert components(am, 0b1111011) == [0b11, 0b1000, 0b110000, 0b1000000]
+    assert components(am, 0b0100101) == [0b1, 0b100, 0b100000]
+    assert g.components() == components(am, (1 << g.n) - 1)
+    assert Graph(0, []).components() == []
+    for h in enumerate_connected(5):
+        for alive in range(1 << h.n):
+            comps = components(h.adj_mask, alive)
+            assert sum(comps) == alive and all(a & -a < b & -b for a, b in zip(comps, comps[1:]))
+            sub, _ = h.subgraph(alive)
+            assert len(comps) == len(sub.components())
 
 
 def test_radius_matches_metrics():
@@ -152,7 +172,8 @@ def test_radius_matches_metrics():
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
         cases += [g, orientation_from_bits(g, rng.getrandbits(max(g.m, 1)))]
     for obj in cases:
-        assert radius(obj) == metrics(obj).rad, obj
+        reference = min((max(distances(obj, s)) for s in range(obj.n)), default=0)
+        assert radius(obj) == reference, obj
 
 
 def test_bridges_path():

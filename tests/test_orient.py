@@ -36,7 +36,7 @@ from firebreak.orient import (
     orient_tree,
     orient_unicyclic,
 )
-from firebreak.structure import exact_colouring, forest_peel, ktree_structure, min_fvs
+from firebreak.structure import exact_colouring, forest_peel, is_forest, ktree_structure, min_fvs
 
 
 def outdegs(o):
@@ -314,8 +314,7 @@ def check_subcubic_classification(o):
             path_in[h] += 1
     assert all(a == b and a <= 1 for a, b in zip(cycle_in, cycle_out))
     assert all(a <= 1 and b <= 1 for a, b in zip(path_in, path_out))
-    path_arcs = [(t, h) for i, (t, h) in enumerate(o.arcs) if labels[i] == "path"]
-    assert Graph(g.n, path_arcs).is_acyclic()
+    assert is_forest(g, [i for i in range(g.m) if labels[i] == "path"])
 
 
 @pytest.mark.parametrize(

@@ -91,6 +91,24 @@ def test_witness_trace_replays():
     assert any(len(ev.vertices) == 2 for _, gv in cases for ev in gv.witness_trace.events if ev.kind == "protect")
 
 
+def test_every_solver_witness_replays_up_to_n5():
+    # every connected graph with n <= 5 under each solver: 5,404 solves
+    rng = random.Random(0)
+    solves = 0
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            cases = [(gv.witness_orientation, gv) for gv in (solve_best_orientation(g, f) for f in (1, 2))]
+            cases += [(_both_ways(g), solve_undirected(g, f)) for f in (1, 2)]
+            o = orientation_from_bits(g, rng.getrandbits(g.m))
+            cases += [(o, solve_orientation(o, f)) for f in (1, 2, 3)]
+            for o, gv in cases:
+                assert replay(o, gv.witness_trace).valid, (g.edges, gv.mode, gv.f)
+                assert gv.witness_trace.burned == gv.beta
+                assert gv.beta == gv.per_start[gv.witness_start] == max(gv.per_start.values())
+            solves += len(cases)
+    assert solves == 5404
+
+
 def test_trace_extraction_adds_no_state():
     # the benchmark's random 5-regular orientation at f = 2, where a trace
     # walk that re-solves children would search 3 more states for the

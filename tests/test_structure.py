@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firebreak.structure
 from firebreak.bounds import _chromatic_number, greedy_clique
 from firebreak.families import (
     complete,
@@ -18,7 +19,7 @@ from firebreak.families import (
     random_tree,
     star,
 )
-from firebreak.graphs import Graph, GraphError, mask_of, popcount
+from firebreak.graphs import Graph, GraphError, distances, mask_of, popcount
 from firebreak.structure import (
     bipartition,
     exact_colouring,
@@ -107,11 +108,25 @@ def test_min_fvs_examples():
     assert popcount(min_fvs(complete(4))) == 2
 
 
+def test_min_fvs_gives_up_at_the_subset_limit(monkeypatch):
+    # K4 succeeds on its sixth subset: the empty set, four singletons, {0, 1}
+    monkeypatch.setattr(firebreak.structure, "FVS_SUBSET_LIMIT", 6)
+    assert min_fvs(complete(4)) == 0b11
+    assert min_fvs(complete(4), below=2) is None
+    monkeypatch.setattr(firebreak.structure, "FVS_SUBSET_LIMIT", 5)
+    with pytest.raises(GraphError, match="gave up after 5 subsets of 4 vertices"):
+        min_fvs(complete(4))
+    # sizes 0 and 1 are all 5 subsets: a search that stops below size 2 holds
+    assert min_fvs(complete(4), below=2) is None
+    with pytest.raises(GraphError):
+        min_fvs(complete(4), below=3)
+    assert min_fvs(cycle(5)) == 0b1  # found on its second subset
+
+
 def test_min_fvs_leaves_forest():
     g = petersen()
     fvs = min_fvs(g)
-    keep = [(u, v) for u, v in g.edges if not ((fvs >> u) | (fvs >> v)) & 1]
-    assert Graph(g.n, keep).is_acyclic()
+    assert is_forest(g, [i for i, (u, v) in enumerate(g.edges) if not ((fvs >> u) | (fvs >> v)) & 1])
 
 
 # --- reference copies: the cheaper bodies must return exactly what the
@@ -170,8 +185,8 @@ def min_fvs_reference(g):
     for size in range(g.n + 1):
         for subset in combinations(range(g.n), size):
             removed = mask_of(subset)
-            keep = [(u, v) for u, v in g.edges if not ((removed >> u) | (removed >> v)) & 1]
-            if Graph(g.n, keep).is_acyclic():
+            keep = [i for i, (u, v) in enumerate(g.edges) if not ((removed >> u) | (removed >> v)) & 1]
+            if is_forest(g, keep):
                 return removed
     return (1 << g.n) - 1
 
@@ -381,9 +396,7 @@ def test_ktree_central_clique_minimises_distance():
     g = random_ktree(12, 2, seed=5)
     info = ktree_structure(g, 2)
     assert info is not None
-    from firebreak.graphs import metrics
-
-    dist = metrics(g).dist
+    dist = [distances(g, v) for v in range(g.n)]
     radius = lambda clique: max(min(dist[v][w] for w in clique) for v in range(g.n))
     best = min(radius(c) for c in info.cliques)
     assert radius(info.central) == best
