@@ -74,6 +74,22 @@ class Graph:
         self._adj: Optional[list[list[tuple[int, int]]]] = None
         self._adj_mask: Optional[list[int]] = None
 
+    @classmethod
+    def _from_valid(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """A graph equal to ``Graph(n, edges)``, built without its checks.
+
+        The caller guarantees that ``edges`` is a tuple of pairs of ints in
+        0..n-1 with no loops; the tuple is kept as given, and ``meta`` is
+        empty.
+        """
+        g = cls.__new__(cls)
+        g.n = n
+        g.edges = edges
+        g.meta = {}
+        g._adj = None
+        g._adj_mask = None
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -167,7 +183,7 @@ class Orientation:
             raise GraphError("exactly one direction per edge is required")
         for i, (t, h) in enumerate(arcs):
             u, v = graph.edges[i]
-            if {t, h} != {u, v}:
+            if (t, h) != (u, v) and (t, h) != (v, u):
                 raise GraphError(f"arc {t}->{h} does not orient edge {i} ({u},{v})")
         self.graph = graph
         self.arcs = arcs

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from firebreak import families
 from firebreak.families import (
     enumerate_connected,
     generate,
@@ -73,6 +74,26 @@ def test_random_regular_properties():
         assert not g.has_parallel_edges()
 
 
+def test_random_regular_stub_limit(monkeypatch):
+    # random_regular(12, 3, 4) succeeds on its 17th try of 36 stubs
+    g = random_regular(12, 3, 4)
+    monkeypatch.setattr(families, "PAIRING_STUB_LIMIT", 17 * 36)
+    assert random_regular(12, 3, 4).edges == g.edges
+    monkeypatch.setattr(families, "PAIRING_STUB_LIMIT", 17 * 36 - 1)
+    with pytest.raises(GraphError, match="^pairing model gave up after 16 tries"):
+        random_regular(12, 3, 4)
+    with pytest.raises(GraphError, match="^pairing model gave up after 0 tries"):
+        random_regular(10**6, 4)
+
+
+def test_random_regular_below_degree_two():
+    assert random_regular(1, 0) == Graph(1, [])
+    assert random_regular(2, 1) == Graph(2, [(0, 1)])
+    for n, d in ((4, 0), (4, 1)):
+        with pytest.raises(GraphError, match="needs n = d\\+1"):
+            random_regular(n, d)
+
+
 def test_grid_shapes():
     r = grid_rect(4, 5)
     assert r.n == 20 and r.m == 4 * 4 + 3 * 5
@@ -90,8 +111,8 @@ def test_path_power_clique_width():
 
 
 def test_enumerate_connected_counts():
-    # frozen counts, confirmed by the mask sweep itself at build time
-    expected = {1: 1, 2: 1, 3: 4, 4: 38}
+    # labelled connected graphs on n vertices (OEIS A001187)
+    expected = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
     for n, count in expected.items():
         assert sum(1 for _ in enumerate_connected(n)) == count
 
@@ -103,6 +124,16 @@ def test_enumerate_connected_unique_and_connected():
         assert key not in seen
         seen.add(key)
         assert g.is_connected()
+
+
+def test_enumerate_connected_graphs_match_constructor():
+    # the yielded graphs skip Graph's checks, so compare every one with a checked copy
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            h = Graph(g.n, g.edges)
+            assert (g.n, g.edges, g.meta) == (h.n, h.edges, {})
+            assert g.adj_mask == h.adj_mask and g.adj == h.adj
+            assert g == h and hash(g) == hash(h)
 
 
 def enumerate_reference(n):

@@ -108,10 +108,13 @@ def test_orientation_handshake():
 
 
 def test_orientation_needs_every_edge():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^exactly one direction per edge is required$"):
         Orientation(path(3), [(0, 1)])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^arc 0->2 does not orient edge 1 \(1,2\)$"):
         Orientation(path(3), [(0, 1), (0, 2)])
+    with pytest.raises(GraphError, match=r"^arc 2->2 does not orient edge 1 \(1,2\)$"):
+        Orientation(path(3), [(1, 0), (2, 2)])
+    assert Orientation(path(3), [(1, 0), (2, 1)]).arcs == ((1, 0), (2, 1))
 
 
 def test_dot_export():
