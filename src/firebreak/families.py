@@ -9,6 +9,7 @@ only to label a check. Random families are deterministic in the seed.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 from typing import Iterator
 
@@ -284,10 +285,22 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     Order: the high parts run ascending in the outer loop and the low parts
     ascending within each, which is ascending word order. Every graph is
     built by ``Graph._from_valid``, since its edges are vertex pairs of
-    ``combinations(range(n), 2)``.
+    ``combinations(range(n), 2)``. The tables depend on n alone, so
+    ``_join_table`` builds them once per n.
     """
     if not 1 <= n <= 6:
         raise GraphError("labelled enumeration supports 1 <= n <= 6")
+    make = Graph._from_valid
+    for tail, heads in _join_table(n):
+        for head in heads:
+            yield make(n, head + tail)
+
+
+@cache
+def _join_table(n: int) -> tuple[tuple[tuple, tuple[tuple, ...]], ...]:
+    """enumerate_connected's table for n: one row per high part in ascending
+    order, its edges and the edges of every low part that joins with it into
+    one block, ascending. It holds only tuples, so every call shares it."""
     pair_list = list(combinations(range(n), 2))
     split = min(len(pair_list), 8)
     low_edges, low_parts = _pair_subsets(n, pair_list[:split])
@@ -301,12 +314,8 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
         most = n + 1 - len(set(high_part))
         joins = [k <= most and len(components([a | b for a, b in zip(part, high_part)], full)) == 1
                  for part, k in zip(distinct, blocks)]
-        joined[high_part] = [low for low, i in enumerate(low_ids) if joins[i]]
-    make = Graph._from_valid
-    for high, high_part in enumerate(high_parts):
-        tail = high_edges[high]
-        for low in joined[high_part]:
-            yield make(n, low_edges[low] + tail)
+        joined[high_part] = tuple(low_edges[low] for low, i in enumerate(low_ids) if joins[i])
+    return tuple((tail, joined[part]) for tail, part in zip(high_edges, high_parts) if joined[part])
 
 
 def _pair_subsets(n: int, pairs: list[tuple[int, int]]) -> tuple[list[tuple], list[tuple[int, ...]]]:

@@ -192,6 +192,24 @@ class Orientation:
         self._out_mask: Optional[list[int]] = None
         self._in_deg: Optional[list[int]] = None
 
+    @classmethod
+    def _from_valid(cls, graph: Graph, arcs: tuple[tuple[int, int], ...]) -> "Orientation":
+        """An orientation equal to ``Orientation(graph, arcs)``, built without
+        its checks.
+
+        The caller guarantees that ``arcs`` is a tuple of int pairs, one per
+        edge of ``graph``, each its edge in one of its two directions; the
+        tuple is kept as given, and ``meta`` is empty.
+        """
+        o = cls.__new__(cls)
+        o.graph = graph
+        o.arcs = arcs
+        o.meta = {}
+        o._out = None
+        o._out_mask = None
+        o._in_deg = None
+        return o
+
     @property
     def n(self) -> int:
         return self.graph.n
@@ -249,12 +267,17 @@ class Orientation:
 
 
 def orientation_from_bits(graph: Graph, word: int, meta: Optional[dict] = None) -> Orientation:
-    """Orientation where bit i = 0 orients edge i from its lower id to its higher id."""
+    """Orientation where bit i = 0 orients edge i from its lower id to its higher id.
+
+    The arcs are the graph's own edges, so without ``meta`` the orientation
+    is built by ``Orientation._from_valid``."""
     arcs = []
     for i, (u, v) in enumerate(graph.edges):
         lo, hi = (u, v) if u < v else (v, u)
         arcs.append((hi, lo) if (word >> i) & 1 else (lo, hi))
-    return Orientation(graph, arcs, meta)
+    if meta:
+        return Orientation(graph, arcs, meta)
+    return Orientation._from_valid(graph, tuple(arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,20 @@ class Engine:
     cap are exact. The orientation scan only asks whether a value exceeds its
     target, so it caps at target + 1, and trace extraction works on any
     engine whose traced value lies below its cap.
+
+    out maps each vertex's bit 1 << v to its out-mask. The engine keeps a
+    copy of it, outs, and stores there every union out(S) of out-masks it
+    computes, keyed by the vertex mask S: a spread or a layer of the region
+    search usually comes up again in the same engine. The copy is the
+    engine's own, so its out-masks never change once it is built, and out(S)
+    is a function of S: a stored union is what the loop would compute again.
+    So the states searched, values, moves and traces are those of the loop,
+    and the caller is free to change its map once the engine is built, as
+    the orientation scan does. The unions go with the engine.
     """
 
-    def __init__(self, out_mask: list[int], n: int, f: int, cap: Optional[int] = None):
-        self.out_mask = out_mask
+    def __init__(self, out: dict[int, int], n: int, f: int, cap: Optional[int] = None):
+        self.outs = out.copy()
         self.n = n
         self.f = f
         self.cap = n if cap is None else cap
@@ -137,11 +147,14 @@ class Engine:
         live, threat = self._burn(self.full, 0, 1 << start)
         return self._value(live, threat, 1)
 
-    def _burn(self, live: int, pm: int, spread: int, limit: float = math.inf, ou: int = 0) -> tuple[int, int]:
+    def _burn(self, live: int, pm: int, spread: int, limit: float = math.inf) -> tuple[int, int]:
         """One transition: protect pm, burn spread, then return the region
         the fire can still reach through unprotected vertices and the part of
-        it under threat next. ou, when not 0, is out(spread), which the
-        caller already has.
+        it under threat next. out(spread) and out of each layer of the region
+        search are read from outs; on a miss the loop ORs the single-vertex
+        entries and stores the union. The loop is written out at both
+        lookups: scan engines live for a few transitions and miss often, and
+        a helper call per miss made best-dense 2-6% slower.
 
         The threat is the region's first layer, out(spread) & live & ~pm &
         ~spread, so it is found before the region. When it has at least limit
@@ -149,13 +162,16 @@ class Engine:
         such a child on its threat alone and would never read the region. A
         threat is never empty when the region is not, so (0, threat) with a
         non-empty threat marks the cut."""
-        om = self.out_mask
-        if not ou:
+        outs = self.outs
+        ou = outs.get(spread)
+        if ou is None:
+            ou = 0
             part = spread
             while part:
                 low = part & -part
-                ou |= om[low.bit_length() - 1]
+                ou |= outs[low]
                 part ^= low
+            outs[spread] = ou
         allowed = live & ~pm & ~spread
         threat = frontier = ou & allowed
         if threat.bit_count() >= limit:
@@ -163,11 +179,15 @@ class Engine:
         reached = 0
         while frontier:
             reached |= frontier
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= om[low.bit_length() - 1]
-                frontier ^= low
+            nxt = outs.get(frontier)
+            if nxt is None:
+                nxt = 0
+                part = frontier
+                while part:
+                    low = part & -part
+                    nxt |= outs[low]
+                    part ^= low
+                outs[frontier] = nxt
             frontier = nxt & allowed & ~reached
         return reached, threat
 
@@ -193,10 +213,12 @@ class Engine:
         + f, the limit _burn gets, and a child cut there is skipped.
 
         A protect set that misses the threat spreads all of it, so its child
-        burns out(threat), computed once per state and handed to _burn, and
-        its next threat is out(threat) & live & ~threat less at most the f
-        protected vertices. Its count plus threat minus f is then at least
-        tail = count + |threat| + |out(threat) & live & ~threat| - 2f. These
+        burns out(threat), and its next threat is out(threat) & live &
+        ~threat less at most the f protected vertices. Its count plus threat
+        minus f is then at least tail = count + |threat| + |out(threat) &
+        live & ~threat| - 2f. out(threat) is always in outs: the threat was
+        the first layer of the region search in the _burn that made the
+        state (a _burn cut on its threat makes no state). These
         sets come last in _protect_masks order (their lowest vertex lies past
         every threatened one), and best never rises, so once tail reaches
         best the second bound drops every child left and the loop stops.
@@ -229,7 +251,7 @@ class Engine:
         if best > self.cap:
             best = self.cap
         move = 0
-        ot = None
+        tail = None
         for pm in _protect_masks(live, threat, f):
             spread = threat & ~pm
             if not spread:
@@ -238,21 +260,12 @@ class Engine:
             newcount = count + spread.bit_count()
             if newcount >= best:
                 continue
-            if spread != threat:
-                newlive, newthreat = self._burn(live, pm, spread, best - newcount + f)
-            else:
-                if ot is None:
-                    ot = 0
-                    part = threat
-                    om = self.out_mask
-                    while part:
-                        low = part & -part
-                        ot |= om[low.bit_length() - 1]
-                        part ^= low
-                    tail = newcount + (ot & live & ~threat).bit_count() - 2 * f
+            if spread == threat:
+                if tail is None:
+                    tail = newcount + (self.outs[threat] & live & ~threat).bit_count() - 2 * f
                 if tail >= best:
                     break
-                newlive, newthreat = self._burn(live, pm, spread, best - newcount + f, ot)
+            newlive, newthreat = self._burn(live, pm, spread, best - newcount + f)
             if newthreat and not newlive:
                 continue
             v = self._value(newlive, newthreat, newcount)
@@ -312,7 +325,7 @@ def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameV
         raise SolverLimitError(f"instance has {n} vertices, cap is {max_vertices}")
     check_game(n, f, start)
     t0 = time.perf_counter()
-    eng = Engine(out_mask, n, f)
+    eng = Engine(_out_map(out_mask), n, f)
     starts = [start] if start is not None else range(n)
     per_start = {s: eng.start_value(s) for s in starts}
     beta, witness, trace = _optimal_play(eng, per_start, want_trace)
@@ -322,6 +335,11 @@ def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameV
         per_start=per_start, nodes_explored=eng.nodes,
         wall_ms=(time.perf_counter() - t0) * 1000,
     )
+
+
+def _out_map(out_mask: list[int]) -> dict[int, int]:
+    """An engine's per-vertex map, {1 << v: out_mask[v]}."""
+    return {1 << v: om for v, om in enumerate(out_mask)}
 
 
 def _optimal_play(eng: Engine, per_start: dict[int, int], want_trace: bool):
@@ -334,11 +352,11 @@ def _optimal_play(eng: Engine, per_start: dict[int, int], want_trace: bool):
     return beta, witness, trace
 
 
-def _capped_values(out_mask, n, f, cap, starts) -> tuple[Optional[int], Engine, dict[int, int]]:
+def _capped_values(out, n, f, cap, starts) -> tuple[Optional[int], Engine, dict[int, int]]:
     """Solve the starts in order on one engine capped at cap, until one
     reaches the cap: that start (None when none does), the engine, and the
     values found. Every value below the cap is exact."""
-    eng = Engine(out_mask, n, f, cap=cap)
+    eng = Engine(out, n, f, cap=cap)
     values = {}
     for s in starts:
         v = values[s] = eng.start_value(s)
@@ -388,9 +406,19 @@ def _twin_comparisons(g: Graph) -> dict[tuple[int, int], tuple[tuple[int, int, i
     i = j, flip = 1. A swap is an involution, so a pair (i, j) compares equal
     at j once it did at i and gives one comparison. Swaps of isolated
     vertices get no checks.
+
+    Most graphs have no such class, and that is seen before any table is
+    built: a class of k vertices repeats one neighbourhood k - 1 times, so
+    the n neighbourhoods of its kind take at most n - k + 1 distinct values.
+    When both the open and the closed ones take more than n -
+    _MIN_TWIN_CLASS + 1, no class is large enough and there are no checks.
     """
+    am = g.adj_mask
+    most = g.n - _MIN_TWIN_CLASS + 1
+    if len(set(am)) > most and len({nbrs | 1 << u for u, nbrs in enumerate(am)}) > most:
+        return {}
     classes: dict[int, list[int]] = {}
-    for u, nbrs in enumerate(g.adj_mask):
+    for u, nbrs in enumerate(am):
         # an open neighbourhood never contains its vertex, a closed one always
         # does, so one table holds both kinds without a clash
         classes.setdefault(nbrs, []).append(u)
@@ -478,7 +506,7 @@ def solve_best_orientation(
         # the leaf solved every start below its cap: reorder, do not re-solve
         per_start = {s: state.witness_values[s] for s in range(g.n)}
     else:
-        eng = Engine(witness.out_mask, g.n, f)
+        eng = Engine(_out_map(witness.out_mask), g.n, f)
         state.leaves += 1
         per_start = {s: eng.start_value(s) for s in range(g.n)}
     beta, start, trace = _optimal_play(eng, per_start, want_trace)
@@ -527,8 +555,10 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
     """
     n, m = g.n, g.m
     lo_hi = [(min(u, v), max(u, v)) for u, v in g.edges]
+    # each edge's two arcs as (bit, tail, tail's bit, head's bit)
+    arcs = [((0, u, 1 << u, 1 << v), (1, v, 1 << v, 1 << u)) for u, v in lo_hi]
     outdeg = [0] * n
-    out_mask = [0] * n
+    out = {1 << v: 0 for v in range(n)}  # the partial orientation, in the engine's form
     state = _ScanState()
     deadline = None if budget_ms is None else time.perf_counter() + budget_ms / 1000
 
@@ -541,8 +571,7 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
     def visit(word: int) -> None:
         state.leaves += 1
         starts = [(state.hint + k) % n for k in range(n)]
-        # a copy of out_mask: the engine outlives the leaf if it is the witness's
-        blocker, eng, values = _capped_values(out_mask[:], n, f, cap, starts)
+        blocker, eng, values = _capped_values(out, n, f, cap, starts)
         if blocker is None:
             state.witness_word, state.witness_engine, state.witness_values = word, eng, values
             state.stopped = True
@@ -558,15 +587,14 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
         if check_at[i]:
             top = max(range(n), key=outdeg.__getitem__)
             starts = [state.hint] if top == state.hint else [state.hint, top]
-            blocker = _capped_values(out_mask, n, f, cap, starts)[0]
+            blocker = _capped_values(out, n, f, cap, starts)[0]
             if blocker is not None:
                 state.hint = blocker
                 return
         if i == m:
             visit(word)
             return
-        u, v = lo_hi[i]
-        for bit, tail, head in ((0, u, v), (1, v, u)):
+        for bit, tail, tail_bit, head_bit in arcs[i]:
             if outdeg[tail] >= max_outdeg:
                 continue
             child = word | (bit << i)
@@ -574,10 +602,10 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
             if child_lex is None:
                 continue
             outdeg[tail] += 1
-            out_mask[tail] |= 1 << head
+            out[tail_bit] |= head_bit
             rec(i + 1, child, child_lex)
             outdeg[tail] -= 1
-            out_mask[tail] &= ~(1 << head)
+            out[tail_bit] ^= head_bit
 
     lex = [(comps, 0) for comps in _twin_comparisons(g).values()]
     target = floor

@@ -136,6 +136,16 @@ def test_enumerate_connected_graphs_match_constructor():
             assert g == h and hash(g) == hash(h)
 
 
+def test_enumerate_connected_builds_its_tables_once(monkeypatch):
+    first = [(g.n, g.edges) for g in enumerate_connected(5)]
+
+    def rebuilt(*args):
+        raise AssertionError("the n = 5 tables were built again")
+
+    monkeypatch.setattr(families, "_pair_subsets", rebuilt)
+    assert [(g.n, g.edges) for g in enumerate_connected(5)] == first
+
+
 def enumerate_reference(n):
     pair_list = list(combinations(range(n), 2))
     for word in range(1 << len(pair_list)):

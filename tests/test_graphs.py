@@ -117,6 +117,18 @@ def test_orientation_needs_every_edge():
     assert Orientation(path(3), [(1, 0), (2, 1)]).arcs == ((1, 0), (2, 1))
 
 
+def test_orientation_from_bits_matches_constructor():
+    # without meta the orientation skips Orientation's checks, so compare
+    # every word with a checked copy
+    for g in [*(g for n in range(1, 5) for g in enumerate_connected(n)), complete(5)]:
+        for word in range(1 << g.m):
+            arcs = [(max(e), min(e)) if word >> i & 1 else (min(e), max(e)) for i, e in enumerate(g.edges)]
+            o, ref = orientation_from_bits(g, word), Orientation(g, arcs)
+            assert (o.arcs, o.meta, o.out_mask) == (ref.arcs, {}, ref.out_mask)
+            assert o == ref and hash(o) == hash(ref)
+    assert orientation_from_bits(path(3), 0b10, {"scheme": "x"}).meta == {"scheme": "x"}
+
+
 def test_dot_export():
     assert "0 -- 1" in to_dot(path(2))
     o = orientation_from_bits(path(2), 0)

@@ -42,6 +42,7 @@ from firebreak.orient import (
 from firebreak.solve import (
     Engine,
     SolverLimitError,
+    _out_map,
     _protect_masks,
     _twin_comparisons,
     density_floor,
@@ -115,7 +116,7 @@ def test_trace_extraction_adds_no_state():
     # witness start and 48 for all starts
     g = random_regular(24, 5, 0)
     o = orientation_from_bits(g, random.Random(0).getrandbits(g.m))
-    eng = Engine(o.out_mask, o.n, 2)
+    eng = Engine(_out_map(o.out_mask), o.n, 2)
     values = [eng.start_value(s) for s in range(o.n)]
     nodes = eng.nodes
     for s in range(o.n):
@@ -143,32 +144,29 @@ def test_burn_limit_skips_only_the_region():
     for _ in range(2000):
         n = rng.randrange(1, 11)
         out_mask = [rng.getrandbits(n) & ~(1 << u) for u in range(n)]
-        eng = Engine(out_mask, n, 1)
+        eng = Engine(_out_map(out_mask), n, 1)
         live = rng.getrandbits(n)
         pm = rng.getrandbits(n) & live
         spread = rng.getrandbits(n) & live & ~pm
-        ou = 0
-        for u in bits(spread):
-            ou |= out_mask[u]
         region, threat = eng._burn(live, pm, spread)
         for limit in range(n + 2):
             expected = (region if threat.bit_count() < limit else 0, threat)
             assert eng._burn(live, pm, spread, limit) == expected
-            assert eng._burn(live, pm, spread, limit, ou) == expected
 
 
 class _ReferenceEngine(Engine):
     """The engine before the threat was bounded ahead of the region search:
     _burn always searches the region, and _value bounds a child only once
-    _burn has returned."""
+    _burn has returned. Nor does it store unions: it reads only the
+    single-vertex entries of outs."""
 
     def _burn(self, live, pm, spread):
-        om = self.out_mask
+        outs = self.outs
         ou = 0
         part = spread
         while part:
             low = part & -part
-            ou |= om[low.bit_length() - 1]
+            ou |= outs[low]
             part ^= low
         allowed = live & ~pm & ~spread
         reached = 0
@@ -178,7 +176,7 @@ class _ReferenceEngine(Engine):
             nxt = 0
             while frontier:
                 low = frontier & -frontier
-                nxt |= om[low.bit_length() - 1]
+                nxt |= outs[low]
                 frontier ^= low
             frontier = nxt & allowed & ~reached
         return reached, ou & reached
@@ -222,7 +220,7 @@ def _assert_matches_reference(out_mask, n, f):
     # values, states searched and memo tables, under every cap and with
     # starts revisited, so capped states are searched again
     for cap in range(1, n + 2):
-        eng, ref = Engine(out_mask, n, f, cap), _ReferenceEngine(out_mask, n, f, cap)
+        eng, ref = Engine(_out_map(out_mask), n, f, cap), _ReferenceEngine(_out_map(out_mask), n, f, cap)
         for s in [*range(n), *reversed(range(n))]:
             assert eng.start_value(s) == ref.start_value(s), (out_mask, f, cap, s)
         assert (eng.nodes, eng.memo) == (ref.nodes, ref.memo), (out_mask, f, cap)
@@ -244,11 +242,48 @@ def test_engine_matches_reference():
             _assert_matches_reference(out_mask, n, f)
 
 
+def test_engine_unions_are_out_neighbourhoods():
+    # every union the engine stored, at any cap, is the OR of its vertices'
+    # out-masks in the digraph it was built on
+    rng = random.Random(8)
+    stored = 0
+    for _ in range(150):
+        n = rng.randrange(1, 11)
+        out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < 0.35) for u in range(n)]
+        for f in (1, 2):
+            for cap in (None, rng.randrange(1, n + 1)):
+                eng = Engine(_out_map(out_mask), n, f, cap)
+                for s in range(n):
+                    eng.start_value(s)
+                for mask, union in eng.outs.items():
+                    assert union == sum(1 << w for w in range(n) if any(out_mask[u] >> w & 1 for u in bits(mask)))
+                stored += len(eng.outs) - n
+    assert stored > 1000
+
+
+def test_engine_keeps_its_own_out_map():
+    # the orientation scan changes its map in place between engines: an
+    # engine built on it must answer for the map as it was when built
+    rng = random.Random(9)
+    for _ in range(100):
+        n = rng.randrange(2, 10)
+        out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < 0.4) for u in range(n)]
+        for f in (1, 2):
+            fresh = Engine(_out_map(out_mask), n, f)
+            expected = [fresh.start_value(s) for s in range(n)]
+            out = _out_map(out_mask)
+            eng = Engine(out, n, f)
+            for bit in out:
+                out[bit] = rng.getrandbits(n) & ~bit
+            assert [eng.start_value(s) for s in range(n)] == expected
+            assert [eng.extract_trace(s) for s in range(n)] == [fresh.extract_trace(s) for s in range(n)]
+
+
 def _first_optimal_moves(out_mask, n, f, trace):
     """Mismatches between the trace's protect sets and the first move, in
     _protect_masks order, whose successor keeps the state's value (live when
     at most f vertices are live), by a fresh uncapped engine."""
-    ref = Engine(out_mask, n, f)
+    ref = Engine(_out_map(out_mask), n, f)
     protects = [sum(1 << v for v in ev.vertices) for ev in trace.events if ev.kind == "protect"]
     live, threat = ref._burn(ref.full, 0, 1 << trace.start)
     count, mismatches = 1, []
@@ -508,6 +543,38 @@ def test_twin_classes():
     # classes of two give no checks
     assert list(_twin_comparisons(complete_bipartite(2, 3))) == [(2, 3), (3, 4)]
     assert _twin_comparisons(cycle(4)) == {}
+
+
+def _twin_comparisons_unshortened(g):
+    """_twin_comparisons as it was before it returned early: the class table
+    is built for every graph."""
+    classes = {}
+    for u, nbrs in enumerate(g.adj_mask):
+        classes.setdefault(nbrs, []).append(u)
+        classes.setdefault(nbrs | 1 << u, []).append(u)
+    index = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(g.edges)}
+    checks = {}
+    for cls in (cls for cls in classes.values() if len(cls) >= 3):
+        for a, b in zip(cls, cls[1:]):
+            comps = []
+            for w, i in g.adj[a]:
+                if w == b:
+                    comps.append((i, i, 1))
+                else:
+                    j = index[min(b, w), max(b, w)]
+                    comps.append((min(i, j), max(i, j), int(a < w < b)))
+            if comps:
+                checks[a, b] = tuple(sorted(comps))
+    return checks
+
+
+def test_twin_shortcut_matches_class_table():
+    with_checks = 0
+    for g in (g for n in range(1, 7) for g in enumerate_connected(n)):
+        checks = _twin_comparisons(g)
+        assert checks == _twin_comparisons_unshortened(g), g.edges
+        with_checks += bool(checks)
+    assert with_checks > 1000
 
 
 def test_twin_checks_decide_word_against_swapped_word():
@@ -829,7 +896,7 @@ def _check_capped_engine(out_mask, n, f):
     # left unstored.
     naive = [naive_start_value(out_mask, n, f, 1 << s, 0) for s in range(n)]
     for cap in range(1, n + 2):
-        eng = Engine(out_mask, n, f, cap=cap)
+        eng = Engine(_out_map(out_mask), n, f, cap=cap)
         for s in [*range(n), *reversed(range(n))]:
             assert eng.start_value(s) == min(naive[s], cap), (out_mask, f, cap, s)
 
