@@ -2,9 +2,10 @@
 
 All arithmetic is exact: values are int, or fractions.Fraction where a ratio
 arises; floors and ceilings appear exactly where the source formulas place
-them. Every rule is emitted whether or not it applies to the instance, with
-an explicit applicability flag and hypothesis, so a bound can never be
-misused silently.
+them. The report emits every rule whether or not it applies to the
+instance, with an explicit applicability flag and hypothesis, so a bound can
+never be misused silently. Each rule is stated once, in ``_rules``, which
+feeds both the report and the screen ``check_sandwich``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Optional
 
 from .game import check_game
@@ -142,21 +144,10 @@ def _clique_value(omega: int) -> int:
     return omega - 3 if omega >= 5 else 2 if omega == 4 else 1
 
 
-def _oneway_value(small: int, f: int) -> int:
-    """The bipartite-oneway value when the source side has maximum degree
-    ``small``."""
-    return max(1, 1 + small - f)
-
-
 def _pace_value(n: int, parts: int) -> Fraction:
     """One new burn per unit while each unit retires ``parts`` vertices: the
     arboricity-pace and outdegree-pace value."""
     return 1 + Fraction(n - 1, parts)
-
-
-def _fvs_value(size: int, f: int) -> int:
-    """The fvs value for a feedback vertex set of ``size`` vertices."""
-    return max(1, size - f + 2)
 
 
 def greedy_clique(g: Graph) -> int:
@@ -203,243 +194,225 @@ def _chromatic_number(g: Graph, bipartite: bool) -> tuple[int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# lower bounds
+# the rules
 
 
-def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
-    entries = [
-        BoundEntry("trivial", "lower", 1, True, "the start vertex always burns")
-    ]
+def _rules(g: Graph, f: int, k: Optional[int] = None, o: Optional[Orientation] = None,
+           beta: Optional[int] = None):
+    """Every bound rule, each stated once, in report order: the lower rules,
+    the structural upper rules, then the rules of the one orientation ``o``.
+    Yields (name, kind, value, applicable, hypothesis, note) tuples, the
+    fields of a ``BoundEntry``. ``k`` enables the k-tree rules when ``g`` is a
+    k-tree. The caller checks the game.
+
+    Without ``o`` the orientation rules are reported inapplicable. With it the
+    structural upper rules are left out: they hold for the best orientation,
+    and ``o``'s value meets only the lower rules and ``o``'s own.
+
+    Without ``beta`` every rule is evaluated for the report. With ``beta`` the
+    tuples feed the screen, which reads only applicable values: a rule is
+    skipped, its value never computed, wherever a cheap certificate shows it
+    cannot contradict beta, so a costly structural routine runs only when a
+    rule is left open. Where the graph lacks a rule's structure (it is not
+    complete, bipartite or complete bipartite, not a k-tree for the given k,
+    or above 18 vertices for fvs) or no orientation is given, the rule's
+    valueless entry is yielded for the report only: the screen would pay for
+    the yield and read nothing. The density and min-degree values exceed
+    beta exactly when m > beta n and delta_min > 2 beta; the other
+    certificates are these:
+
+    (a) beta <= 1 violates no upper rule, since every upper value is at
+        least 1: tree, one-cycle, arboricity-cover and outdegree-cover are 1,
+        the complete bands, bipartite-oneway and fvs are at least 1, the
+        coarse value is delta^chi with delta > f >= 1, the wave sum starts
+        with the wave 1, the pace values are 1 + (n - 1)/parts, ktree-half
+        is 1 + ceil(k/2) with k >= 1, degree-ladder is at least 2, and radius
+        is n - rad >= 1.
+    (b) The chromatic rules apply only when 1 <= f < delta, so the graph has
+        an edge and chi >= chi_lo, with chi_lo = 2 when it is bipartite and
+        3 otherwise; an estimate above 16 vertices is a proper colouring's
+        count, never below chi. delta^k and the wave value are
+        non-decreasing in k, so the chromatic number is computed only when a
+        rule's value at chi_lo is below beta. Likewise the clique value is
+        non-decreasing in omega and omega <= delta + 1, so the clique is
+        grown only when the value at delta + 1 exceeds beta.
+    (c) Each part of a forest partition holds at most n - 1 edges, so it has
+        at least a_lo = ceil(m / (n - 1)) parts: arboricity-cover needs
+        f >= a_lo. Where arboricity-pace applies, the part count is at most
+        f + 1, so its value is at least 1 + (n - 1)/(f + 1); it also needs an
+        edge and a_lo <= f + 1. The forests are peeled only when these facts
+        leave a rule open.
+    (d) For beta >= 2, max(1, size - f + 2) < beta exactly when the minimum
+        feedback vertex set has fewer than beta + f - 2 vertices, so only
+        those sizes are searched, in ``min_fvs``'s own order.
+    (e) A graph with more edges than vertices is neither a tree nor
+        unicyclic, so connectivity is tested only when m <= n, and the screen
+        meets neither rule on a graph that is not connected.
+    """
+    if k is not None and k < 1:
+        raise GraphError("k must be at least 1")
+    report = beta is None
     n, m = g.n, g.m
-    density = Fraction(m, n) if n else 0
-    entries.append(
-        BoundEntry(
-            "density", "lower", density, f == 1,
-            "one firefighter; some vertex has outdegree at least m/n in every orientation",
+    deg = g.degrees()
+    delta, delta_min = max(deg), min(deg)
+
+    yield "trivial", "lower", 1, True, "the start vertex always burns", ""
+    if report or f == 1 and m > beta * n:
+        yield (
+            "density", "lower", Fraction(m, n), f == 1,
+            "one firefighter; some vertex has outdegree at least m/n in every orientation", "",
         )
-    )
-    delta_min = g.min_degree()
-    entries.append(
-        BoundEntry(
+    if report or f == 1 and delta_min > 2 * beta:
+        yield (
             "min-degree-half", "lower", Fraction(delta_min, 2), f == 1,
-            "one firefighter; m >= n*delta_min/2 feeds the density bound",
+            "one firefighter; m >= n*delta_min/2 feeds the density bound", "",
         )
-    )
-    omega = greedy_clique(g)
-    entries.append(
-        BoundEntry(
+    if report or f == 1 and _clique_value(delta + 1) > beta:  # (b)
+        omega = greedy_clique(g)
+        yield (
             "clique", "lower", _clique_value(omega), f == 1,
             f"one firefighter; contains a clique on {omega} vertices (subgraph monotonicity)",
-            note="" if is_complete(g) else "greedy clique, so possibly undersized",
+            "" if is_complete(g) else "greedy clique, so possibly undersized",
         )
-    )
     sides = _complete_bipartite_sides(g)
     if sides is not None:
-        entries += _biclique_bounds(*sides, f)
-    else:
-        for rule in ("biclique-outdegree", "biclique-outdegree-plus", "biclique-min-side"):
-            entries.append(BoundEntry(rule, "lower", None, False, "graph is not complete bipartite"))
-    return entries
-
-
-def _biclique_bounds(p: int, q: int, f: int) -> list[BoundEntry]:
-    """The lower bounds of the complete bipartite graph K_{p,q}."""
-    ratio = Fraction(p * q, p + q)
-    return [
-        BoundEntry(
-            "biclique-outdegree", "lower", ratio + 1 - f, True,
-            f"complete bipartite K_{{{p},{q}}}",
-        ),
-        BoundEntry(
+        p, q = sides
+        ratio = Fraction(p * q, p + q)
+        biclique = f"complete bipartite K_{{{p},{q}}}"
+        yield "biclique-outdegree", "lower", ratio + 1 - f, True, biclique, ""
+        yield (
             "biclique-outdegree-plus", "lower", ratio + 2 - f, f <= ratio - 1,
-            f"complete bipartite K_{{{p},{q}}} with f <= pq/(p+q) - 1",
-        ),
-        BoundEntry(
-            "biclique-min-side", "lower", min(p, q),
-            f == 1 and min(p, q) >= 6,
-            f"complete bipartite K_{{{p},{q}}} with both sides at least 6, one firefighter",
-        ),
-    ]
+            f"{biclique} with f <= pq/(p+q) - 1", "",
+        )
+        yield (
+            "biclique-min-side", "lower", min(p, q), f == 1 and min(p, q) >= 6,
+            f"{biclique} with both sides at least 6, one firefighter", "",
+        )
+    elif report:
+        for rule in ("biclique-outdegree", "biclique-outdegree-plus", "biclique-min-side"):
+            yield rule, "lower", None, False, "graph is not complete bipartite", ""
 
+    if not report and beta <= 1:  # (a)
+        return
+    if o is not None:
+        dplus = o.max_out_degree()
+        rad = radius(o) if f == 1 else math.inf
+        yield (
+            "outdegree-cover", "upper", 1, f >= dplus,
+            f"f at least the orientation's maximum outdegree {dplus}", "",
+        )
+        yield (
+            "outdegree-pace", "upper", _pace_value(n, dplus) if dplus else None,
+            dplus >= 1 and f >= dplus - 1,
+            f"f at least {dplus - 1} on an orientation with maximum outdegree {dplus}", "",
+        )
+        yield (
+            "radius", "upper", None if rad == math.inf else n - int(rad), f == 1 and rad != math.inf,
+            "one firefighter; protect one vertex per distance layer of this orientation", "",
+        )
+        return
 
-# ---------------------------------------------------------------------------
-# upper bounds
-
-
-def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[BoundEntry]:
-    """Every upper-bound rule. ``k`` enables the k-tree rules when ``g`` is a
-    k-tree; the per-orientation rules close the list, inapplicable."""
-    entries: list[BoundEntry] = []
-    n, m = g.n, g.m
-    delta = g.max_degree()
-
-    # trees and near-trees
-    connected = g.is_connected()
     # a connected multigraph with n - 1 edges is a tree
-    entries.append(BoundEntry("tree", "upper", 1, connected and m == n - 1, "graph is a tree"))
-    at_most_one_cycle = connected and m <= n
-    entries.append(
-        BoundEntry(
-            "one-cycle", "upper", 1, at_most_one_cycle and f >= 1,
-            "connected with at most one cycle; a 1-outregular orientation exists",
+    connected = m <= n and g.is_connected()  # (e)
+    if report or connected:
+        yield "tree", "upper", 1, connected and m == n - 1, "graph is a tree", ""
+        yield (
+            "one-cycle", "upper", 1, connected,
+            "connected with at most one cycle; a 1-outregular orientation exists", "",
         )
-    )
 
-    # complete graphs
     if is_complete(g):
-        value = complete_upper_bound(n, f)
-        entries.append(BoundEntry("complete", "upper", value, True, f"complete graph on {n} vertices"))
-    else:
-        entries.append(BoundEntry("complete", "upper", None, False, "graph is not complete"))
+        yield "complete", "upper", complete_upper_bound(n, f), True, f"complete graph on {n} vertices", ""
+    elif report:
+        yield "complete", "upper", None, False, "graph is not complete", ""
 
-    # bipartite one-way orientation
-    sides = bipartition(g)
-    if sides is not None and m > 0:
-        _, small = _oneway_side(g, sides)
-        entries.append(
-            BoundEntry(
-                "bipartite-oneway", "upper", _oneway_value(small, f), True,
-                f"bipartite; all arcs leave the side with maximum degree {small}",
-            )
+    halves = bipartition(g)
+    if halves is not None and m > 0:
+        small = _oneway_side(g, halves)[1]
+        yield (
+            "bipartite-oneway", "upper", max(1, 1 + small - f), True,
+            f"bipartite; all arcs leave the side with maximum degree {small}", "",
         )
-    else:
-        entries.append(BoundEntry("bipartite-oneway", "upper", None, False, "graph is not bipartite"))
+    elif report:
+        yield "bipartite-oneway", "upper", None, False, "graph is not bipartite", ""
 
-    # chromatic bounds
-    chromatic, chi_exact = _chromatic_number(g, sides is not None)
-    chi_note = "" if chi_exact else "greedy colouring estimate"
-    coarse_ok = 1 <= f < delta
-    coarse = delta**chromatic if delta >= 1 else None
-    entries.append(
-        BoundEntry(
-            "chromatic-coarse", "upper", coarse, coarse_ok,
+    chi_lo = 2 if halves is not None else 3
+    if report or f < delta and (
+        delta**chi_lo < beta or delta > 2 and _wave_value(delta, f, chi_lo)[0] < beta
+    ):  # (b)
+        chromatic, chi_exact = _chromatic_number(g, halves is not None)
+        chi_note = "" if chi_exact else "greedy colouring estimate"
+        yield (
+            "chromatic-coarse", "upper", delta**chromatic if delta >= 1 else None, f < delta,
             f"f below maximum degree {delta}; colour classes give an acyclic orientation "
             f"of depth {chromatic}",
-            note=chi_note,
+            chi_note,
         )
-    )
-    if delta > 2 and 1 <= f < delta:
-        refined, truncated = _wave_value(delta, f, chromatic)
-        trunc_note = "wave sum truncated where the fire is contained" if truncated else ""
-        entries.append(
-            BoundEntry(
+        if delta > 2 and f < delta:
+            refined, truncated = _wave_value(delta, f, chromatic)
+            trunc_note = "wave sum truncated where the fire is contained" if truncated else ""
+            yield (
                 "chromatic-refined", "upper", refined, True,
                 f"maximum degree {delta} > 2 and f < maximum degree",
-                note=(chi_note + "; " + trunc_note).strip("; "),
-            )
-        )
-    else:
-        entries.append(
-            BoundEntry("chromatic-refined", "upper", None, False, "needs maximum degree above 2 and f below it")
-        )
-
-    # arboricity estimate
-    a_est = len(forest_peel(g))
-    entries.append(
-        BoundEntry(
-            "arboricity-cover", "upper", 1, f >= a_est,
-            f"f at least the forest partition size {a_est}",
-            note="estimate-based: partition size bounds the arboricity from above",
-        )
-    )
-    rational = _pace_value(n, a_est) if a_est else None
-    entries.append(
-        BoundEntry(
-            "arboricity-pace", "upper", rational, a_est > 0 and f >= a_est - 1,
-            f"f at least {a_est - 1}: one new burn per unit while each unit retires "
-            f"{a_est} vertices",
-            note="estimate-based",
-        )
-    )
-
-    # feedback vertex set
-    if n <= 18:
-        fvs_mask = min_fvs(g)
-        size = popcount(fvs_mask)
-        entries.append(
-            BoundEntry(
-                "fvs", "upper", _fvs_value(size, f), True,
-                f"removing the {size} set vertices leaves a forest",
-            )
-        )
-    else:
-        entries.append(
-            BoundEntry(
-                "fvs", "upper", None, False,
-                "more than 18 vertices: no exact feedback vertex set computed",
-            )
-        )
-
-    # k-tree bounds. The walls and anticipate rules, 1 + floor(diam/2)(k - f) - f
-    # and 1 + k(floor(k/f) - 1), fall below solved values (K4 with k = 3 and
-    # f = 1 gets 0 against beta 2), so both are withheld until they are
-    # re-derived from the paper's treewidth section.
-    if k is not None and ktree_structure(g, k) is not None:
-        for rule in ("ktree-walls", "ktree-anticipate"):
-            entries.append(
-                BoundEntry(rule, "upper", None, False,
-                           "withheld until re-derived: falls below solved best values on k-trees")
-            )
-        entries.append(
-            BoundEntry(
-                "ktree-half", "upper", 1 + -(-k // 2), f >= k // 2,
-                f"{k}-tree with f >= floor(k/2)",
-            )
-        )
-    else:
-        for rule in ("ktree-walls", "ktree-anticipate", "ktree-half"):
-            entries.append(BoundEntry(rule, "upper", None, False, "not recognised as a k-tree (supply k)"))
-
-    # degree ladder
-    if f == 1 and delta >= 1:
-        if delta <= 2:
-            entries.append(
-                BoundEntry("degree-ladder", "upper", None, False, "maximum degree below 3: covered by one-cycle")
+                (chi_note + "; " + trunc_note).strip("; "),
             )
         else:
-            entries.append(
-                BoundEntry(
-                    "degree-ladder", "upper", beta_d_ladder(delta), True,
-                    f"one firefighter, maximum degree {delta}",
-                )
+            yield "chromatic-refined", "upper", None, False, "needs maximum degree above 2 and f below it", ""
+
+    a_lo = -(-m // (n - 1)) if n > 1 else 0
+    if report or f >= a_lo or m and a_lo <= f + 1 and n - 1 < (beta - 1) * (f + 1):  # (c)
+        parts = len(forest_peel(g))
+        yield (
+            "arboricity-cover", "upper", 1, f >= parts,
+            f"f at least the forest partition size {parts}",
+            "estimate-based: partition size bounds the arboricity from above",
+        )
+        yield (
+            "arboricity-pace", "upper", _pace_value(n, parts) if parts else None,
+            parts > 0 and f >= parts - 1,
+            f"f at least {parts - 1}: one new burn per unit while each unit retires {parts} vertices",
+            "estimate-based",
+        )
+
+    if n <= 18:
+        fvs = min_fvs(g, below=None if report else beta + f - 2)  # (d)
+        if fvs is not None:
+            size = popcount(fvs)
+            yield (
+                "fvs", "upper", max(1, size - f + 2), True,
+                f"removing the {size} set vertices leaves a forest", "",
             )
+    elif report:
+        yield "fvs", "upper", None, False, "more than 18 vertices: no exact feedback vertex set computed", ""
+
+    # The walls and anticipate rules, 1 + floor(diam/2)(k - f) - f and
+    # 1 + k(floor(k/f) - 1), fall below solved values (K4 with k = 3 and f = 1
+    # gets 0 against beta 2), so both are withheld until they are re-derived
+    # from the paper's treewidth section.
+    if k is not None and ktree_structure(g, k) is not None:
+        for rule in ("ktree-walls", "ktree-anticipate"):
+            yield (
+                rule, "upper", None, False,
+                "withheld until re-derived: falls below solved best values on k-trees", "",
+            )
+        yield "ktree-half", "upper", 1 + -(-k // 2), f >= k // 2, f"{k}-tree with f >= floor(k/2)", ""
+    elif report:
+        for rule in ("ktree-walls", "ktree-anticipate", "ktree-half"):
+            yield rule, "upper", None, False, "not recognised as a k-tree (supply k)", ""
+
+    if f == 1 and delta >= 3:
+        yield (
+            "degree-ladder", "upper", beta_d_ladder(delta), True,
+            f"one firefighter, maximum degree {delta}", "",
+        )
+    elif f == 1 and delta >= 1:
+        yield "degree-ladder", "upper", None, False, "maximum degree below 3: covered by one-cycle", ""
     else:
-        entries.append(BoundEntry("degree-ladder", "upper", None, False, "one-firefighter bound"))
+        yield "degree-ladder", "upper", None, False, "one-firefighter bound", ""
 
-    entries += _orientation_bounds(g, f, None)
-    return entries
-
-
-def _orientation_bounds(g: Graph, f: int, o: Optional[Orientation]) -> list[BoundEntry]:
-    """Upper bounds on the value of the one orientation ``o`` of ``g``; unlike
-    the other rules they hold for that orientation, not only for the best.
-    The caller makes sure that ``o`` orients ``g``. The radius rule needs one
-    firefighter, so the radius is measured only then."""
-    if o is None:
-        return [
-            BoundEntry(rule, "upper", None, False, "no orientation supplied")
-            for rule in ("outdegree-cover", "outdegree-pace", "radius")
-        ]
-    dplus = o.max_out_degree()
-    rad = radius(o) if f == 1 else math.inf
-    return [
-        BoundEntry(
-            "outdegree-cover", "upper", 1, f >= dplus,
-            f"f at least the orientation's maximum outdegree {dplus}",
-        ),
-        BoundEntry(
-            "outdegree-pace", "upper",
-            _pace_value(g.n, dplus) if dplus else None,
-            dplus >= 1 and f >= dplus - 1,
-            f"f at least {dplus - 1} on an orientation with maximum outdegree {dplus}",
-        ),
-        BoundEntry(
-            "radius", "upper",
-            None if rad == math.inf else g.n - int(rad),
-            f == 1 and rad != math.inf,
-            "one firefighter; protect one vertex per distance layer of this orientation",
-        ),
-    ]
+    if report:
+        for rule in ("outdegree-cover", "outdegree-pace", "radius"):
+            yield rule, "upper", None, False, "no orientation supplied", ""
 
 
 def complete_upper_bound(n: int, f: int) -> int:
@@ -510,51 +483,32 @@ def bk_necessary(g: Graph, k: int) -> BkReport:
 
 
 def bound_report(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[BoundEntry]:
+    """Every rule's entry, in report order; raises GraphError on a game that
+    is not defined and on k < 1."""
     check_game(g.n, f)
-    return lower_bounds(g, f) + upper_bounds(g, f, k=k)
+    return [BoundEntry(*rule) for rule in _rules(g, f, k)]
+
+
+def lower_bounds(g: Graph, f: int = 1) -> list[BoundEntry]:
+    """The report's lower entries. They come first, so no upper rule past the
+    first is evaluated."""
+    check_game(g.n, f)
+    return [BoundEntry(*rule) for rule in takewhile(lambda rule: rule[1] == "lower", _rules(g, f))]
+
+
+def upper_bounds(g: Graph, f: int = 1, *, k: Optional[int] = None) -> list[BoundEntry]:
+    """The report's upper entries; the orientation rules close the list,
+    inapplicable."""
+    check_game(g.n, f)
+    return [BoundEntry(*rule) for rule in _rules(g, f, k) if rule[1] == "upper"]
 
 
 def check_sandwich(g: Graph, f: int, beta: int, orientation: Optional[Orientation] = None) -> list[str]:
-    """Violation messages for any applicable bound that contradicts beta.
-
-    Without an orientation, beta is a best-orientation value and meets every
-    rule. With one, beta is that orientation's value: it meets the lower
-    bounds, which hold for every orientation, and the rules for that
-    orientation; the structural upper bounds speak about the best orientation
-    only, and the suites assert them separately.
-
-    The messages are those the bound report's entries give, in report order,
-    but no report is built: each rule is decided against beta, a message
-    with the rule's exact value is formatted only for a violated rule, and a
-    costly structural routine runs only when a cheap certificate cannot show
-    that its rules hold:
-
-    (a) beta <= 1 violates no upper rule, since every upper value is at
-        least 1: tree, one-cycle, arboricity-cover and outdegree-cover are 1,
-        the complete bands, bipartite-oneway and fvs are at least 1, the
-        coarse value is delta^chi with delta > f >= 1, the wave sum starts
-        with the wave 1, the pace values are 1 + (n - 1)/parts,
-        degree-ladder is at least 2, radius is n - rad >= 1, and the k-tree
-        rules never apply here, since no k is given.
-    (b) The chromatic rules apply only when 1 <= f < delta, so the graph has
-        an edge and chi >= chi_lo, with chi_lo = 2 when it is bipartite and
-        3 otherwise; an estimate above 16 vertices is a proper colouring's
-        count, never below chi. delta^k and the wave value are
-        non-decreasing in k, so the chromatic number is computed only when a
-        rule's value at chi_lo is below beta. Likewise the clique value is
-        non-decreasing in omega and omega <= delta + 1, so the clique is
-        grown only when the value at delta + 1 exceeds beta.
-    (c) Each part of a forest partition holds at most n - 1 edges, so it has
-        at least a_lo = ceil(m / (n - 1)) parts: arboricity-cover needs
-        f >= a_lo. Where arboricity-pace applies, the part count is at most
-        f + 1, so its value is at least 1 + (n - 1)/(f + 1); it also needs an
-        edge and a_lo <= f + 1. The forests are peeled only when these facts
-        leave a rule open.
-    (d) For beta >= 2, max(1, size - f + 2) < beta exactly when the minimum
-        feedback vertex set has fewer than beta + f - 2 vertices, so only
-        those sizes are searched, in ``min_fvs``'s own order.
-    (e) A graph with more edges than vertices is neither a tree nor
-        unicyclic, so connectivity is tested only when m <= n.
+    """Violation messages, in report order, for any applicable rule that
+    contradicts beta. Beta is a best-orientation value, or the value of
+    ``orientation``, which meets only the lower rules and its own; the suites
+    assert the structural upper rules separately. ``_rules`` states the rules
+    and the certificates that spare those beta cannot contradict.
 
     Raises GraphError on a game that is not defined (no vertices, f < 1) and
     on an orientation of another graph.
@@ -562,68 +516,12 @@ def check_sandwich(g: Graph, f: int, beta: int, orientation: Optional[Orientatio
     check_game(g.n, f)
     if orientation is not None and orientation.graph is not g and orientation.graph != g:
         raise GraphError("the orientation is of another graph")
-    n, m = g.n, g.m
-    deg = g.degrees()
-    delta = max(deg)
     problems: list[str] = []
-
-    def lower(name: str, value) -> None:
-        if value > beta:
+    for name, kind, value, applicable, _, _ in _rules(g, f, o=orientation, beta=beta):
+        if not applicable:
+            continue
+        if kind == "lower" and value > beta:
             problems.append(f"lower bound {name} = {value} exceeds beta = {beta}")
-
-    def upper(name: str, value) -> None:
-        if value < beta:
+        elif kind == "upper" and value < beta:
             problems.append(f"upper bound {name} = {value} is below beta = {beta}")
-
-    lower("trivial", 1)
-    if f == 1:
-        if m > beta * n:
-            lower("density", Fraction(m, n))
-        if min(deg) > 2 * beta:
-            lower("min-degree-half", Fraction(min(deg), 2))
-        if _clique_value(delta + 1) > beta:
-            lower("clique", _clique_value(greedy_clique(g)))
-    sides = _complete_bipartite_sides(g)
-    if sides is not None:
-        for entry in _biclique_bounds(*sides, f):
-            if entry.applicable:
-                lower(entry.name, entry.value)
-
-    if beta <= 1:  # (a)
-        return problems
-    if orientation is not None:
-        for entry in _orientation_bounds(g, f, orientation):
-            if entry.applicable:
-                upper(entry.name, entry.value)
-        return problems
-
-    if m <= n and g.is_connected():  # (e)
-        if m == n - 1:
-            upper("tree", 1)
-        upper("one-cycle", 1)
-    if is_complete(g):
-        upper("complete", complete_upper_bound(n, f))
-    halves = bipartition(g)
-    if halves is not None and m > 0:
-        upper("bipartite-oneway", _oneway_value(_oneway_side(g, halves)[1], f))
-    if f < delta:  # (b)
-        chi_lo = 2 if halves is not None else 3
-        if delta**chi_lo < beta or (delta > 2 and _wave_value(delta, f, chi_lo)[0] < beta):
-            chi = _chromatic_number(g, halves is not None)[0]
-            upper("chromatic-coarse", delta**chi)
-            if delta > 2:
-                upper("chromatic-refined", _wave_value(delta, f, chi)[0])
-    a_lo = -(-m // (n - 1)) if n > 1 else 0  # (c)
-    if f >= a_lo or (m and a_lo <= f + 1 and n - 1 < (beta - 1) * (f + 1)):
-        parts = len(forest_peel(g))
-        if f >= parts:
-            upper("arboricity-cover", 1)
-        if parts and f >= parts - 1:
-            upper("arboricity-pace", _pace_value(n, parts))
-    if n <= 18:  # (d)
-        fvs = min_fvs(g, below=beta + f - 2)
-        if fvs is not None:
-            upper("fvs", _fvs_value(popcount(fvs), f))
-    if f == 1 and delta >= 3:
-        upper("degree-ladder", beta_d_ladder(delta))
     return problems

@@ -9,6 +9,7 @@ import pytest
 
 from firebreak import bounds, structure
 from firebreak.bounds import (
+    BoundEntry,
     beta_d_ladder,
     bk_necessary,
     bound_report,
@@ -200,7 +201,7 @@ def test_upper_bounds_degree_ladder():
 
 def test_upper_bounds_orientation_rules():
     o = orient_subcubic(petersen())
-    entries = by_name(bounds._orientation_bounds(petersen(), 1, o))
+    entries = by_name(BoundEntry(*rule) for rule in bounds._rules(petersen(), 1, o=o))
     assert entries["outdegree-pace"].applicable
     assert entries["outdegree-pace"].value == Fraction(1) + Fraction(9, 2)
     assert not entries["outdegree-cover"].applicable
@@ -304,6 +305,19 @@ def test_bound_report_pinned():
     )
 
 
+def test_ktree_report_pinned():
+    # every entry of every report that knows k, frozen before the report
+    # and the screen came to share one rule list
+    cases = [(random_ktree(n, k, seed), k) for k in (1, 2, 3) for n in range(k + 1, 11) for seed in range(3)]
+    doc = json.dumps(
+        [[e.to_json_obj() for e in bound_report(g, f, k=k)] for g, k in cases for f in (1, 2, 3)],
+        sort_keys=True,
+    )
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "7173b03c333daea293d4c5489a4db323daa39c7e82652022e930a13db8ea2e3a"
+    )
+
+
 def test_sandwich_on_best_values():
     for g in (complete(5), complete_bipartite(2, 2), cycle(5)):
         beta = solve_best_orientation(g, 1, want_trace=False).beta
@@ -356,10 +370,12 @@ def test_sandwich_flags_contradiction():
 
 
 def test_sandwich_validates_the_game():
-    # the same GraphError as the report, not a silent empty list
+    # the same GraphError from the report, its views and the screen, not a
+    # silent list
     for g, f in [(complete(5), 0), (complete(5), -1), (Graph(0, []), 1)]:
-        with pytest.raises(GraphError):
-            bound_report(g, f)
+        for view in (bound_report, lower_bounds, upper_bounds):
+            with pytest.raises(GraphError):
+                view(g, f)
         with pytest.raises(GraphError):
             check_sandwich(g, f, 2)
 
@@ -375,7 +391,10 @@ def sandwich_reference(g, f, betas, orientation=None):
     """The screen's first body, which drew its messages from the full report,
     for each beta in ``betas``."""
     lowers = lower_bounds(g, f)
-    uppers = upper_bounds(g, f) if orientation is None else bounds._orientation_bounds(g, f, orientation)
+    if orientation is None:
+        uppers = upper_bounds(g, f)
+    else:
+        uppers = [BoundEntry(*rule) for rule in bounds._rules(g, f, o=orientation) if rule[1] == "upper"]
     out = {}
     for beta in betas:
         problems = []
@@ -482,6 +501,9 @@ def test_sandwich_matches_full_report():
     graphs += [g for g in MULTIGRAPHS + WITH_ISOLATED if g.n]
     graphs += [complete(n) for n in range(1, 10)]
     graphs += [complete_bipartite(p, q) for p in range(1, 8) for q in range(p, 8)]
+    # above 16 vertices the chromatic number is a greedy estimate, and above
+    # 18 the fvs rule is inapplicable
+    graphs += [grid_rect(4, 5), grid_tri(4, 5), random_regular(20, 3, 0), random_regular(22, 4, 1)]
     assert sandwich_mismatches(graphs, (1, 2, 3)) == []
 
 

@@ -185,6 +185,8 @@ def test_malformed_input_exit_two(tmp_path, capsys):
     (["orient", "--recipe", "complete", "--in", "PETERSEN", "--n", "4"], "input graph is not complete"),
     (["orient", "--recipe", "grid-rect", "--in", "PETERSEN"], "grid-rect builds its own patch and takes no input graph"),
     (["orient", "--recipe", "ktree", "--in", "PETERSEN"], "recipe 'ktree' needs --k"),
+    (["bounds", "--family", "complete", "--n", "4", "--k", "0"], "k must be at least 1"),
+    (["bounds", "--family", "complete", "--n", "4", "--k", "-3"], "k must be at least 1"),
 ])
 def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     ofile = tmp_path / "k4.o"
