@@ -68,7 +68,6 @@ from .solve import (
 from .strategies import STRATEGIES, make_strategy
 from .structure import (
     KTreeStructure,
-    SuppressedCubic,
     bipartition,
     exact_colouring,
     forest_peel,
@@ -77,7 +76,6 @@ from .structure import (
     min_fvs,
     perfect_matching,
     regularize,
-    suppress_degree2,
 )
 from .verify import SUITES, SuiteResult, run_suite
 

@@ -397,8 +397,9 @@ def _rules(g: Graph, f: int, k: Optional[int] = None, o: Optional[Orientation] =
             )
         yield "ktree-half", "upper", 1 + -(-k // 2), f >= k // 2, f"{k}-tree with f >= floor(k/2)", ""
     elif report:
+        why = "not recognised as a k-tree (supply k)" if k is None else f"not a {k}-tree"
         for rule in ("ktree-walls", "ktree-anticipate", "ktree-half"):
-            yield rule, "upper", None, False, "not recognised as a k-tree (supply k)", ""
+            yield rule, "upper", None, False, why, ""
 
     if f == 1 and delta >= 3:
         yield (

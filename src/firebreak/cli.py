@@ -73,12 +73,16 @@ def _load_graph(args) -> Graph:
     return read_graph(_read_text(getattr(args, "infile", None)))
 
 
-def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--in", dest="infile", metavar="FILE", help="input file ('-' for stdin)")
-    p.add_argument("--family", choices=sorted(gen.FAMILIES), help="generate the input instead of reading it")
+def _add_size_flags(p: argparse.ArgumentParser) -> None:
     for flag in ("--n", "--p", "--q", "--k", "--w", "--h", "--d"):
         p.add_argument(flag, type=int)
     p.add_argument("--seed", type=int, default=None)
+
+
+def _add_family_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="infile", metavar="FILE", help="input file ('-' for stdin)")
+    p.add_argument("--family", choices=sorted(gen.FAMILIES), help="generate the input instead of reading it")
+    _add_size_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,9 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a graph from a named family")
     p.add_argument("--family", required=True, choices=sorted(gen.FAMILIES))
-    for flag in ("--n", "--p", "--q", "--k", "--w", "--h", "--d"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--seed", type=int, default=None)
+    _add_size_flags(p)
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of the graph format")
     p.set_defaults(fn=cmd_generate)

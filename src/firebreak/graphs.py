@@ -125,9 +125,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
-    def min_degree(self) -> int:
-        return min(self.degrees(), default=0)
-
     def has_parallel_edges(self) -> bool:
         seen = set()
         for u, v in self.edges:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graphs import Graph, GraphError, Orientation, bits, bridges, popcount
+from .graphs import Graph, GraphError, Orientation, bits, bridges
 from . import families as gen
 from .structure import (
     _oneway_side,
@@ -25,7 +25,6 @@ from .structure import (
     ktree_structure,
     min_fvs,
     perfect_matching,
-    suppress_degree2,
 )
 
 
@@ -290,91 +289,120 @@ def orient_subcubic(g: Graph) -> Orientation:
     Bridges are oriented by rooting the bridge tree; every other component is
     split into a 2-factor (oriented as directed cycles) and a perfect matching
     (paths oriented end to end), choosing the matching so that a vertex
-    feeding an outgoing bridge sits on a cycle.
+    feeding an outgoing bridge sits on a cycle. The component's threads, its
+    maximal paths through degree-2 vertices, are walked and matched in the
+    graph's own vertex ids.
     """
     if g.max_degree() > 3:
         raise GraphError("input must be subcubic")
     if not g.is_connected():
         raise GraphError("input must be connected")
-    index = _edge_index(g)
+    arcs, labels = _subcubic_arcs(g)
+    return Orientation(g, arcs, meta={"scheme": "subcubic", "labels": tuple(labels)})
+
+
+def _subcubic_arcs(g: Graph) -> tuple[list, list]:
+    """Arcs and labels of the subcubic construction on every connected
+    component of a subcubic graph, each bridge tree rooted at the
+    2-edge-connected component of its connected component's lowest vertex."""
     bridge_set, comps = bridges(g)
     arcs: list = [None] * g.m
     labels: list = [None] * g.m
-
     comp_of = [0] * g.n
     for ci, comp in enumerate(comps):
         for v in bits(comp):
             comp_of[v] = ci
 
-    # orient the bridge tree towards the component containing vertex 0
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(len(comps))]
-    for i in sorted(bridge_set):
-        u, v = g.edges[i]
-        tree_adj[comp_of[u]].append((comp_of[v], i))
-        tree_adj[comp_of[v]].append((comp_of[u], i))
+    deg = [0] * g.n  # degree once the bridges are removed
+    comp_edges: list[list[int]] = [[] for _ in comps]
+    tree_adj: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for i, (u, v) in enumerate(g.edges):
+        if i in bridge_set:
+            tree_adj[comp_of[u]].append((comp_of[v], i))
+            tree_adj[comp_of[v]].append((comp_of[u], i))
+        else:
+            deg[u] += 1
+            deg[v] += 1
+            comp_edges[comp_of[u]].append(i)
+
+    # components come lowest vertex first, so the first one of each bridge
+    # tree reached here holds its connected component's lowest vertex
     outgoing_tail: dict[int, int] = {}
-    root = comp_of[0]
-    seen_comp = {root}
-    queue = [root]
-    while queue:
-        parent = queue.pop()
-        for child, ei in tree_adj[parent]:
-            if child in seen_comp:
-                continue
-            seen_comp.add(child)
-            u, v = g.edges[ei]
-            tail, head = (u, v) if comp_of[u] == child else (v, u)
-            arcs[ei] = (tail, head)
-            labels[ei] = "bridge"
-            outgoing_tail[child] = tail
-            queue.append(child)
+    seen_comp: set[int] = set()
+    for root in range(len(comps)):
+        if root in seen_comp:
+            continue
+        seen_comp.add(root)
+        queue = [root]
+        while queue:
+            parent = queue.pop()
+            for child, ei in tree_adj[parent]:
+                if child in seen_comp:
+                    continue
+                seen_comp.add(child)
+                u, v = g.edges[ei]
+                tail, head = (u, v) if comp_of[u] == child else (v, u)
+                arcs[ei] = (tail, head)
+                labels[ei] = "bridge"
+                outgoing_tail[child] = tail
+                queue.append(child)
 
     for ci, comp in enumerate(comps):
-        if popcount(comp) == 1:
+        if not comp_edges[ci]:
             continue
-        sub, vmap = g.subgraph(comp)
-        if all(d == 2 for d in sub.degrees()):
-            for ei, tail, head in _find_cycle(sub, set(range(sub.m))):
-                gi = index[(vmap[tail], vmap[head])]
-                arcs[gi] = (vmap[tail], vmap[head])
-                labels[gi] = "cycle"
+        if all(deg[v] == 2 for v in bits(comp)):
+            for ei, tail, head in _find_cycle(g, set(comp_edges[ci])):
+                arcs[ei] = (tail, head)
+                labels[ei] = "cycle"
             continue
-        red = suppress_degree2(sub)
+        ends = [v for v in bits(comp) if deg[v] == 3]
+        threads = _threads(g, ends, deg, bridge_set)
+        end_index = {v: k for k, v in enumerate(ends)}
+        multi = Graph(len(ends), [(end_index[p[0]], end_index[p[-1]]) for p, _ in threads])
         must = None
         b = outgoing_tail.get(ci)
         if b is not None:
-            # the bridge tail has degree 2 here, so it sits inside one absorbed
-            # path; forcing an adjacent reduced edge into the matching keeps
-            # that path in the 2-factor, giving the tail an outgoing cycle arc
-            b_sub = vmap.index(b)
-            e_b = _reduced_edge_through(red, b_sub)
-            if e_b is not None:
-                x, _ = red.reduced.edges[e_b]
-                must = next(j for _, j in red.reduced.adj[x] if j != e_b)
-        matching = perfect_matching(red.reduced, must_include=must)
+            # the bridge tail has degree 2 here, so it sits inside one thread;
+            # forcing another thread at that thread's first end into the
+            # matching keeps it in the 2-factor, giving the tail an outgoing
+            # cycle arc
+            t_b = next(t for t, (p, _) in enumerate(threads) if b in p[1:-1])
+            x = end_index[threads[t_b][0][0]]
+            must = next(t for _, t in multi.adj[x] if t != t_b)
+        matching = perfect_matching(multi, must_include=must)
         if matching is None:
             raise GraphError("no perfect matching in a bridgeless cubic component")
         matched = set(matching)
-        factor = [i for i in range(red.reduced.m) if i not in matched]
-        for ei, tail, head in _directed_two_factor(red.reduced, factor):
-            _orient_reduced_edge(red, vmap, index, arcs, labels, ei, tail, head, "cycle")
-        for i in matching:
-            u_red, v_red = red.reduced.edges[i]
-            gu = vmap[red.vertex_map[u_red]]
-            gv = vmap[red.vertex_map[v_red]]
-            tail, head = (u_red, v_red) if gu < gv else (v_red, u_red)
-            _orient_reduced_edge(red, vmap, index, arcs, labels, i, tail, head, "path")
-
-    meta = {"scheme": "subcubic", "labels": tuple(labels)}
-    return Orientation(g, arcs, meta=meta)
+        factor = [t for t in range(multi.m) if t not in matched]
+        for t, tail, _ in _directed_two_factor(multi, factor):
+            _write_thread(threads[t], ends[tail], arcs, labels, "cycle")
+        for t in matching:
+            path, _ = threads[t]
+            _write_thread(threads[t], min(path[0], path[-1]), arcs, labels, "path")
+    return arcs, labels
 
 
-def _reduced_edge_through(red, b_sub: int) -> Optional[int]:
-    """Reduced edge whose absorbed path has b_sub as an internal vertex."""
-    for i, path in red.paths.items():
-        if b_sub in path[1:-1]:
-            return i
-    return None
+def _threads(g: Graph, ends: list[int], deg: list[int], bridge_set: set[int]):
+    """Maximal paths whose inner vertices have degree 2 once the bridges are
+    removed, as (vertex path, edge indices) pairs. They start from ``ends``,
+    the degree-3 vertices in ascending id, each one's incidences taken in
+    edge-index order."""
+    threads = []
+    used: set[int] = set()
+    for v in ends:
+        for w, ei in g.adj[v]:
+            if ei in bridge_set or ei in used:
+                continue
+            path, edges = [v, w], [ei]
+            while deg[path[-1]] == 2:
+                w, ei = next(
+                    (x, i) for x, i in g.adj[path[-1]] if i != edges[-1] and i not in bridge_set
+                )
+                path.append(w)
+                edges.append(ei)
+            used.update(edges)
+            threads.append((path, edges))
+    return threads
 
 
 def _directed_two_factor(reduced: Graph, factor: list[int]):
@@ -402,16 +430,14 @@ def _directed_two_factor(reduced: Graph, factor: list[int]):
     return steps
 
 
-def _orient_reduced_edge(red, vmap, index, arcs, labels, edge_index, tail, head, label):
-    """Expand a reduced edge directed tail->head onto its original path arcs."""
-    sub_path = list(red.path(edge_index))
-    if sub_path[0] != red.vertex_map[tail]:
-        sub_path.reverse()
-    g_path = [vmap[s] for s in sub_path]
-    for a, b in zip(g_path, g_path[1:]):
-        gi = index[(a, b)]
-        arcs[gi] = (a, b)
-        labels[gi] = label
+def _write_thread(thread, tail: int, arcs: list, labels: list, label: str) -> None:
+    """Orient a thread end to end, starting from its end ``tail``."""
+    path, edges = thread
+    if path[0] != tail:
+        path, edges = path[::-1], edges[::-1]
+    for a, b, ei in zip(path, path[1:], edges):
+        arcs[ei] = (a, b)
+        labels[ei] = label
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +484,11 @@ def orient_bounded_degree(g: Graph, d: int) -> Orientation:
             arcs[i] = (u, v)
         labels[i] = "sink"
 
-    index = _edge_index(g)
-    core = Graph(g.n, [g.edges[i] for i in range(g.m) if arcs[i] is None])
-    for comp in core.components():
-        if popcount(comp) == 1:
-            continue
-        sub, vmap = core.subgraph(comp)
-        sub_o = orient_subcubic(sub)
-        sub_labels = sub_o.meta["labels"]
-        for j, (t, h) in enumerate(sub_o.arcs):
-            gi = index[(vmap[t], vmap[h])]
-            arcs[gi] = (vmap[t], vmap[h])
-            labels[gi] = sub_labels[j]
+    rest = [i for i in range(g.m) if arcs[i] is None]
+    core_arcs, core_labels = _subcubic_arcs(Graph(g.n, [g.edges[i] for i in rest]))
+    for i, arc, label in zip(rest, core_arcs, core_labels):
+        arcs[i] = arc
+        labels[i] = label
 
     meta = {
         "scheme": "bounded",

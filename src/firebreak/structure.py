@@ -254,76 +254,6 @@ def perfect_matching(g: Graph, must_include: Optional[int] = None) -> Optional[l
 
 
 @dataclass
-class SuppressedCubic:
-    """Cubic multigraph obtained by smoothing away degree-2 vertices.
-
-    ``vertex_map[i]`` is the original id of reduced vertex i. ``paths`` maps a
-    reduced edge index to the full original vertex path it replaces, kept only
-    for edges that absorbed at least one internal degree-2 vertex.
-    """
-
-    reduced: Graph
-    vertex_map: list[int]
-    paths: dict[int, tuple[int, ...]]
-
-    def path(self, edge_index: int) -> tuple[int, ...]:
-        """Original vertex path of a reduced edge, endpoints included."""
-        if edge_index in self.paths:
-            return self.paths[edge_index]
-        u, v = self.reduced.edges[edge_index]
-        return (self.vertex_map[u], self.vertex_map[v])
-
-    def expand_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.reduced.m):
-            p = self.path(i)
-            out.extend(zip(p, p[1:]))
-        return out
-
-
-def suppress_degree2(g: Graph) -> SuppressedCubic:
-    """Replace every maximal path whose internal vertices have degree 2 with a
-    single edge between its degree-3 endpoints.
-
-    Requires a 2-edge-connected subcubic graph with at least two degree-3
-    vertices (a pure cycle has no such reduction).
-    """
-    deg = g.degrees()
-    if any(d not in (2, 3) for d in deg):
-        raise GraphError("reduction needs a 2-edge-connected graph with degrees 2 and 3")
-    branch = [v for v in range(g.n) if deg[v] == 3]
-    if len(branch) < 2:
-        raise GraphError("reduction needs at least two degree-3 vertices")
-    vertex_map = branch
-    index = {v: i for i, v in enumerate(branch)}
-    used_edges = set()
-    reduced_edges: list[tuple[int, int]] = []
-    paths: dict[int, tuple[int, ...]] = {}
-    for v in branch:
-        for w, eidx in g.adj[v]:
-            if eidx in used_edges:
-                continue
-            # walk the maximal path starting with edge v-w
-            trail = [v, w]
-            used = [eidx]
-            prev_edge = eidx
-            cur = w
-            while deg[cur] == 2:
-                nxt = next((x, i) for x, i in g.adj[cur] if i != prev_edge)
-                cur, prev_edge = nxt[0], nxt[1]
-                trail.append(cur)
-                used.append(prev_edge)
-            used_edges.update(used)
-            reduced_edges.append((index[trail[0]], index[trail[-1]]))
-            if len(trail) > 2:
-                paths[len(reduced_edges) - 1] = tuple(trail)
-    reduced = Graph(len(branch), reduced_edges)
-    if any(d != 3 for d in reduced.degrees()):
-        raise GraphError("reduction did not produce a cubic multigraph")
-    return SuppressedCubic(reduced=reduced, vertex_map=vertex_map, paths=paths)
-
-
-@dataclass
 class KTreeStructure:
     """Recognition certificate of a k-tree.
 

@@ -4,7 +4,9 @@ own pass/fail line.
 The labelled n=6 sweep (all 26,704 connected 6-vertex graphs, 5.1-5.3 s on
 Python 3.11.7, 2 cores), the naive oracle's check on those graphs (about
 12 s), the bound screen's equivalence with the full report on them (about
-45 s) and the dense frontier (K9 and K6,6, about 2 s each) follow the CLI's slow gate: set FIREBREAK_SLOW=1 to include them. All
+45 s), the subcubic construction's value on the 7,540 connected subcubic
+6-vertex graphs (about 1 s) and the dense frontier (K9 and K6,6, about 2 s
+each) follow the CLI's slow gate: set FIREBREAK_SLOW=1 to include them. All
 tolerances are exact integer or exact rational comparisons.
 """
 
@@ -132,6 +134,10 @@ def test_criterion_2_slow_dense_k66():
              f"beta={gv.beta}, exact={gv.exact}, {elapsed:.2f}s")
 
 
+def subcubic_beta(g):
+    return solve_orientation(orient_subcubic(g), 1, want_trace=False).beta
+
+
 def test_criterion_3_subcubic_at_most_two():
     t0 = time.perf_counter()
     named = {"K4": complete(4), "K33": k33(), "prism": prism(3), "cube": cube(),
@@ -146,16 +152,31 @@ def test_criterion_3_subcubic_at_most_two():
         g = random_regular(sizes[i % 4], 3, i)
         beta = solve_orientation(orient_subcubic(g), 1, want_trace=False).beta
         random_ok = random_ok and beta <= 2
+    small = [g for n in range(1, 6) for g in enumerate_connected(n) if g.max_degree() <= 3]
+    small_ok = len(small) == 516 and all(subcubic_beta(g) <= 2 for g in small)
     elapsed = time.perf_counter() - t0
     ok = (
         all(v <= 2 for v in results.values())
         and results["K4"] == 2
         and results["petersen"] == 2
         and random_ok
+        and small_ok
         and elapsed <= 60
     )
-    announce("3 subcubic orientations burn at most 2 (K4, petersen exactly 2)", ok,
-             f"{results}, random<=2: {random_ok}, {elapsed:.1f}s")
+    announce("3 subcubic orientations burn at most 2 (K4, petersen exactly 2; "
+             "all 516 connected subcubic graphs with n <= 5)", ok,
+             f"{results}, random<=2: {random_ok}, n<=5: {small_ok}, {elapsed:.1f}s")
+
+
+@slow_only
+def test_criterion_3_subcubic_slow_n6():
+    t0 = time.perf_counter()
+    graphs = [g for g in enumerate_connected(6) if g.max_degree() <= 3]
+    bad = [g.edges for g in graphs if subcubic_beta(g) > 2]
+    elapsed = time.perf_counter() - t0
+    announce("3s subcubic orientations burn at most 2 on all connected subcubic graphs "
+             "with n = 6", len(graphs) == 7540 and not bad,
+             f"{len(graphs)} graphs, {len(bad)} above 2, {elapsed:.1f}s")
 
 
 def test_criterion_4_partial_two_trees():

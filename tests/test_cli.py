@@ -104,6 +104,12 @@ def test_bounds_k_reaches_ktree_rules(capsys):
     load_schema("bounds.json")(entries)
     half = {e["name"]: e for e in entries}["ktree-half"]
     assert half["applicable"] and half["value"] == "2"
+    # a k that the graph does not fit is named back, not asked for
+    code, out = run(capsys, "bounds", "--family", "complete", "--n", "5", "--k", "2")
+    assert code == 0
+    ktree = [e for e in json.loads(out) if e["name"].startswith("ktree-")]
+    assert len(ktree) == 3
+    assert all(not e["applicable"] and e["hypothesis"] == "not a 2-tree" for e in ktree)
 
 
 def test_solve_undirected(capsys):

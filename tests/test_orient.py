@@ -10,6 +10,7 @@ from firebreak.families import (
     complete_bipartite,
     cube,
     cycle,
+    enumerate_connected,
     grid_tri,
     k33,
     path,
@@ -269,13 +270,14 @@ def test_ktree_rejects_non_ktree():
         orient_ktree(cycle(5), 2)
 
 
+def digest(orientations):
+    text = "".join(write_orientation(o) for o in orientations)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_tournament_orientations_pinned():
     # the orientation files of both tournament users, odd and even cliques,
     # frozen before they shared one tournament helper
-    def digest(orientations):
-        text = "".join(write_orientation(o) for o in orientations)
-        return hashlib.sha256(text.encode()).hexdigest()
-
     assert digest(orient_complete(n) for n in range(2, 10)) == (
         "cfb90a0453a094ae0702d7c1e7312cd9c965fa5db28bbda2bd7f61373cbd6115"
     )
@@ -285,7 +287,38 @@ def test_tournament_orientations_pinned():
     )
 
 
+# three triangles and a pendant path, joined by four bridges
+BRIDGED = Graph(11, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6),
+                     (6, 7), (7, 8), (8, 6), (8, 9), (9, 10)])
+
+
+def test_subcubic_orientations_pinned():
+    # the orientation files of the subcubic construction and both its users,
+    # labels included on the meta line, frozen while each 2-edge-connected
+    # component was still renumbered onto a suppressed cubic multigraph
+    small = [g for n in range(1, 6) for g in enumerate_connected(n) if g.max_degree() <= 3]
+    cubic = [random_regular(n, 3, s) for n in range(8, 21, 2) for s in range(3)]
+    assert len(small) == 516
+    assert digest(orient_subcubic(g) for g in small + cubic + [BRIDGED]) == (
+        "880b02c67cdf6a8f03ad8b5b58b36a6174bbd5bbe09ae0878b3d702de85c1340"
+    )
+    bounded = [(random_regular(n, d, s), d) for d in (4, 5) for n in (12, 16) for s in range(3)]
+    assert digest(orient_bounded_degree(g, d) for g, d in bounded) == (
+        "c6c508bbbb52fd42dfd8957101952352b791514c3067e39e31e14a7b2661b177"
+    )
+    assert digest(orient_grid("hex", w, h) for w, h in ((4, 4), (5, 7), (9, 9))) == (
+        "a8651b02b87894184e714334f57af3d198e6204d6c86d32637c1805e7b7ace2f"
+    )
+
+
 # --- subcubic
+
+
+def subdivided_prism():
+    # prism with one edge subdivided once: one thread with an inner vertex
+    edges = list(prism(3).edges)
+    u, v = edges.pop(0)
+    return Graph(7, edges + [(u, 6), (6, v)])
 
 
 def check_subcubic_classification(o):
@@ -319,8 +352,17 @@ def check_subcubic_classification(o):
 
 @pytest.mark.parametrize(
     "g",
-    [complete(4), petersen(), cube(), prism(3), k33(), cycle(7)],
-    ids=["K4", "petersen", "cube", "prism", "K33", "C7"],
+    [
+        complete(4), petersen(), cube(), prism(3), k33(), cycle(7),
+        # three threads between two degree-3 vertices
+        Graph(5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)]),
+        subdivided_prism(),
+        # multigraphs: a double edge, and a double edge closed by a path
+        Graph(2, [(0, 1), (0, 1)]),
+        Graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)]),
+    ],
+    ids=["K4", "petersen", "cube", "prism", "K33", "C7", "theta", "subdivided-prism",
+         "double-edge", "double-edge-path"],
 )
 def test_subcubic_named(g):
     o = orient_subcubic(g)
@@ -332,10 +374,7 @@ def test_subcubic_named(g):
 
 
 def test_subcubic_with_bridges():
-    g = Graph(11, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 3), (5, 6),
-                   (6, 7), (7, 8), (8, 6), (8, 9), (9, 10)])
-    o = orient_subcubic(g)
-    check_subcubic_classification(o)
+    check_subcubic_classification(orient_subcubic(BRIDGED))
 
 
 def test_subcubic_random_cubic():

@@ -31,7 +31,6 @@ from firebreak.structure import (
     min_fvs,
     perfect_matching,
     regularize,
-    suppress_degree2,
 )
 
 
@@ -319,46 +318,6 @@ def test_matching_complement_is_two_factor_on_cubic():
 
 def test_matching_none_when_impossible():
     assert perfect_matching(star(4)) is None
-
-
-# --- degree-2 suppression
-
-
-def theta_graph():
-    return Graph(5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)])
-
-
-def test_suppress_theta():
-    red = suppress_degree2(theta_graph())
-    assert red.reduced.n == 2 and red.reduced.m == 3
-    assert red.reduced.has_parallel_edges()
-
-
-def test_suppress_cubic_identity():
-    red = suppress_degree2(complete(4))
-    assert red.paths == {}
-    assert red.reduced == complete(4)
-
-
-def test_suppress_expansion_identity():
-    # prism with one edge subdivided once: one absorbed path, one internal vertex
-    pr = prism(3)
-    edges = list(pr.edges)
-    u, v = edges.pop(0)
-    edges += [(u, 6), (6, v)]
-    g = Graph(7, edges)
-    red = suppress_degree2(g)
-    assert red.reduced == prism(3)
-    assert len(red.paths) == 1
-    (path_,) = red.paths.values()
-    assert len(path_) == 3  # endpoint, the suppressed vertex, endpoint
-    expanded = sorted(tuple(sorted(e)) for e in red.expand_edges())
-    assert expanded == sorted(tuple(sorted(e)) for e in g.edges)
-
-
-def test_suppress_rejects_pure_cycle():
-    with pytest.raises(GraphError):
-        suppress_degree2(cycle(6))
 
 
 # --- k-tree recognition
