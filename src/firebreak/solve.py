@@ -45,6 +45,12 @@ iterative deepening on the value (Korf, "Depth-first iterative-deepening: an
 optimal admissible tree search", AI 1985). The leaf's engine is capped at
 t + 1, so its values below the cap, every start's among them, are exact: the
 per-start values and the witness trace come from it without a second solve.
+
+On the small graphs that sweeps and the oracle check solve by the thousand,
+the scan's cost is its per-call overhead, so it runs in one flat frame: a
+single pass over the edges sets up the arcs, the check depths and the
+parallel-edge test, a recursion hands the leaf it finds straight back up,
+and the leaf's arcs become the witness orientation as they are.
 """
 
 from __future__ import annotations
@@ -365,20 +371,18 @@ def _capped_values(out, n, f, cap, starts) -> tuple[Optional[int], Engine, dict[
     return None, eng, values
 
 
-@dataclass
-class _ScanState:
-    leaves: int = 0  # over all passes
-    hint: int = 0  # the start that last reached the cap, at a check or a leaf
-    witness_word: int = 0  # orientation 0 until a pass reaches its leaf
-    witness_engine: Optional[Engine] = None
-    witness_values: Optional[dict[int, int]] = None  # every start's, exact
-    stopped: bool = False  # a leaf was found or the budget ran out
-
-
 # The sub-digraph bound is only checked with at least this many edges still
 # open: below that the subtree holds at most 2^3 leaves, mostly cut by the
 # outdegree prune anyway. Measured: 3 made K7 (f = 1) about 60% slower, 6 let
 # two to six times as many leaves through on grids.
+#
+# The checks stay eager although on small graphs they seldom prune: on the
+# benchmark's 4,000-graph sample of 6-vertex graphs (f = 1) only 7 of 6,079
+# checks cut a subtree. Each lazier gate tried kept every value and witness
+# but let leaves through on larger graphs: a gate of 6 gives grid 4x4 59
+# leaves instead of 19, K4,4 228 instead of 138, K3,6 133 instead of 82 and
+# tri 3x4 16 instead of 9; checking only after a pass's first failing leaf
+# gives grid 3x5 38 leaves instead of 10 and grid 4x4 35 instead of 19.
 _MIN_OPEN_EDGES = 4
 
 
@@ -493,38 +497,47 @@ def solve_best_orientation(
     if g.m > max_edges:
         raise SolverLimitError(f"instance has {g.m} edges, cap is {max_edges}")
     check_game(g.n, f)
-    if g.has_parallel_edges():
-        raise GraphError("the best-orientation scan needs a graph without parallel edges")
     if budget_ms is not None and not budget_ms >= 0:
         raise GraphError(f"budget_ms must be non-negative, got {budget_ms}")
     t0 = time.perf_counter()
-    state = _scan_orientations(g, f, density_floor(g, f), budget_ms)
-    witness = orientation_from_bits(g, state.witness_word)
-    eng = state.witness_engine
+    arcs, eng, values, leaves = _scan_orientations(g, f, density_floor(g, f), budget_ms)
     exact = eng is not None
     if exact:
+        witness = Orientation._from_valid(g, arcs)
         # the leaf solved every start below its cap: reorder, do not re-solve
-        per_start = {s: state.witness_values[s] for s in range(g.n)}
+        per_start = {s: values[s] for s in range(g.n)}
     else:
+        witness = orientation_from_bits(g, 0)
         eng = Engine(_out_map(witness.out_mask), g.n, f)
-        state.leaves += 1
+        leaves += 1
         per_start = {s: eng.start_value(s) for s in range(g.n)}
     beta, start, trace = _optimal_play(eng, per_start, want_trace)
     return GameValue(
         beta=beta, f=f, mode="best", exact=exact,
         witness_start=start, witness_trace=trace,
         witness_orientation=witness, per_start=per_start,
-        nodes_explored=state.leaves, wall_ms=(time.perf_counter() - t0) * 1000,
+        nodes_explored=leaves, wall_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
-def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
+def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
     """Depth-first scan of orientation space in passes with targets floor,
     floor + 1, and so on (see the module docstring).
 
-    Returns the scan state: the witness word and its capped engine once a
-    pass reaches a leaf of value at most its target, or word 0 and no engine
-    when the budget ran out first, with the leaves visited over all passes.
+    Returns (arcs, engine, values, leaves): the witness's arcs, one (tail,
+    head) per edge, its leaf's capped engine and every start's exact value
+    once a pass reaches a leaf of value at most its target, or three Nones
+    when the budget ran out first, and the leaves visited over all passes.
+
+    The frame is flat. One pass over the edges, last to first, sets it up:
+    each edge's two arcs, the depths just after an edge that is the last of
+    one of its ends (the pass meets that end there first), and the
+    parallel-edge test, which raises GraphError. The recursion rec(i, word,
+    lex) returns the pass's leaf below depth i once it has found it, three
+    Nones once the budget has run out, and None when its subtree holds no
+    leaf within the target, so a found leaf unwinds the recursion at once.
+    The start hint and the leaf count are locals of the scan, kept across
+    passes, and path holds the arcs chosen above the current depth.
 
     The sub-digraph bound is sound at any node: by monotonicity every
     completion of a partial digraph whose value exceeds the target is above
@@ -534,11 +547,12 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
     - right after an edge that was the last one of one of its endpoints, so
       that vertex's out-arcs are final, and only with at least
       _MIN_OPEN_EDGES edges still open, so the subtree it can cut is large;
-    - from at most two starts: the one that last burnt more than the target
-      (at a check or a leaf), then the one of largest outdegree so far. A
-      start that does so in one orientation usually does so in its
-      neighbours, and a failed check then costs one or two starts, not n.
-      Leaves try every start, from the same one on.
+    - from at most two starts, a 1- or 2-tuple: the one that last burnt more
+      than the target (at a check or a leaf), then the first one of largest
+      outdegree so far. A start that does so in one orientation usually does
+      so in its neighbours, and a failed check then costs one or two starts,
+      not n. Leaves try every start, from the same one on: a slice of a
+      doubled range(n).
 
     Every solve is capped at target + 1, since the scan only asks whether a
     value exceeds the target. Checking from every start cut the most leaves
@@ -554,68 +568,80 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> _ScanState:
     under the bound, leaves become rare.
     """
     n, m = g.n, g.m
-    lo_hi = [(min(u, v), max(u, v)) for u, v in g.edges]
-    # each edge's two arcs as (bit, tail, tail's bit, head's bit)
-    arcs = [((0, u, 1 << u, 1 << v), (1, v, 1 << v, 1 << u)) for u, v in lo_hi]
+    edges = g.edges
+    # each edge's two arcs as (its bit in the word, tail, tail's bit, head's
+    # bit, (tail, head))
+    arcs = [None] * m
+    check_at = [False] * (m + 1)
+    closed = 0  # the ends of the edges met so far, last edge first
+    pairs = 0  # bit lo * n + hi for each edge {lo, hi} met so far
+    for i in range(m - 1, -1, -1):
+        u, v = edges[i]
+        lo, hi = (u, v) if u < v else (v, u)
+        pair = 1 << (lo * n + hi)
+        if pairs & pair:
+            raise GraphError("the best-orientation scan needs a graph without parallel edges")
+        pairs |= pair
+        lo_bit, hi_bit = 1 << lo, 1 << hi
+        arcs[i] = ((0, lo, lo_bit, hi_bit, (lo, hi)), (1 << i, hi, hi_bit, lo_bit, (hi, lo)))
+        ends = lo_bit | hi_bit
+        if ends & ~closed:  # edge i is the last edge of lo or of hi
+            closed |= ends
+            check_at[i + 1] = i < m - _MIN_OPEN_EDGES
+
+    path = [None] * m  # the arcs chosen above the current depth
     outdeg = [0] * n
     out = {1 << v: 0 for v in range(n)}  # the partial orientation, in the engine's form
-    state = _ScanState()
+    doubled = tuple(range(n)) * 2
+    hint = leaves = 0  # hint: the start that last reached the cap, at a check or a leaf
     deadline = None if budget_ms is None else time.perf_counter() + budget_ms / 1000
 
-    last_edge = {}
-    for i, (u, v) in enumerate(lo_hi):
-        last_edge[u] = last_edge[v] = i
-    closing = {i + 1 for i in last_edge.values()}  # depths just after a vertex's last edge
-    check_at = [i <= m - _MIN_OPEN_EDGES and i in closing for i in range(m + 1)]
-
-    def visit(word: int) -> None:
-        state.leaves += 1
-        starts = [(state.hint + k) % n for k in range(n)]
-        blocker, eng, values = _capped_values(out, n, f, cap, starts)
-        if blocker is None:
-            state.witness_word, state.witness_engine, state.witness_values = word, eng, values
-            state.stopped = True
-        else:
-            state.hint = blocker
-
-    def rec(i: int, word: int, lex: list) -> None:
-        if state.stopped:
-            return
-        if deadline is not None and (check_at[i] or i == m) and time.perf_counter() > deadline:
-            state.stopped = True
-            return
-        if check_at[i]:
-            top = max(range(n), key=outdeg.__getitem__)
-            starts = [state.hint] if top == state.hint else [state.hint, top]
-            blocker = _capped_values(out, n, f, cap, starts)[0]
-            if blocker is not None:
-                state.hint = blocker
-                return
+    def rec(i: int, word: int, lex: list):
+        nonlocal hint, leaves
         if i == m:
-            visit(word)
-            return
-        for bit, tail, tail_bit, head_bit in arcs[i]:
+            if deadline is not None and time.perf_counter() > deadline:
+                return None, None, None
+            leaves += 1
+            blocker, eng, values = _capped_values(out, n, f, cap, doubled[hint:hint + n])
+            if blocker is None:
+                return tuple(path), eng, values
+            hint = blocker
+            return None
+        if check_at[i]:
+            if deadline is not None and time.perf_counter() > deadline:
+                return None, None, None
+            top = outdeg.index(max(outdeg))
+            blocker = _capped_values(out, n, f, cap, (hint,) if top == hint else (hint, top))[0]
+            if blocker is not None:
+                hint = blocker
+                return None
+        for bit, tail, tail_bit, head_bit, arc in arcs[i]:
             if outdeg[tail] >= max_outdeg:
                 continue
-            child = word | (bit << i)
+            child = word | bit
             child_lex = _lex_step(lex, child, i) if lex else lex
             if child_lex is None:
                 continue
             outdeg[tail] += 1
             out[tail_bit] |= head_bit
-            rec(i + 1, child, child_lex)
+            path[i] = arc
+            leaf = rec(i + 1, child, child_lex)
+            if leaf:
+                return leaf
             outdeg[tail] -= 1
             out[tail_bit] ^= head_bit
+        return None
 
     lex = [(comps, 0) for comps in _twin_comparisons(g).values()]
     target = floor
-    while not state.stopped:
+    while True:
         # a value above target fails: every solve's cap, and the outdegree at
         # which a vertex takes no more out-arcs (1 + d+ - f > target beyond it)
         cap, max_outdeg = target + 1, target + f - 1
-        rec(0, 0, lex)
+        leaf = rec(0, 0, lex)
+        if leaf:
+            return (*leaf, leaves)
         target += 1
-    return state
 
 
 # ---------------------------------------------------------------------------

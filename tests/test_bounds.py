@@ -389,12 +389,14 @@ def test_sandwich_rejects_an_orientation_of_another_graph():
 
 def sandwich_reference(g, f, betas, orientation=None):
     """The screen's first body, which drew its messages from the full report,
-    for each beta in ``betas``."""
-    lowers = lower_bounds(g, f)
+    for each beta in ``betas``. The report is built once and split by kind;
+    its lower entries come first and do not depend on the orientation."""
     if orientation is None:
-        uppers = upper_bounds(g, f)
+        entries = bound_report(g, f)
     else:
-        uppers = [BoundEntry(*rule) for rule in bounds._rules(g, f, o=orientation) if rule[1] == "upper"]
+        entries = [BoundEntry(*rule) for rule in bounds._rules(g, f, o=orientation)]
+    lowers = [entry for entry in entries if entry.kind == "lower"]
+    uppers = [entry for entry in entries if entry.kind == "upper"]
     out = {}
     for beta in betas:
         problems = []
