@@ -202,37 +202,54 @@ PAIRING_STUB_LIMIT = 2_000_000
 """Stubs ``random_regular`` shuffles, over all its tries, before it gives up.
 A graph with n*d <= 200 gets at least 10,000 tries. The sizes the package, its
 tests and its benchmark use (d <= 5, n <= 24) took at most 7,169 tries on
-seeds 0-299."""
+seeds 0-299; the benchmark's (24, 5, 0) takes 1,453."""
 
 
 def random_regular(n: int, d: int, seed: int = 0) -> Graph:
     """Random connected d-regular simple graph by the pairing model with
     rejection. Raises GraphError once ``PAIRING_STUB_LIMIT`` would be
     exceeded by one more try, and at once where no such graph exists: below
-    d = 2 only K1 and K2 are connected and regular."""
+    d = 2 only K1 and K2 are connected and regular.
+
+    Each try shuffles the n*d stubs (one per vertex and unit of degree, the
+    shuffled list carried from try to try) and pairs neighbouring positions.
+    The shuffle is ``random.shuffle`` written out: for i from the last
+    position down to 1 it draws ``getrandbits(k)``, k = (i + 1).bit_length(),
+    until the draw j is at most i, and swaps positions i and j, which is what
+    ``Random._randbelow`` does for ``shuffle``. A simple pairing has
+    probability about exp(-(d^2 - 1)/4) (Wormald 1999), so (24, 5, 0) takes
+    1,453 tries, and the two method calls per swap inside ``random.shuffle``
+    were most of its cost. The draws, the stubs after each try, the try count
+    and so every graph are the same as with ``rng.shuffle``. A try stops
+    testing at its first loop or repeated pair.
+    """
+    if d < 0:
+        raise GraphError("d-regular graph needs d >= 0")
     if n < d + 1 or (n * d) % 2 != 0:
         raise GraphError("d-regular graph needs n >= d+1 and n*d even")
     if d < 2 and n != d + 1:
         raise GraphError("connected d-regular graph with d < 2 needs n = d+1")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     tries = PAIRING_STUB_LIMIT // max(n * d, 1)
     stubs = [v for v in range(n) for _ in range(d)] if tries else []
+    draws = [(i, (i + 1).bit_length()) for i in range(len(stubs) - 1, 0, -1)]
     for _ in range(tries):
-        rng.shuffle(stubs)
-        pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+        for i, k in draws:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
         seen = set()
-        ok = True
-        for u, v in pairs:
-            key = (u, v) if u < v else (v, u)
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            key = u * n + v if u < v else v * n + u
             if u == v or key in seen:
-                ok = False
                 break
             seen.add(key)
-        if not ok:
-            continue
-        g = Graph(n, pairs, meta={"family": "random_regular", "n": n, "d": d, "seed": seed})
-        if g.is_connected():
-            return g
+        else:
+            g = Graph(n, zip(stubs[::2], stubs[1::2]),
+                      meta={"family": "random_regular", "n": n, "d": d, "seed": seed})
+            if g.is_connected():
+                return g
     raise GraphError(f"pairing model gave up after {tries} tries for a {d}-regular graph "
                      f"on n={n}, seed={seed}")
 

@@ -193,6 +193,7 @@ def test_malformed_input_exit_two(tmp_path, capsys):
     (["orient", "--recipe", "ktree", "--in", "PETERSEN"], "recipe 'ktree' needs --k"),
     (["bounds", "--family", "complete", "--n", "4", "--k", "0"], "k must be at least 1"),
     (["bounds", "--family", "complete", "--n", "4", "--k", "-3"], "k must be at least 1"),
+    (["generate", "--family", "random_regular", "--n", "0", "--d", "-1"], "d-regular graph needs d >= 0"),
 ])
 def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     ofile = tmp_path / "k4.o"
@@ -219,6 +220,17 @@ def test_fvs_recipe_over_the_subset_limit_exits_two(capsys, monkeypatch):
     assert captured.out == ""
     monkeypatch.setattr(firebreak.structure, "FVS_SUBSET_LIMIT", 1 + 10 + 45 + 120)
     assert main(["orient", "--recipe", "fvs", "--family", "petersen"]) == 0
+
+
+def test_subcubic_recipe_over_the_matching_limit_exits_two(capsys, monkeypatch):
+    # the cube's matching search takes four steps
+    monkeypatch.setattr(firebreak.structure, "PERFECT_MATCHING_STEP_LIMIT", 3)
+    assert main(["orient", "--recipe", "subcubic", "--family", "cube"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: perfect matching search gave up after 3 steps on 8 vertices\n"
+    assert captured.out == ""
+    monkeypatch.setattr(firebreak.structure, "PERFECT_MATCHING_STEP_LIMIT", 4)
+    assert main(["orient", "--recipe", "subcubic", "--family", "cube"]) == 0
 
 
 @pytest.mark.parametrize("script, message", [

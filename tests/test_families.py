@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -67,11 +68,34 @@ def test_random_tree_is_tree():
 
 
 def test_random_regular_properties():
-    for seed in range(5):
-        g = random_regular(12, 3, seed)
-        assert all(d == 3 for d in g.degrees())
+    cases = [(12, 3, s) for s in range(5)] + [(12, 4, s) for s in range(5)] + [(24, 5, 0)]
+    for n, d, seed in cases:
+        g = random_regular(n, d, seed)
+        assert g.n == n and all(deg == d for deg in g.degrees())
         assert g.is_connected()
         assert not g.has_parallel_edges()
+
+
+def _pinned_regular_cases():
+    for d in (2, 3, 4):
+        for n in range(d + 1, 27):
+            if n * d % 2 == 0:
+                yield from ((n, d, seed) for seed in range(6))
+    # the benchmark's and the verify suites' instances
+    yield from [(24, 5, 0), (20, 4, 0), (18, 3, 0), (20, 3, 0), (16, 4, 0), (16, 3, 0)]
+    yield from ((12, 4, seed) for seed in range(13))
+
+
+def test_random_regular_pinned():
+    # the digest of the edge lists that rng.shuffle's pairings gave; every
+    # Python the package supports must draw the same graphs
+    digest = hashlib.sha256()
+    count = 0
+    for n, d, seed in _pinned_regular_cases():
+        digest.update(repr((n, d, seed, random_regular(n, d, seed).edges)).encode())
+        count += 1
+    assert count == 348 + 19
+    assert digest.hexdigest() == "9d02871a03c8fcd44f0f8fa1ae6625c1e35c74a273bb4afc83a9b9eac01fe00d"
 
 
 def test_random_regular_stub_limit(monkeypatch):
@@ -91,6 +115,9 @@ def test_random_regular_below_degree_two():
     assert random_regular(2, 1) == Graph(2, [(0, 1)])
     for n, d in ((4, 0), (4, 1)):
         with pytest.raises(GraphError, match="needs n = d\\+1"):
+            random_regular(n, d)
+    for n, d in ((0, -1), (3, -2)):
+        with pytest.raises(GraphError, match="^d-regular graph needs d >= 0$"):
             random_regular(n, d)
 
 

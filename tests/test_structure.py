@@ -318,6 +318,56 @@ def test_matching_complement_is_two_factor_on_cubic():
 
 def test_matching_none_when_impossible():
     assert perfect_matching(star(4)) is None
+    assert perfect_matching(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])) is None
+
+
+def backtracking_matching(g, must_include=None):
+    # the search without its dead-vertex skip or its step limit
+    chosen = [] if must_include is None else [must_include]
+    matched = 0 if must_include is None else mask_of(g.edges[must_include])
+
+    def extend(matched):
+        free = ~matched & ((1 << g.n) - 1)
+        if not free:
+            return True
+        v = (free & -free).bit_length() - 1
+        for w, i in g.adj[v]:
+            if not (matched >> w) & 1:
+                chosen.append(i)
+                if extend(matched | (1 << v) | (1 << w)):
+                    return True
+                chosen.pop()
+        return False
+
+    return sorted(chosen) if g.n % 2 == 0 and extend(matched) else None
+
+
+def test_matching_skip_keeps_the_first_matching():
+    cases = [(g, None) for g in enumerate_connected(4)]
+    cases += [(random_regular(n, d, s), None) for d in (3, 4) for n in range(6, 17, 2) for s in range(3)]
+    cases += [(petersen(), forced) for forced in range(15)]
+    cases += [(prism(4), forced) for forced in range(12)]
+    for g, forced in cases:
+        assert perfect_matching(g, must_include=forced) == backtracking_matching(g, forced), g.edges
+
+
+def test_matching_gives_up_at_the_step_limit(monkeypatch):
+    # random_regular(16, 3, 0) is matched on its tenth step, two past the
+    # eight edges of the matching
+    g = random_regular(16, 3, 0)
+    first = perfect_matching(g)
+    monkeypatch.setattr(firebreak.structure, "PERFECT_MATCHING_STEP_LIMIT", 10)
+    assert perfect_matching(g) == first
+    monkeypatch.setattr(firebreak.structure, "PERFECT_MATCHING_STEP_LIMIT", 9)
+    with pytest.raises(GraphError, match="^perfect matching search gave up after 9 steps on 16 vertices$"):
+        perfect_matching(g)
+
+
+def test_matching_step_limit_on_large_cubic_graphs():
+    # at the documented limit: (120, 3, 1) takes 59,861 steps, (120, 3, 2) needs more
+    assert len(perfect_matching(random_regular(120, 3, 1))) == 60
+    with pytest.raises(GraphError, match="^perfect matching search gave up after 100000 steps on 120 vertices$"):
+        perfect_matching(random_regular(120, 3, 2))
 
 
 # --- k-tree recognition
