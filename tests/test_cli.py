@@ -233,6 +233,18 @@ def test_subcubic_recipe_over_the_matching_limit_exits_two(capsys, monkeypatch):
     assert main(["orient", "--recipe", "subcubic", "--family", "cube"]) == 0
 
 
+def test_large_hex_grid_recipe_ends_without_a_traceback(capsys):
+    # the subcubic construction matches 1,175 pairs here, one search frame
+    # per pair, past Python's default recursion limit of 1,000
+    code = main(["orient", "--recipe", "grid-hex", "--w", "50", "--h", "50"])
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert code == 0 and captured.err == ""
+        assert captured.out.startswith("# meta ")
+
+
 @pytest.mark.parametrize("script, message", [
     ("[1, 2]", "a script maps times to lists of vertices"),
     ("null", "a script maps times to lists of vertices"),

@@ -36,6 +36,11 @@ def test_bitmask_helpers():
 def test_graph_invariants():
     g = Graph(3, [(0, 1), (1, 2)])
     assert g.degrees() == [1, 2, 1]
+    # parallel edges count once each, as in the incidence lists
+    assert Graph(2, [(0, 1), (0, 1)]).degrees() == [2, 2]
+    multi = Graph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (3, 4)])
+    assert multi.degrees() == [len(a) for a in multi.adj] == [2, 3, 3, 3, 3]
+    assert Graph(3, []).degrees() == [0, 0, 0]
     with pytest.raises(GraphError):
         Graph(3, [(0, 0)])
     with pytest.raises(GraphError):

@@ -46,7 +46,6 @@ from firebreak.solve import (
     Engine,
     SolverLimitError,
     _out_map,
-    _protect_masks,
     _twin_comparisons,
     density_floor,
     naive_best_orientation,
@@ -182,11 +181,25 @@ def test_burn_limit_skips_only_the_region():
             assert eng._burn(live, pm, spread, limit) == expected
 
 
+def _protect_masks(live, threat, f):
+    """Every protect set the engine tries, in its order, as masks of f live
+    vertices: the threatened ones first, then the rest, each by ascending id,
+    and for f >= 2 their combinations in that order."""
+    order = []
+    for part in (threat, live & ~threat):
+        while part:
+            low = part & -part
+            order.append(low)
+            part ^= low
+    return order if f == 1 else map(sum, combinations(order, f))
+
+
 class _ReferenceEngine(Engine):
-    """The engine before the threat was bounded ahead of the region search:
-    _burn always searches the region, and _value bounds a child only once
-    _burn has returned. Nor does it store unions: it reads only the
-    single-vertex entries of outs."""
+    """The engine before the threat was bounded ahead of the region search
+    and before its protect sets were split by whether they meet the threat:
+    _burn always searches the region, _value tries every set of
+    _protect_masks and bounds a child only once _burn has returned. Nor does
+    it store unions: it reads only the single-vertex entries of outs."""
 
     def _burn(self, live, pm, spread):
         outs = self.outs
@@ -262,12 +275,32 @@ def test_engine_matches_reference():
             _assert_matches_reference(o.out_mask, g.n, f)
     # the stop on protect sets that miss the threat needs a second layer of
     # more than f vertices behind a threat the defence cannot hold, which
-    # these larger digraphs have
+    # these larger digraphs have; f = 3 puts more sets on either side of the
+    # boundary between the sets that meet the threat and those that miss it
     for _ in range(60):
         n = rng.randrange(6, 11)
         out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < 0.35) for u in range(n)]
-        for f in (1, 2):
+        for f in (1, 2, 3):
             _assert_matches_reference(out_mask, n, f)
+
+
+def test_engine_move_can_miss_the_threat():
+    # layers of 1, f + 1, 2f and f + 1 vertices, each layer pointing to all
+    # of the next: from vertex 0 the one best first move protects f vertices
+    # of the third layer, a set that misses the threat, and the first such set
+    # in protect-set order is the third layer's first f vertices
+    for f in (1, 2, 3):
+        sizes = (1, f + 1, 2 * f, f + 1)
+        firsts = [sum(sizes[:i]) for i in range(5)]
+        layers = [sum(1 << v for v in range(firsts[i], firsts[i + 1])) for i in range(4)]
+        out_mask = [layers[i + 1] if i < 3 else 0 for i in range(4) for _ in range(sizes[i])]
+        n = len(out_mask)
+        eng = Engine(_out_map(out_mask), n, f)
+        assert eng.start_value(0) == f + 2
+        live, threat = eng._burn(eng.full, 0, 1)
+        assert (live, threat) == (eng.full - 1, layers[1])
+        assert eng.memo[live, threat][1] == sum(1 << v for v in range(firsts[2], firsts[2] + f))
+        _assert_matches_reference(out_mask, n, f)
 
 
 def test_engine_unions_are_out_neighbourhoods():

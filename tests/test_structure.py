@@ -8,8 +8,10 @@ import firebreak.structure
 from firebreak.bounds import _chromatic_number, greedy_clique
 from firebreak.families import (
     complete,
+    complete_bipartite,
     cycle,
     enumerate_connected,
+    grid_rect,
     grid_tri,
     path,
     petersen,
@@ -262,6 +264,38 @@ def test_chromatic_number_matches_reference():
     cases += [Graph(0, []), Graph(5, []), Graph(17, []), cycle(17), path(18)] + MULTIGRAPHS
     for g in cases:
         assert _chromatic_number(g, bipartition(g) is not None) == chromatic_reference(g), g.edges
+
+
+def bipartition_reference(g):
+    # two-colouring by a depth-first search over incidence lists
+    colour = [-1] * g.n
+    for s in range(g.n):
+        if colour[s] >= 0:
+            continue
+        colour[s] = 0
+        queue = [s]
+        while queue:
+            v = queue.pop()
+            for w, _ in g.adj[v]:
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
+                    queue.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    a = mask_of(v for v in range(g.n) if colour[v] == 0)
+    return a, ((1 << g.n) - 1) & ~a
+
+
+def test_bipartition_matches_reference():
+    cases = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    cases += [complete_bipartite(3, 4), grid_rect(5, 4), cycle(17), cycle(18), path(18), petersen()]
+    cases += MULTIGRAPHS + WITH_ISOLATED + [Graph(4, [(0, 1), (0, 1), (2, 3)]), Graph(6, [(5, 4), (4, 3), (3, 0)])]
+    bipartite = 0
+    for g in cases:
+        sides = bipartition(g)
+        assert sides == bipartition_reference(g), g.edges
+        bipartite += sides is not None
+    assert 0 < bipartite < len(cases)
 
 
 def greedy_cases():
