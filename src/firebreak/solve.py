@@ -309,7 +309,7 @@ class Engine:
         if tail < newcount:
             tail = newcount
         if tail < best:
-            misses = _low_bits(rest) if f == 1 else map(sum, combinations(order[nthreat:], f))
+            misses = map(sum, combinations(order[nthreat:], f)) if f > 1 else _low_bits(rest)
             for pm in misses:
                 newlive, newthreat = self._burn(live, pm, threat, best - newcount + f)
                 if newthreat and not newlive:
