@@ -20,12 +20,21 @@ Finding the best orientation enumerates edge directions depth-first in edge
 order (bit 0 = lower id to higher id first), in passes with a target t. The
 first pass has t = density_floor, the proven lower bound, and each pass that
 comes back empty raises t by one. A pass keeps t + 1 as its incumbent from the
-root and stops at its first leaf of value at most t, with three sound prunes:
+root and stops at its first leaf of value at most t, with four sound prunes:
 
 - outdegree: a partial assignment dies once some outdegree forces
   1 + d+ - f > t (the fire's start burns that vertex, and at most f of its
   out-neighbours are protected before they burn), so no vertex takes more
   than t + f - 1 out-arcs;
+- outdegree feasibility, the same limit looked ahead: vertex v can still
+  take at most min(t + f - 1 - d+(v), r_v) out-arcs, r_v its open edges, and
+  each open edge adds exactly one out-arc. A partial assignment dies once
+  the slack, the sum of these minima less the open edges, is negative:
+  every completion then puts more than t + f - 1 out-arcs on some vertex,
+  so the outdegree prune would drop all of its leaves. This is the
+  single-set form of Hakimi's condition for orienting a graph under
+  outdegree bounds (Hakimi, "On the degrees of the vertices of a directed
+  graph", J. Franklin Inst. 1965);
 - twin symmetry (lex-leader): for twins u < v (N(u) - v = N(v) - u) swapping
   u and v is an automorphism sigma, and a partial word dies once it can no
   longer satisfy word <= sigma(word) in the scan's order. Relabelling keeps
@@ -38,16 +47,17 @@ root and stops at its first leaf of value at most t, with three sound prunes:
   keeps the fire a subset of the larger one's at every step), so every
   completion is at least as bad.
 
-The outdegree and sub-digraph prunes drop only orientations of value above t,
-and the twin prune never drops the first optimum. The floor, or the passes
-that came back empty, prove that no orientation has a value below t. So a
-pass that reaches a leaf of value at most t has found the first orientation of
-value exactly t in enumeration order, which is the first optimum, and a pass
-that comes back empty proves that the value is at least t + 1. This is
-iterative deepening on the value (Korf, "Depth-first iterative-deepening: an
-optimal admissible tree search", AI 1985). The leaf's engine is capped at
-t + 1, so its values below the cap, every start's among them, are exact: the
-per-start values and the witness trace come from it without a second solve.
+The outdegree, feasibility and sub-digraph prunes drop only orientations of
+value above t, and the twin prune never drops the first optimum. The floor, or
+the passes that came back empty, prove that no orientation has a value below
+t. So a pass that reaches a leaf of value at most t has found the first
+orientation of value exactly t in enumeration order, which is the first
+optimum, and a pass that comes back empty proves that the value is at
+least t + 1. This is iterative deepening on the value (Korf, "Depth-first
+iterative-deepening: an optimal admissible tree search", AI 1985). The leaf's
+engine is capped at t + 1, so its values below the cap, every start's among
+them, are exact: the per-start values and the witness trace come from it
+without a second solve.
 
 On the small graphs that sweeps and the oracle check solve by the thousand,
 the scan's cost is its per-call overhead, so it runs in one flat frame: a
@@ -508,6 +518,17 @@ def _lex_step(lex: list, word: int, last: int) -> Optional[list]:
     return out
 
 
+def _root_slack(degree: list[int], m: int, max_outdeg: int) -> int:
+    """The feasibility slack of a pass's root: the sum over v of
+    min(max_outdeg, deg v), the most out-arcs the vertices can take in all,
+    less the m arcs every orientation places. Below 0 no orientation keeps
+    every outdegree within max_outdeg (see _scan_orientations)."""
+    slack = -m
+    for d in degree:
+        slack += d if d < max_outdeg else max_outdeg
+    return slack
+
+
 def density_floor(g: Graph, f: int) -> int:
     """Proven lower bound on the best value, where the scan's first pass
     starts: max(1, 1 + ceil(m/n) - f).
@@ -573,11 +594,12 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
 
     The frame is flat. One pass over the edges, last to first, sets it up:
     each edge's two arcs, the depths just after an edge that is the last of
-    one of its ends (the pass meets that end there first), and the
-    parallel-edge test, which raises GraphError. The recursion rec(i, word,
-    lex) returns the pass's leaf below depth i once it has found it, three
-    Nones once the budget has run out, and None when its subtree holds no
-    leaf within the target, so a found leaf unwinds the recursion at once.
+    one of its ends (the pass meets that end there first, and the count of
+    that end's edges met so far is 1), the degrees, and the parallel-edge
+    test, which raises GraphError. The recursion rec(i, word,
+    lex, slack) returns the pass's leaf below depth i once it has found it,
+    three Nones once the budget has run out, and None when its subtree holds
+    no leaf within the target, so a found leaf unwinds the recursion at once.
     The start hint and the leaf count are locals of the scan, kept across
     passes, and path holds the arcs chosen above the current depth.
 
@@ -601,22 +623,41 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
     but made K7 (f = 1) slower than no check at all, and checking at every
     depth slower still.
 
-    The outdegree limit is checked on each new arc; it is fixed for the whole
-    pass. The twin checks (see _twin_comparisons) are stepped as each bit is
-    set, at no cost on graphs without a twin class of _MIN_TWIN_CLASS
-    vertices.
+    The outdegree limit is fixed for the whole pass, so the scan keeps, for
+    each vertex v, its room t + f - 1 - d+(v), the out-arcs it can still
+    take, and checks the tail's room on each new arc. The feasibility
+    prune's slack (see the module docstring) is rec's fourth argument. A
+    pass starts from _root_slack, and a negative start proves the pass empty
+    without visiting a node. Placing arc u -> v lowers u's term by one (its
+    room and its open edges both fall by one) and the open edges by one,
+    which cancel, and lowers v's term by one exactly when v's open edges,
+    this one included, were at most its room: then v needed every one of
+    them as an out-arc. So the slack falls by one exactly then, and an arc
+    that would take it below 0 is skipped like an arc over the limit. v's
+    open edges at edge i do not depend on the orientation, so the set-up
+    stores them in each arc, and only the room is updated and restored per
+    vertex. The prune drops only subtrees in which every leaf breaks the
+    outdegree limit, so no leaf the scan would solve: the witness has value
+    at most t, so all its outdegrees are at most t + f - 1, and values and
+    witnesses are those of the scan without it. A dropped subtree takes its
+    bound checks with it, though, so the start hint can differ afterwards,
+    and with it the leaves visited on large graphs (K8 at f = 1 visits 489
+    leaves against 486 without the prune).
+
+    The twin checks (see _twin_comparisons) are stepped as each bit is set,
+    at no cost on graphs without a twin class of _MIN_TWIN_CLASS vertices.
 
     The clock for budget_ms is read on every bound check and every leaf:
     under the bound, leaves become rare.
     """
     n, m = g.n, g.m
     edges = g.edges
-    # each edge's two arcs as (its bit in the word, tail, tail's bit, head's
-    # bit, (tail, head))
+    # each edge's two arcs as (its bit in the word, tail, tail's bit, head,
+    # head's bit, the edges from this one on at the head, (tail, head))
     arcs = [None] * m
     check_at = [False] * (m + 1)
-    closed = 0  # the ends of the edges met so far, last edge first
     pairs = 0  # bit lo * n + hi for each edge {lo, hi} met so far
+    degree = [0] * n  # the edges met so far at each vertex, at the end its degree
     for i in range(m - 1, -1, -1):
         u, v = edges[i]
         lo, hi = (u, v) if u < v else (v, u)
@@ -624,21 +665,22 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
         if pairs & pair:
             raise GraphError("the best-orientation scan needs a graph without parallel edges")
         pairs |= pair
+        lo_open = degree[lo] = degree[lo] + 1
+        hi_open = degree[hi] = degree[hi] + 1
         lo_bit, hi_bit = 1 << lo, 1 << hi
-        arcs[i] = ((0, lo, lo_bit, hi_bit, (lo, hi)), (1 << i, hi, hi_bit, lo_bit, (hi, lo)))
-        ends = lo_bit | hi_bit
-        if ends & ~closed:  # edge i is the last edge of lo or of hi
-            closed |= ends
+        arcs[i] = ((0, lo, lo_bit, hi, hi_bit, hi_open, (lo, hi)),
+                   (1 << i, hi, hi_bit, lo, lo_bit, lo_open, (hi, lo)))
+        if lo_open == 1 or hi_open == 1:  # edge i is the last edge of lo or of hi
             check_at[i + 1] = i < m - _MIN_OPEN_EDGES
 
     path = [None] * m  # the arcs chosen above the current depth
-    outdeg = [0] * n
+    room = [0] * n  # the out-arcs each vertex can still take in the pass
     out = {1 << v: 0 for v in range(n)}  # the partial orientation, in the engine's form
     doubled = tuple(range(n)) * 2
     hint = leaves = 0  # hint: the start that last reached the cap, at a check or a leaf
     deadline = None if budget_ms is None else time.perf_counter() + budget_ms / 1000
 
-    def rec(i: int, word: int, lex: list):
+    def rec(i: int, word: int, lex: list, slack: int):
         nonlocal hint, leaves
         if i == m:
             if deadline is not None and time.perf_counter() > deadline:
@@ -652,25 +694,31 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
         if check_at[i]:
             if deadline is not None and time.perf_counter() > deadline:
                 return None, None, None
-            top = outdeg.index(max(outdeg))
+            top = room.index(min(room))
             blocker = _capped_values(out, n, f, cap, (hint,) if top == hint else (hint, top))[0]
             if blocker is not None:
                 hint = blocker
                 return None
-        for bit, tail, tail_bit, head_bit, arc in arcs[i]:
-            if outdeg[tail] >= max_outdeg:
+        for bit, tail, tail_bit, head, head_bit, head_open, arc in arcs[i]:
+            if not room[tail]:
                 continue
+            child_slack = slack
+            if room[head] >= head_open:
+                # the head has room for all its open edges, this one included
+                if not slack:
+                    continue
+                child_slack -= 1
             child = word | bit
             child_lex = _lex_step(lex, child, i) if lex else lex
             if child_lex is None:
                 continue
-            outdeg[tail] += 1
+            room[tail] -= 1
             out[tail_bit] |= head_bit
             path[i] = arc
-            leaf = rec(i + 1, child, child_lex)
+            leaf = rec(i + 1, child, child_lex, child_slack)
             if leaf:
                 return leaf
-            outdeg[tail] -= 1
+            room[tail] += 1
             out[tail_bit] ^= head_bit
         return None
 
@@ -680,7 +728,9 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
         # a value above target fails: every solve's cap, and the outdegree at
         # which a vertex takes no more out-arcs (1 + d+ - f > target beyond it)
         cap, max_outdeg = target + 1, target + f - 1
-        leaf = rec(0, 0, lex)
+        slack = _root_slack(degree, m, max_outdeg)
+        room[:] = [max_outdeg] * n
+        leaf = rec(0, 0, lex, slack) if slack >= 0 else None
         if leaf:
             return (*leaf, leaves)
         target += 1

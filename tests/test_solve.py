@@ -46,6 +46,7 @@ from firebreak.solve import (
     Engine,
     SolverLimitError,
     _out_map,
+    _root_slack,
     _twin_comparisons,
     density_floor,
     naive_best_orientation,
@@ -301,6 +302,32 @@ def test_engine_move_can_miss_the_threat():
         assert (live, threat) == (eng.full - 1, layers[1])
         assert eng.memo[live, threat][1] == sum(1 << v for v in range(firsts[2], firsts[2] + f))
         _assert_matches_reference(out_mask, n, f)
+
+
+def test_engine_searches_the_last_set_meeting_the_threat():
+    # the last set meeting the threat pairs the last threatened vertex t with
+    # the last other live vertex r. It is never the one best move: if the
+    # play after it protects some x next, the earlier set {t, x} followed by
+    # r leaves the same vertices protected and burnt, and if nothing is live
+    # after it, {t, x} for another live x, or else {t', t} for another
+    # threatened t', leaves at most r threatened next. So dropping it shows
+    # only in the states searched, and only when both bounds leave its child
+    # open, which they do in none of the random digraphs above. Here 0
+    # points to 1, 2 and 3, vertices 1 and 2 to all of L2 (4 vertices), L2
+    # to all of L3 (4), and 3 to a fan F of 6 leaves, with ids L2, F, L3 in
+    # that order. At f = 2 the value from 0 is 6 and every earlier set leaves
+    # at least 6, so the child of {3, 17}, with 3 vertices burnt and L2 under
+    # threat, passes both bounds (3 < 6 and 3 + 4 - 2 < 6) and is searched;
+    # no other set reaches that state
+    l2, fan, l3 = 0b1111 << 4, 0b111111 << 8, 0b1111 << 14
+    out_mask = [0b1110, l2, l2, fan, *[l3] * 4, *[0] * 10]
+    n = len(out_mask)
+    eng = Engine(_out_map(out_mask), n, 2)
+    assert eng.start_value(0) == 6
+    live, threat = eng._burn(eng.full, 0, 1)
+    assert (live, threat) == (eng.full - 1, 0b1110)
+    assert (l2 | l3 & ~(1 << 17), l2) in eng.memo
+    _assert_matches_reference(out_mask, n, 2)
 
 
 def test_engine_unions_are_out_neighbourhoods():
@@ -666,6 +693,49 @@ def test_twin_prune_matches_unreduced_scan(monkeypatch):
     unreduced = scan()
     assert [r[:2] for r in reduced] == [u[:2] for u in unreduced]
     assert sum(r[2] for r in reduced) < sum(u[2] for u in unreduced)
+
+
+def test_feasibility_prune_matches_unpruned_scan(monkeypatch):
+    # the prune drops only subtrees in which every leaf breaks the outdegree
+    # limit, so the scan without it finds the same values and witnesses: on
+    # every connected graph with 2 to 5 vertices, a seeded sample of the
+    # 6-vertex ones, and the dense graphs whose limit is tight
+    cases = [(g, f, 21) for n in range(2, 6) for g in enumerate_connected(n) for f in (1, 2)]
+    cases += [(g, f, 21) for g in random.Random(9).sample(list(enumerate_connected(6)), 400) for f in (1, 2)]
+    cases += [(complete(7), 1, 21), (complete_bipartite(4, 4), 1, 21), (complete_bipartite(3, 6), 1, 21),
+              (complete(8), 1, 28), (complete_bipartite(5, 7), 2, 36), (complete_bipartite(6, 6), 2, 36)]
+
+    def scan(g, f, max_edges):
+        gv = solve_best_orientation(g, f, max_edges=max_edges, want_trace=False)
+        return gv.beta, gv.witness_orientation.direction_bits()
+
+    # case by case, so that a wrong prune fails on a small graph before the
+    # dense ones climb through passes it wrongly refuted
+    for g, f, max_edges in cases:
+        pruned = scan(g, f, max_edges)
+        with monkeypatch.context() as patch:
+            # from a root slack of m, falling by at most one per arc, the
+            # slack never drops below 0, so the prune never cuts
+            patch.setattr(firebreak.solve, "_root_slack", lambda degree, m, max_outdeg: m)
+            assert scan(g, f, max_edges) == pruned, (g.edges, f)
+
+
+def test_feasibility_prune_refutes_a_pass_at_its_root(monkeypatch):
+    # K6 with a pendant vertex on each of its vertices, at f = 1: the floor is
+    # 2, and within the limit of 2 out-arcs the six K6 vertices take 12 and
+    # the pendants 6, fewer than the 21 edges, so the t = 2 pass ends at its
+    # root. The t = 3 pass starts with room to spare and finds the witness
+    g = Graph(12, [*combinations(range(6), 2), *((v, v + 6) for v in range(6))])
+    assert density_floor(g, 1) == 2
+    slacks = []
+
+    def root_slack(degree, m, max_outdeg):
+        slacks.append((max_outdeg, _root_slack(degree, m, max_outdeg)))
+        return slacks[-1][1]
+
+    monkeypatch.setattr(firebreak.solve, "_root_slack", root_slack)
+    gv = solve_best_orientation(g, 1, want_trace=False)
+    assert (gv.beta, gv.exact, slacks) == (3, True, [(2, -3), (3, 3)])
 
 
 def test_best_witness_trace_replays():
