@@ -11,10 +11,18 @@ future spread), and all of it is protected once it has at most f vertices.
 A branch is dropped once its burnt count, plus its threat minus the f
 protections of the next round, reaches the best value found. The threat is
 the first layer of the branch's live region, so it is checked against that
-bound before the region is searched. Protect sets that meet the threat are
-tried first. Each set that misses it spreads the whole threat, so one bound
-covers all of them, and they are only built when that bound leaves them
-open.
+bound before the region is searched. A branch that passes is bounded two
+rounds ahead once the search has found the region's second layer L2: the
+next round protects k <= f threatened vertices, the rest of the threat
+burns, and the round after burns all but f of the next threat, which keeps
+every vertex of L2 but the f - k protected ones and those whose
+in-neighbours in the threat were all protected. A branch whose count plus
+that bound reaches the best value cannot beat it, so it is dropped; its
+value is at least the best found, so it is never the stored move, and
+values, moves and traces stay those of the search without the bound.
+Protect sets that meet the threat are tried first. Each set that misses it
+spreads the whole threat, so one bound covers all of them, and they are only
+built when that bound leaves them open.
 
 Finding the best orientation enumerates edge directions depth-first in edge
 order (bit 0 = lower id to higher id first), in passes with a target t. The
@@ -129,6 +137,62 @@ def _low_bits(mask: int) -> list[int]:
     return out
 
 
+def _two_round_bound(outs: dict[int, int], threat: int, second: int, f: int) -> int:
+    """A lower bound on the burn still to come in a state with a non-empty
+    threat T and second layer L2 = out(T) & live & ~T, out read from outs.
+
+    The next round protects some k <= min(f, |T|) threatened vertices and at
+    most f - k others, and the other |T| - k threatened vertices burn. An L2
+    vertex stays out of the threat after that only if it is protected or all
+    its in-neighbours in T are. With P the k protected threatened vertices,
+    those are at most lost_k vertices: the k largest private counts |out(t)
+    & L2 - out(T - t)| summed, plus the L2 vertices with 2..k in-neighbours
+    in T (a vertex whose in-neighbours in T all lie in P has at most k of
+    them, and one with a single one is private to it). So the next threat
+    holds at least |L2| - (f - k) - lost_k vertices, and the round after
+    that burns all of them but f: the burn to come is at least
+    (|T| - k) + max(0, |L2| - (f - k) - lost_k - f), which is max(|T| - k,
+    |T| + |L2| - 2f - lost_k). Neither rises as k grows, since lost_k never
+    falls, so the least over k is at k = min(f, |T|), the bound returned.
+    For f = 1, lost_1 is the largest private count, found without the
+    counters: the engine bounds children at f = 1 by the hundred per solve.
+    """
+    hits = []  # out(t) & L2 for each t in T
+    if f == 1:
+        once = twice = 0  # the L2 vertices with at least one, two in-neighbours in T so far
+        part = threat
+        while part:
+            low = part & -part
+            o = outs[low] & second
+            hits.append(o)
+            twice |= once & o
+            once |= o
+            part ^= low
+        lost = 0
+        for o in hits:
+            private = (o & ~twice).bit_count()
+            if private > lost:
+                lost = private
+        rest = second.bit_count() - lost - 1  # the next threat's least size, less f
+        return len(hits) - 1 + (rest if rest > 0 else 0)
+    more = [0] * (f + 1)  # more[j]: the L2 vertices with more than j in-neighbours in T so far
+    part = threat
+    while part:
+        low = part & -part
+        carry = o = outs[low] & second
+        hits.append(o)
+        j = 0
+        while carry and j <= f:
+            more[j], carry = more[j] | carry, more[j] & carry
+            j += 1
+        part ^= low
+    shared = more[1]
+    private = sorted([(o & ~shared).bit_count() for o in hits], reverse=True)
+    k = min(f, len(hits))
+    lost = sum(private[:k]) + (shared & ~more[k]).bit_count()
+    return len(hits) - k + max(0, second.bit_count() - (f - k) - lost - f)
+
+
 class Engine:
     """Memoised optimal-defence search over a fixed digraph.
 
@@ -175,16 +239,24 @@ class Engine:
         the fire can still reach through unprotected vertices and the part of
         it under threat next. out(spread) and out of each layer of the region
         search are read from outs; on a miss the loop ORs the single-vertex
-        entries and stores the union. The loop is written out at both
-        lookups: scan engines live for a few transitions and miss often, and
-        a helper call per miss made best-dense 2-6% slower.
+        entries and stores the union. The loop is written out at each
+        lookup: scan engines live for a few transitions and miss often, and
+        a helper call per miss made best-dense 2-6% slower. The search takes
+        each layer out of allowed as it goes, so the region is what it took.
 
         The threat is the region's first layer, out(spread) & live & ~pm &
         ~spread, so it is found before the region. When it has at least limit
         vertices the region is not searched and comes back as 0: _value drops
-        such a child on its threat alone and would never read the region. A
-        threat is never empty when the region is not, so (0, threat) with a
-        non-empty threat marks the cut."""
+        such a child on its threat alone and would never read the region.
+        Otherwise the search's next layer is the child's second layer L2, and
+        the child is cut there as well, again as (0, threat), once
+        _two_round_bound reaches limit - f, the burn to come that takes its
+        count to the best value (see _value). That bound is at most |T| +
+        |L2| - 2f, and 0 when |T| <= f, so it is only computed when |T| > f
+        and |T| + |L2| >= limit + f: other children pay a compare or two and
+        a popcount, and with no limit, as in start_value and extract_trace,
+        nothing is cut. A threat is never empty when the region is not, so
+        (0, threat) with a non-empty threat marks a cut."""
         outs = self.outs
         ou = outs.get(spread)
         if ou is None:
@@ -195,13 +267,28 @@ class Engine:
                 ou |= outs[low]
                 part ^= low
             outs[spread] = ou
-        allowed = live & ~pm & ~spread
-        threat = frontier = ou & allowed
-        if threat.bit_count() >= limit:
+        region = allowed = live & ~(pm | spread)
+        threat = ou & allowed
+        nthreat = threat.bit_count()
+        if nthreat >= limit:
             return 0, threat
-        reached = 0
+        nxt = outs.get(threat)
+        if nxt is None:
+            nxt = 0
+            part = threat
+            while part:
+                low = part & -part
+                nxt |= outs[low]
+                part ^= low
+            outs[threat] = nxt
+        allowed ^= threat
+        frontier = nxt & allowed
+        f = self.f
+        if (nthreat > f and nthreat + frontier.bit_count() >= limit + f
+                and _two_round_bound(outs, threat, frontier, f) >= limit - f):
+            return 0, threat
         while frontier:
-            reached |= frontier
+            allowed ^= frontier
             nxt = outs.get(frontier)
             if nxt is None:
                 nxt = 0
@@ -211,8 +298,8 @@ class Engine:
                     nxt |= outs[low]
                     part ^= low
                 outs[frontier] = nxt
-            frontier = nxt & allowed & ~reached
-        return reached, threat
+            frontier = nxt & allowed
+        return region ^ allowed, threat
 
     def _value(self, live: int, threat: int, count: int) -> int:
         """Burned count under optimal defence of a state where count vertices
@@ -230,10 +317,13 @@ class Engine:
 
         A child is skipped once it cannot beat the best value so far: its
         count alone reaches it, or so does its count plus its threat minus f,
-        since the next round can protect at most f threatened vertices. The
-        second bound is decided in _burn as soon as the threat is known:
-        newcount + |newthreat| - f >= best is |newthreat| >= best - newcount
-        + f, the limit _burn gets, and a child cut there is skipped.
+        since the next round can protect at most f threatened vertices, or so
+        does its count plus the two-round bound of _two_round_bound. The last
+        two are decided in _burn: newcount + |newthreat| - f >= best is
+        |newthreat| >= best - newcount + f, the limit _burn gets, checked as
+        soon as the threat is known, and newcount + bound >= best is bound >=
+        limit - f, checked once the region search has found the second layer.
+        A child cut there is skipped.
 
         The protect sets come in two phases. List the L live vertices with
         the T threatened ones first, as in protect-set order. A set meets the
@@ -256,7 +346,7 @@ class Engine:
         2 is skipped when tail reaches best before it, and stops when an
         improvement brings best down to tail. out(threat) is always in outs:
         the threat was the first layer of the region search in the _burn
-        that made the state (a _burn cut on its threat makes no state).
+        that made the state (a child that _burn cuts makes no state).
         Neither cut drops a child the bounds would search, so the states
         searched, the values and the moves are those of trying every set in
         protect-set order. Phase 2's sets, the rest's bits for f = 1 and
@@ -268,12 +358,15 @@ class Engine:
         child reaches the state's value (live itself when at most f vertices
         are live): the set at best's last change. Children are tried in that
         order and best moves only on a strict improvement. A child skipped by
-        either bound has a value at least the best so far, and so has a
+        any of the bounds has a value at least the best so far, and so has a
         searched child that did not improve it, so every child before the
-        move is above the final value. Count only adds to the value, so one
-        move serves every count. A stored value lies below the cap, so the
-        move's child was stored too (or has no threat), and extract_trace
-        follows the moves to the end of the play.
+        move is above the final value, and the move's own child, whose value
+        lies below the best before it, is never skipped: a bound that drops
+        more children moves neither values nor moves, only the states
+        searched. Count only adds to the value, so one move serves every
+        count. A stored value lies below the cap, so the move's child was
+        stored too (or has no threat), and extract_trace follows the moves to
+        the end of the play.
         """
         if not threat:
             return count

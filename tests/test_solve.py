@@ -48,6 +48,7 @@ from firebreak.solve import (
     _out_map,
     _root_slack,
     _twin_comparisons,
+    _two_round_bound,
     density_floor,
     naive_best_orientation,
     naive_solve_orientation,
@@ -154,10 +155,10 @@ def test_trace_extraction_adds_no_state():
 
 
 @pytest.mark.parametrize("g, f, beta, nodes, per_start", [
-    (grid_rect(4, 5), 1, 14, 1696, [4, 6, 6, 4, 8, 10, 10, 8, 9, 14, 14, 9, 8, 10, 10, 8, 4, 6, 6, 4]),
+    (grid_rect(4, 5), 1, 14, 325, [4, 6, 6, 4, 8, 10, 10, 8, 9, 14, 14, 9, 8, 10, 10, 8, 4, 6, 6, 4]),
     (grid_rect(4, 5), 2, 5, 72, [1, 2, 2, 1, 2, 4, 4, 2, 2, 5, 5, 2, 2, 4, 4, 2, 1, 2, 2, 1]),
-    (random_regular(18, 3, 0), 1, 10, 843, [9, 9, 9, 7, 8, 8, 10, 8, 8, 8, 8, 8, 5, 8, 7, 5, 5, 8]),
-    (random_regular(20, 3, 0), 1, 9, 909, [8, 5, 8, 5, 5, 8, 7, 5, 8, 7, 8, 5, 9, 5, 8, 6, 8, 5, 7, 5]),
+    (random_regular(18, 3, 0), 1, 10, 224, [9, 9, 9, 7, 8, 8, 10, 8, 8, 8, 8, 8, 5, 8, 7, 5, 5, 8]),
+    (random_regular(20, 3, 0), 1, 9, 398, [8, 5, 8, 5, 5, 8, 7, 5, 8, 7, 8, 5, 9, 5, 8, 6, 8, 5, 7, 5]),
     (random_regular(16, 4, 0), 2, 7, 127, [4, 4, 5, 4, 4, 4, 4, 7, 5, 3, 5, 3, 3, 5, 7, 5]),
 ], ids=["grid4x5-f1", "grid4x5-f2", "cubic-n18-f1", "cubic-n20-f1", "4reg-n16-f2"])
 def test_fixed_benchmark_instances_pinned(g, f, beta, nodes, per_start):
@@ -167,19 +168,48 @@ def test_fixed_benchmark_instances_pinned(g, f, beta, nodes, per_start):
     assert (gv.beta, gv.nodes_explored, [gv.per_start[s] for s in range(g.n)]) == (beta, nodes, per_start)
 
 
+def _burn_limit_cuts(out_mask, n, live, pm, spread, f):
+    """How many limits make _burn cut the child below its threat, after
+    checking that a limit changes only the region, to 0: always once the
+    threat reaches it, and below that only when the child's exact burn to
+    come, by an uncapped engine, reaches limit - f, so that the child cannot
+    beat the best."""
+    eng = Engine(_out_map(out_mask), n, f)
+    region, threat = eng._burn(live, pm, spread)
+    to_come = eng._value(region, threat, 0)
+    cuts = 0
+    for limit in range(n + 2):
+        got = eng._burn(live, pm, spread, limit)
+        if threat.bit_count() >= limit:
+            assert got == (0, threat)
+        elif got != (region, threat):
+            assert got == (0, threat) and to_come >= limit - f, (out_mask, live, pm, spread, f, limit)
+            cuts += 1
+    return cuts
+
+
 def test_burn_limit_skips_only_the_region():
     rng = random.Random(3)
     for _ in range(2000):
         n = rng.randrange(1, 11)
         out_mask = [rng.getrandbits(n) & ~(1 << u) for u in range(n)]
-        eng = Engine(_out_map(out_mask), n, 1)
         live = rng.getrandbits(n)
         pm = rng.getrandbits(n) & live
         spread = rng.getrandbits(n) & live & ~pm
-        region, threat = eng._burn(live, pm, spread)
-        for limit in range(n + 2):
-            expected = (region if threat.bit_count() < limit else 0, threat)
-            assert eng._burn(live, pm, spread, limit) == expected
+        for f in (1, 2, 3):
+            _burn_limit_cuts(out_mask, n, live, pm, spread, f)
+    # a fire lit at one vertex of a sparser digraph reaches a second layer
+    # large enough for the two-round bound to cut, often at a limit where
+    # the burn to come is exactly limit - f
+    cuts = 0
+    for _ in range(600):
+        n = rng.randrange(6, 15)
+        density = rng.choice((0.2, 0.3, 0.45))
+        out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < density) for u in range(n)]
+        spread = 1 << rng.randrange(n)
+        for f in (1, 2, 3):
+            cuts += _burn_limit_cuts(out_mask, n, ((1 << n) - 1) & ~spread, 0, spread, f)
+    assert cuts > 500
 
 
 def _protect_masks(live, threat, f):
@@ -196,11 +226,12 @@ def _protect_masks(live, threat, f):
 
 
 class _ReferenceEngine(Engine):
-    """The engine before the threat was bounded ahead of the region search
-    and before its protect sets were split by whether they meet the threat:
-    _burn always searches the region, _value tries every set of
-    _protect_masks and bounds a child only once _burn has returned. Nor does
-    it store unions: it reads only the single-vertex entries of outs."""
+    """The engine before the threat was bounded ahead of the region search,
+    before its protect sets were split by whether they meet the threat, and
+    before children were bounded two rounds ahead: _burn always searches
+    the region, _value tries every set of _protect_masks and bounds a child
+    only on its count and its threat, once _burn has returned. Nor does it
+    store unions: it reads only the single-vertex entries of outs."""
 
     def _burn(self, live, pm, spread):
         outs = self.outs
@@ -260,12 +291,16 @@ class _ReferenceEngine(Engine):
 
 def _assert_matches_reference(out_mask, n, f):
     # values, states searched and memo tables, under every cap and with
-    # starts revisited, so capped states are searched again
+    # starts revisited, so capped states are searched again: the two-round
+    # bound only drops children that cannot beat the best, so every state
+    # the engine stores is one the reference stores, with the same value and
+    # move, and it searches no more states
     for cap in range(1, n + 2):
         eng, ref = Engine(_out_map(out_mask), n, f, cap), _ReferenceEngine(_out_map(out_mask), n, f, cap)
         for s in [*range(n), *reversed(range(n))]:
             assert eng.start_value(s) == ref.start_value(s), (out_mask, f, cap, s)
-        assert (eng.nodes, eng.memo) == (ref.nodes, ref.memo), (out_mask, f, cap)
+        assert all(ref.memo.get(key) == entry for key, entry in eng.memo.items()), (out_mask, f, cap)
+        assert eng.nodes <= ref.nodes, (out_mask, f, cap)
 
 
 def test_engine_matches_reference():
@@ -283,6 +318,35 @@ def test_engine_matches_reference():
         out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < 0.35) for u in range(n)]
         for f in (1, 2, 3):
             _assert_matches_reference(out_mask, n, f)
+
+
+def test_two_round_bound_is_a_lower_bound():
+    # the bound never exceeds the burn to come of a state the reference
+    # stores (exact, as it lies below the cap), and it meets it often; the
+    # engine that cuts on it keeps the naive oracle's values
+    rng = random.Random(16)
+    states = tight = 0
+    for _ in range(150):
+        n = rng.randrange(2, 11)
+        density = rng.choice((0.25, 0.4, 0.6))
+        out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < density) for u in range(n)]
+        for f in (1, 2, 3):
+            ref = _ReferenceEngine(_out_map(out_mask), n, f)
+            for s in range(n):
+                ref.start_value(s)
+            for (live, threat), (to_come, _) in ref.memo.items():
+                second = 0
+                for v in bits(threat):
+                    second |= out_mask[v]
+                bound = _two_round_bound(ref.outs, threat, second & live & ~threat, f)
+                assert bound <= to_come, (out_mask, f, live, threat)
+                states += 1
+                tight += bound == to_come > 0
+            if n <= 8:
+                eng = Engine(_out_map(out_mask), n, f)
+                naive = [naive_start_value(out_mask, n, f, 1 << s, 0) for s in range(n)]
+                assert [eng.start_value(s) for s in range(n)] == naive, (out_mask, f)
+    assert states > 4000 and tight > 2000
 
 
 def test_engine_move_can_miss_the_threat():
@@ -311,22 +375,27 @@ def test_engine_searches_the_last_set_meeting_the_threat():
     # r leaves the same vertices protected and burnt, and if nothing is live
     # after it, {t, x} for another live x, or else {t', t} for another
     # threatened t', leaves at most r threatened next. So dropping it shows
-    # only in the states searched, and only when both bounds leave its child
+    # only in the states searched, and only when every bound leaves its child
     # open, which they do in none of the random digraphs above. Here 0
-    # points to 1, 2 and 3, vertices 1 and 2 to all of L2 (4 vertices), L2
-    # to all of L3 (4), and 3 to a fan F of 6 leaves, with ids L2, F, L3 in
-    # that order. At f = 2 the value from 0 is 6 and every earlier set leaves
-    # at least 6, so the child of {3, 17}, with 3 vertices burnt and L2 under
-    # threat, passes both bounds (3 < 6 and 3 + 4 - 2 < 6) and is searched;
-    # no other set reaches that state
-    l2, fan, l3 = 0b1111 << 4, 0b111111 << 8, 0b1111 << 14
-    out_mask = [0b1110, l2, l2, fan, *[l3] * 4, *[0] * 10]
+    # points to 1, 2 and 3, vertices 1 and 2 to all of L2 (4 vertices), 3 to
+    # a fan F of 6 leaves, and the i-th vertex of L2 to all of L3 (6
+    # vertices) but its i-th and (i + 1)-th, with ids L2, F, L3 in that
+    # order. At f = 2 the value from 0 is 6 and every earlier set leaves at
+    # least 6, so the child of {3, 19}, with 3 vertices burnt and L2 under
+    # threat, passes all three bounds: 3 < 6, 3 + 4 - 2 < 6, and 3 + 2 < 6
+    # for the two-round bound 4 - 2 + max(0, 5 - 3 - 2), which counts the
+    # three vertices of L3 - {19} with two in-neighbours in L2 as lost. No
+    # other set reaches that state
+    l2, fan = 0b1111 << 4, 0b111111 << 8
+    l3 = [1 << v for v in range(14, 20)]
+    out_mask = [0b1110, l2, l2, fan, *[sum(l3) - l3[i] - l3[i + 1] for i in range(4)], *[0] * 12]
     n = len(out_mask)
     eng = Engine(_out_map(out_mask), n, 2)
     assert eng.start_value(0) == 6
     live, threat = eng._burn(eng.full, 0, 1)
     assert (live, threat) == (eng.full - 1, 0b1110)
-    assert (l2 | l3 & ~(1 << 17), l2) in eng.memo
+    assert _two_round_bound(eng.outs, l2, sum(l3[:5]), 2) == 2
+    assert (l2 | sum(l3[:5]), l2) in eng.memo
     _assert_matches_reference(out_mask, n, 2)
 
 
@@ -422,7 +491,7 @@ _K5_BEST = [[0, 1], [0, 2], [3, 0], [4, 0], [1, 2], [1, 3], [4, 1], [2, 3], [2, 
 PINNED = {
     "grid3x4-undirected-f1": (
         lambda: solve_undirected(grid_rect(3, 4), 1),
-        _pinned("undirected", 1, 7, 4, 76, [3, 4, 3, 6, 7, 6, 6, 7, 6, 3, 4, 3], [
+        _pinned("undirected", 1, 7, 4, 59, [3, 4, 3, 6, 7, 6, 6, 7, 6, 3, 4, 3], [
             (1, "burn", [4]), (1, "protect", [7]), (2, "burn", [1, 3, 5]), (2, "protect", [6]),
             (3, "burn", [0, 2, 8]), (3, "protect", [11])]),
     ),
