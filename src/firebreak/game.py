@@ -70,6 +70,7 @@ class FireState:
     burnt: int
     protected: int
     last_burned: int
+    threat: int  # out-neighbours of the burnt set
 
     def free(self) -> int:
         """Vertices that may still be protected."""
@@ -77,19 +78,11 @@ class FireState:
 
     def frontier(self) -> int:
         """Unprotected unburnt out-neighbours of the burning set."""
-        om = self.orientation.out_mask
-        reach = 0
-        for v in bits(self.burnt):
-            reach |= om[v]
-        return reach & self.free()
+        return self.threat & self.free()
 
 
 class Strategy:
-    """Decision rule mapping a state to at most f protections.
-
-    Instances are single-use per simulation: subclasses may cache layerings
-    or scripts derived from the first state they see.
-    """
+    """Decision rule mapping a state to at most f protections."""
 
     name = "strategy"
 
@@ -139,7 +132,7 @@ def simulate(o: Orientation, start: int, f: int, strategy: Strategy) -> FireTrac
     while True:
         state = FireState(
             orientation=o, f=f, time=t, start=start,
-            burnt=burnt, protected=protected, last_burned=spread,
+            burnt=burnt, protected=protected, last_burned=spread, threat=threat,
         )
         chosen = list(strategy.decide(state))
         if len(chosen) > f:

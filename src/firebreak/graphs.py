@@ -177,7 +177,7 @@ class Orientation:
     dimensions) that scripted strategies rely on.
     """
 
-    __slots__ = ("graph", "arcs", "meta", "_out", "_out_mask", "_in_deg")
+    __slots__ = ("graph", "arcs", "meta", "_out_mask")
 
     def __init__(self, graph: Graph, arcs: Sequence[tuple[int, int]], meta: Optional[dict] = None):
         arcs = tuple((int(t), int(h)) for t, h in arcs)
@@ -190,9 +190,7 @@ class Orientation:
         self.graph = graph
         self.arcs = arcs
         self.meta = dict(meta) if meta else {}
-        self._out: Optional[list[list[int]]] = None
         self._out_mask: Optional[list[int]] = None
-        self._in_deg: Optional[list[int]] = None
 
     @classmethod
     def _from_valid(cls, graph: Graph, arcs: tuple[tuple[int, int], ...]) -> "Orientation":
@@ -207,9 +205,7 @@ class Orientation:
         o.graph = graph
         o.arcs = arcs
         o.meta = {}
-        o._out = None
         o._out_mask = None
-        o._in_deg = None
         return o
 
     @property
@@ -217,16 +213,8 @@ class Orientation:
         return self.graph.n
 
     @property
-    def out(self) -> list[list[int]]:
-        if self._out is None:
-            out: list[list[int]] = [[] for _ in range(self.graph.n)]
-            for t, h in self.arcs:
-                out[t].append(h)
-            self._out = out
-        return self._out
-
-    @property
     def out_mask(self) -> list[int]:
+        """Out-neighbourhood bitmasks (parallel arcs collapse)."""
         if self._out_mask is None:
             om = [0] * self.graph.n
             for t, h in self.arcs:
@@ -235,18 +223,18 @@ class Orientation:
         return self._out_mask
 
     def out_degree(self, v: int) -> int:
-        return len(self.out[v])
+        """Arcs leaving v, parallel arcs included."""
+        return sum(t == v for t, _ in self.arcs)
 
     def in_degree(self, v: int) -> int:
-        if self._in_deg is None:
-            ind = [0] * self.graph.n
-            for _, h in self.arcs:
-                ind[h] += 1
-            self._in_deg = ind
-        return self._in_deg[v]
+        """Arcs entering v, parallel arcs included."""
+        return sum(h == v for _, h in self.arcs)
 
     def max_out_degree(self) -> int:
-        return max((len(o) for o in self.out), default=0)
+        deg = [0] * self.graph.n
+        for t, _ in self.arcs:
+            deg[t] += 1
+        return max(deg, default=0)
 
     def direction_bits(self) -> int:
         """Bitmask with bit i set when edge i runs higher id to lower id."""

@@ -372,10 +372,12 @@ def _subcubic_arcs(g: Graph) -> tuple[list, list]:
         matching = perfect_matching(multi, must_include=must)
         if matching is None:
             raise GraphError("no perfect matching in a bridgeless cubic component")
-        matched = set(matching)
-        factor = [t for t in range(multi.m) if t not in matched]
-        for t, tail, _ in _directed_two_factor(multi, factor):
-            _write_thread(threads[t], ends[tail], arcs, labels, "cycle")
+        # the unmatched threads form a 2-factor: write it one cycle at a time
+        factor = set(range(multi.m)).difference(matching)
+        while factor:
+            for t, tail, _ in _find_cycle(multi, factor):
+                _write_thread(threads[t], ends[tail], arcs, labels, "cycle")
+                factor.discard(t)
         for t in matching:
             path, _ = threads[t]
             _write_thread(threads[t], min(path[0], path[-1]), arcs, labels, "path")
@@ -403,31 +405,6 @@ def _threads(g: Graph, ends: list[int], deg: list[int], bridge_set: set[int]):
             used.update(edges)
             threads.append((path, edges))
     return threads
-
-
-def _directed_two_factor(reduced: Graph, factor: list[int]):
-    """Walk the 2-factor edges as directed steps (edge index, tail, head)."""
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(reduced.n)]
-    for i in factor:
-        u, v = reduced.edges[i]
-        inc[u].append((v, i))
-        inc[v].append((u, i))
-    used: set[int] = set()
-    steps = []
-    for start in range(reduced.n):
-        for w0, e0 in inc[start]:
-            if e0 in used:
-                continue
-            used.add(e0)
-            steps.append((e0, start, w0))
-            cur, prev = w0, e0
-            while cur != start:
-                nxt = next((x, i) for x, i in inc[cur] if i not in used and i != prev)
-                used.add(nxt[1])
-                steps.append((nxt[1], cur, nxt[0]))
-                cur, prev = nxt[0], nxt[1]
-            break
-    return steps
 
 
 def _write_thread(thread, tail: int, arcs: list, labels: list, label: str) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import GraphError, Orientation, bits, distances, popcount
+from .graphs import GraphError, Orientation, bits, mask_of, popcount
 from .game import FireState, ScriptedStrategy, Strategy
 
 
@@ -28,60 +28,70 @@ def _meta_field(o: Orientation, field: str, kind: type):
     return value
 
 
+def _greedy(state: FireState) -> list[int]:
+    """The f frontier vertices with the largest unprotected out-reach, lowest
+    id first among ties."""
+    om = state.orientation.out_mask
+    free = state.free()
+    ranked = sorted(bits(state.frontier()), key=lambda v: (-popcount(om[v] & free), v))
+    return ranked[: state.f]
+
+
 class GreedyOutdeg(Strategy):
     """Protect frontier vertices with the largest unprotected out-reach."""
 
     name = "greedy-outdeg"
 
     def decide(self, state: FireState) -> list[int]:
-        frontier = state.frontier()
-        if not frontier:
-            return []
-        om = state.orientation.out_mask
-        free = state.free()
-        ranked = sorted(bits(frontier), key=lambda v: (-popcount(om[v] & free), v))
-        return ranked[: state.f]
+        return _greedy(state)
 
 
-class _ScriptOnFirstCall(Strategy):
-    """Base for strategies that build a script once the start is known."""
+def _layer(o: Orientation, source: int, d: int) -> list[int]:
+    """The vertices at distance exactly d from ``source`` along the arcs, in
+    ascending id; the bitmask BFS stops at depth d."""
+    om = o.out_mask
+    seen = layer = 1 << source
+    for _ in range(d):
+        reach = 0
+        for v in bits(layer):
+            reach |= om[v]
+        layer = reach & ~seen
+        seen |= layer
+    return list(bits(layer))
 
-    def __init__(self):
-        self._script: Optional[dict[int, list[int]]] = None
-        self._fallback: Optional[Strategy] = None
+
+class _ScriptFromStart(Strategy):
+    """Base for strategies that play a script fixed by the orientation, the
+    start and f, which stay the same for a whole game; ``build`` returns the
+    script, or at least its entry for ``state.time``, or None where the
+    script does not apply, and the greedy rule plays instead. The script is
+    built again on each call, so no state outlives a call."""
 
     def build(self, state: FireState) -> Optional[dict[int, list[int]]]:
         raise NotImplementedError
 
     def decide(self, state: FireState) -> list[int]:
-        if self._fallback is not None:
-            return self._fallback.decide(state)
-        if self._script is None:
-            self._script = self.build(state)
-            if self._script is None:
-                self._fallback = GreedyOutdeg()
-                return self._fallback.decide(state)
+        script = self.build(state)
+        if script is None:
+            return _greedy(state)
         chosen = [
-            v for v in self._script.get(state.time, [])
+            v for v in script.get(state.time, [])
             if not ((state.burnt | state.protected) >> v) & 1
         ]
         return chosen[: state.f]
 
 
-class LayerStrategy(_ScriptOnFirstCall):
+class LayerStrategy(_ScriptFromStart):
     """Protect one vertex at distance t from the start at each time t, which
     saves at least ecc(start) vertices overall."""
 
     name = "layer"
 
     def build(self, state):
-        layers: dict[float, list[int]] = {}
-        for v, d in enumerate(distances(state.orientation, state.start)):
-            layers.setdefault(d, []).append(v)
-        return layers
+        return {state.time: _layer(state.orientation, state.start, state.time)}
 
 
-class CompleteCyclic(_ScriptOnFirstCall):
+class CompleteCyclic(_ScriptFromStart):
     """The three-wave blocking schedule for the cyclic tournament on K_n.
 
     With h = (n-1)/2 outgoing arcs per vertex, protect the top f consecutive
@@ -129,7 +139,7 @@ class CompleteCyclic(_ScriptOnFirstCall):
         }
 
 
-class KTreeAnticipate(_ScriptOnFirstCall):
+class KTreeAnticipate(_ScriptFromStart):
     """Protect the burn wave that is ceil(k/f) units away instead of the
     vertices next to the fire; by the time that wave is reached it is fully
     protected and the fire dies against it."""
@@ -141,8 +151,7 @@ class KTreeAnticipate(_ScriptOnFirstCall):
             return None
         k = _meta_field(state.orientation, "k", int)
         arrival = -(-k // state.f)  # ceil(k/f)
-        dist = distances(state.orientation, state.start)
-        wave = [v for v in range(state.orientation.n) if dist[v] == arrival]
+        wave = _layer(state.orientation, state.start, arrival)
         # each time protects at least one vertex of the wave until none is free
         return {t: wave for t in range(1, len(wave) + 1)}
 
@@ -153,30 +162,28 @@ class SubcubicBlock(Strategy):
 
     name = "subcubic"
 
-    def __init__(self):
-        self._fallback: Optional[Strategy] = None
-
     def decide(self, state: FireState) -> list[int]:
-        if self._fallback is None and state.orientation.meta.get("labels") is None:
-            self._fallback = GreedyOutdeg()
-        if self._fallback is not None:
-            return self._fallback.decide(state)
         o = state.orientation
-        labels = _meta_field(o, "labels", list)
+        if o.meta.get("labels") is None:
+            return _greedy(state)
         free = state.free()
         if state.time == 1:
-            outs = [h for h in o.out[state.start] if (free >> h) & 1]
-            if len(outs) <= state.f:
-                return sorted(outs)
-            cycle_heads = [
-                h for (t, h), label in zip(o.arcs, labels)
-                if t == state.start and label == "cycle" and (free >> h) & 1
-            ]
-            return sorted(cycle_heads)[: state.f] or sorted(outs)[: state.f]
+            labels = _meta_field(o, "labels", list)
+            if len(labels) != len(o.arcs) or not set(map(type, labels)) <= {str}:
+                raise GraphError(
+                    f"orientation meta of scheme {o.meta.get('scheme')!r} needs one string per arc in 'labels'"
+                )
+            outs = o.out_mask[state.start] & free
+            if popcount(outs) <= state.f:
+                return list(bits(outs))
+            cycle_heads = mask_of(
+                h for (t, h), label in zip(o.arcs, labels) if t == state.start and label == "cycle"
+            )
+            return list(bits(cycle_heads & free))[: state.f] or list(bits(outs))[: state.f]
         targets = 0
         for v in bits(state.last_burned):
             targets |= o.out_mask[v]
-        return sorted(bits(targets & free))[: state.f]
+        return list(bits(targets & free))[: state.f]
 
 
 class BipartiteBlock(Strategy):
@@ -185,18 +192,14 @@ class BipartiteBlock(Strategy):
 
     name = "bipartite"
 
-    def __init__(self):
-        self._greedy = GreedyOutdeg()
-
     def decide(self, state: FireState) -> list[int]:
         if state.time == 1:
-            free = state.free()
-            outs = [h for h in state.orientation.out[state.start] if (free >> h) & 1]
-            return sorted(outs)[: state.f]
-        return self._greedy.decide(state)
+            outs = state.orientation.out_mask[state.start] & state.free()
+            return list(bits(outs))[: state.f]
+        return _greedy(state)
 
 
-class GridRect(_ScriptOnFirstCall):
+class GridRect(_ScriptFromStart):
     """Steer the fire of a rectangular grid into the first protected vertex:
     block the row arc, then the column arc two ahead, then the row arc of the
     third burning vertex, whose column arc points at the first block."""
@@ -212,10 +215,10 @@ class GridRect(_ScriptOnFirstCall):
         start = state.start
 
         def row_out(v):
-            return next((x for x in o.out[v] if x // w == v // w), None)
+            return next((x for x in bits(o.out_mask[v]) if x // w == v // w), None)
 
         def col_out(v):
-            return next((x for x in o.out[v] if x % w == v % w), None)
+            return next((x for x in bits(o.out_mask[v]) if x % w == v % w), None)
 
         h1 = row_out(start)
         v1 = col_out(start)
@@ -231,7 +234,7 @@ class GridRect(_ScriptOnFirstCall):
         return {1: [h1], 2: [v2], 3: [x2]}
 
 
-class GridTri(_ScriptOnFirstCall):
+class GridTri(_ScriptFromStart):
     """Triangular grid schedule: block the row arc, then outrun the burning
     pairs in the two sink rows one step ahead of their spread."""
 

@@ -284,6 +284,10 @@ def test_malformed_meta_exit_two(tmp_path, capsys, payload, message):
     ("grid-rect", {"scheme": "grid-rect", "h": 2}, "scheme 'grid-rect' needs a positive integer 'w'"),
     ("grid-tri", {"scheme": "grid-tri", "w": 2}, "scheme 'grid-tri' needs a positive integer 'h'"),
     ("subcubic", {"scheme": "subcubic", "labels": 5}, "scheme 'subcubic' needs a list 'labels'"),
+    ("subcubic", {"scheme": "subcubic", "labels": []}, "scheme 'subcubic' needs one string per arc in 'labels'"),
+    ("subcubic", {"scheme": "subcubic", "labels": ["cycle"] * 40},
+     "scheme 'subcubic' needs one string per arc in 'labels'"),
+    ("subcubic", {"scheme": "subcubic", "labels": [1]}, "scheme 'subcubic' needs one string per arc in 'labels'"),
 ])
 def test_strategy_meta_missing_field_exit_two(tmp_path, capsys, strategy, meta, message):
     ofile = tmp_path / "meta.o"

@@ -84,8 +84,12 @@ def test_strategies_never_beat_solver():
             assert simulate(o, s, 1, make_strategy(name)).burned >= best[s]
 
 
-def test_replay_round_trip_all_registry_strategies():
-    orientations = [
+def _registry_strategy(name):
+    return make_strategy(name, script={}) if name == "scripted" else make_strategy(name)
+
+
+def _scheme_orientations():
+    return [
         orient_complete(6),
         orient_subcubic(petersen()),
         orient_bipartite(complete_bipartite(3, 4)),
@@ -93,12 +97,46 @@ def test_replay_round_trip_all_registry_strategies():
         orient_grid("rect", 5, 5),
         orient_grid("tri", 5, 5),
     ]
-    for o in orientations:
+
+
+def test_replay_round_trip_all_registry_strategies():
+    for o in _scheme_orientations():
         for name in STRATEGIES:
             for start in range(0, o.n, 3):
-                strat = make_strategy(name, script={}) if name == "scripted" else make_strategy(name)
-                trace = simulate(o, start, 1, strat)
+                trace = simulate(o, start, 1, _registry_strategy(name))
                 assert replay(o, trace).valid, (name, start)
+
+
+def test_one_instance_plays_every_start_like_fresh_ones():
+    # strategies keep no state between calls, so one instance serves any
+    # number of games: played from every start in turn, it gives the traces
+    # of a fresh instance per start
+    for o in _scheme_orientations() + [orient_complete(9), orient_grid("rect", 9, 9)]:
+        for name in STRATEGIES:
+            shared = _registry_strategy(name)
+            for f in (1, 2):
+                for start in range(o.n):
+                    reused = simulate(o, start, f, shared).to_json_obj()
+                    fresh = simulate(o, start, f, _registry_strategy(name)).to_json_obj()
+                    assert reused == fresh, (o.meta["scheme"], name, f, start)
+
+
+def test_strategies_on_parallel_arcs():
+    # out-neighbourhoods are sets: a head reached by two parallel arcs is
+    # protected once, while the degree counts keep both arcs
+    doubled = Orientation(Graph(3, [(0, 1), (0, 1), (1, 2)]), [(0, 1), (0, 1), (1, 2)])
+    subcubic = orient_subcubic(Graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)]))
+    for o in (doubled, subcubic):
+        for name in STRATEGIES:
+            for f in (1, 2, 3):
+                for start in range(o.n):
+                    trace = simulate(o, start, f, _registry_strategy(name))
+                    assert replay(o, trace).valid, (name, f, start)
+    assert [doubled.out_degree(v) for v in range(3)] == [2, 1, 0]
+    assert [doubled.in_degree(v) for v in range(3)] == [0, 2, 1]
+    assert doubled.max_out_degree() == 2
+    assert sum(subcubic.out_degree(v) for v in range(4)) == 5
+    assert subcubic.max_out_degree() == max(subcubic.out_degree(v) for v in range(4))
 
 
 def test_monotone_burning():

@@ -141,7 +141,7 @@ def test_bipartite_rejects_odd_clique():
 def _longest_directed_path(o):
     @functools.lru_cache(None)
     def lp(v):
-        return max((1 + lp(w) for w in o.out[v]), default=0)
+        return max((1 + lp(w) for w in bits(o.out_mask[v])), default=0)
 
     return max(lp(v) for v in range(o.n))
 
@@ -246,7 +246,7 @@ def test_ktree_fan_outdegrees():
     info = ktree_structure(g, 2)
     for u, clique in info.order:
         assert o.out_degree(u) == 2
-        assert set(o.out[u]) == set(clique)
+        assert set(bits(o.out_mask[u])) == set(clique)
 
 
 def test_ktree_three_tree_root_clique():
@@ -407,7 +407,7 @@ def test_bounded_five_regular_layer_sinks():
     rank = {v: i for i, v in enumerate(o.meta["sinks"])}
     for x in o.meta["sinks"]:
         # arcs leave a peeled vertex only towards earlier-peeled vertices
-        assert all(h in rank and rank[h] < rank[x] for h in o.out[x])
+        assert all(h in rank and rank[h] < rank[x] for h in bits(o.out_mask[x]))
 
 
 def test_bounded_rejects_excess_degree():
@@ -429,7 +429,7 @@ def test_grid_tri_sink_rows():
     o = orient_grid("tri", 9, 9)
     for v in range(o.n):
         if (v // 9) % 2 == 0:
-            assert all(w == v + 1 for w in o.out[v])
+            assert all(w == v + 1 for w in bits(o.out_mask[v]))
 
 
 def test_grid_hex_subcubic():
