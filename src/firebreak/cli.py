@@ -14,7 +14,7 @@ import sys
 
 from . import families as gen
 from .bounds import bound_report
-from .game import StrategyFault, replay, simulate
+from .game import replay, simulate
 from .graphs import (
     Graph,
     GraphError,
@@ -25,7 +25,7 @@ from .graphs import (
     write_orientation,
 )
 from .orient import RECIPES
-from .solve import SolverLimitError, solve_best_orientation, solve_orientation, solve_undirected
+from .solve import solve_best_orientation, solve_orientation, solve_undirected
 from .strategies import STRATEGIES
 from .verify import SUITES, run_suite
 
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, SolverLimitError, StrategyFault, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -84,16 +84,12 @@ class FireState:
 class Strategy:
     """Decision rule mapping a state to at most f protections."""
 
-    name = "strategy"
-
     def decide(self, state: FireState) -> list[int]:
         raise NotImplementedError
 
 
 class ScriptedStrategy(Strategy):
     """Explicit per-time protect sets."""
-
-    name = "scripted"
 
     def __init__(self, script: dict[int, list[int]]):
         if not isinstance(script, dict):

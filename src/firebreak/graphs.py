@@ -445,22 +445,30 @@ def _neighbourhoods(obj: Graph | Orientation) -> list[int]:
     return obj.out_mask if isinstance(obj, Orientation) else obj.adj_mask
 
 
+def layers(nbr: list[int], seen: int) -> Iterator[int]:
+    """Breadth-first search from the vertex bitmask ``seen`` along the
+    neighbourhood masks ``nbr``: yields ``seen``, then each layer of vertices
+    first reached from the one before, as bitmasks, until a layer is empty.
+    The next layer is only searched once the consumer asks for it."""
+    layer = seen
+    while layer:
+        yield layer
+        reach = 0
+        while layer:
+            low = layer & -layer
+            reach |= nbr[low.bit_length() - 1]
+            layer ^= low
+        layer = reach & ~seen
+        seen |= layer
+
+
 def distances(obj: Graph | Orientation, source: int) -> list[float]:
     """BFS distances from ``source`` along the edges of a graph or the arcs of
     an orientation; inf where a vertex is unreachable."""
     nbr = _neighbourhoods(obj)
     dist: list[float] = [INF] * len(nbr)
-    dist[source] = 0
-    seen = frontier = 1 << source
-    d = 0
-    while frontier:
-        d += 1
-        reach = 0
-        for v in bits(frontier):
-            reach |= nbr[v]
-        frontier = reach & ~seen
-        seen |= frontier
-        for v in bits(frontier):
+    for d, layer in enumerate(layers(nbr, 1 << source)):
+        for v in bits(layer):
             dist[v] = d
     return dist
 
@@ -485,9 +493,9 @@ def components(nbr: list[int], alive: int) -> list[int]:
 def radius(obj: Graph | Orientation) -> float:
     """The least eccentricity over all sources, 0 with at most one vertex. A
     source's eccentricity is the largest of its ``distances``, inf when it
-    misses a vertex. One bitmask BFS per source, dropped once it has gone one
-    layer short of the least eccentricity so far without reaching every
-    vertex, since it can no longer beat it.
+    misses a vertex. One search of ``layers`` per source, dropped once it has
+    gone one layer short of the least eccentricity so far without reaching
+    every vertex, since it can no longer beat it.
 
     A vertex that no arc enters is reached from no other vertex, so two of
     them make every eccentricity infinite, and one of them is the only
@@ -506,24 +514,60 @@ def radius(obj: Graph | Orientation) -> float:
         return INF
     best = INF
     for s in bits(sources or full):
-        seen = frontier = 1 << s
-        depth = 0
-        while frontier and seen != full and depth < best - 1:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= nbr[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-            depth += 1
-        if seen == full:
-            best = depth
+        seen = 0
+        for depth, layer in enumerate(layers(nbr, 1 << s)):
+            seen |= layer
+            if seen == full:
+                best = depth
+                break
+            if depth >= best - 1:
+                break
     return best
 
 
 # ---------------------------------------------------------------------------
-# bridges
+# depth-first search and bridges
+
+
+def dfs(g: Graph, usable=None) -> Iterator[tuple[str, int, int, int]]:
+    """Depth-first search over the edges of ``g`` whose indices are in
+    ``usable`` (all edges when None), as (kind, v, w, i) events about vertex
+    w and the edge i joining it to v.
+
+    Each vertex not yet reached becomes a root, in ascending id: ("root", -1,
+    w, -1). From v the search takes v's incidences (w, i) in edge-index order
+    (``g.adj``), skipping the edge that reached v. It yields ("tree", v, w, i)
+    and enters w when w is new, else ("back", v, w, i): w is then an ancestor
+    still on the path or a descendant already done. Once w's incidences are
+    spent it yields ("done", v, w, i) for the edge that reached w, and goes
+    back to v. Its own stack of incidence iterators keeps any depth clear of
+    Python's recursion limit.
+    """
+    adj = g.adj
+    if usable is None:
+        usable = range(g.m)
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        yield "root", -1, root, -1
+        stack = [(-1, root, -1, iter(adj[root]))]
+        while stack:
+            p, v, in_edge, inc = stack[-1]
+            for w, i in inc:
+                if i == in_edge or i not in usable:
+                    continue
+                if seen[w]:
+                    yield "back", v, w, i
+                else:
+                    seen[w] = True
+                    yield "tree", v, w, i
+                    stack.append((v, w, i, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                yield "done", p, v, in_edge
 
 
 def bridges(g: Graph) -> tuple[set[int], list[int]]:
@@ -532,44 +576,25 @@ def bridges(g: Graph) -> tuple[set[int], list[int]]:
     An edge is a bridge when its removal disconnects its component; parallel
     edges are never bridges. Components are returned as vertex bitmasks and
     partition V after the bridges are deleted.
+
+    Low-links come from ``dfs``: w's low is the least discovery time its
+    subtree reaches by an edge other than the tree edge v-w, which is a bridge
+    when w's low is above v's discovery time.
     """
-    n = g.n
-    adj = g.adj
-    visited = [False] * n
-    disc = [0] * n
-    low = [0] * n
+    disc = [0] * g.n
+    low = [0] * g.n
     bridge_set: set[int] = set()
-    timer = 1
-    for root in range(n):
-        if visited[root]:
-            continue
-        # iterative DFS tracking the edge used to enter each vertex
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        visited[root] = True
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, in_edge, idx = stack[-1]
-            if idx < len(adj[v]):
-                stack[-1] = (v, in_edge, idx + 1)
-                w, eidx = adj[v][idx]
-                if eidx == in_edge:
-                    continue
-                if visited[w]:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    visited[w] = True
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, eidx, 0))
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] > disc[p]:
-                        bridge_set.add(in_edge)
-    # components of G minus bridges
+    timer = 0
+    for kind, v, w, i in dfs(g):
+        if kind == "back":
+            low[v] = min(low[v], disc[w])
+        elif kind != "done":  # w is new
+            timer += 1
+            disc[w] = low[w] = timer
+        elif v >= 0:
+            low[v] = min(low[v], low[w])
+            if low[w] > disc[v]:
+                bridge_set.add(i)
     keep = [(u, v) for i, (u, v) in enumerate(g.edges) if i not in bridge_set]
-    comps = Graph(n, keep).components() if n else []
+    comps = Graph(g.n, keep).components() if g.n else []
     return bridge_set, comps

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graphs import Graph, GraphError, Orientation, bits, bridges
+from .graphs import Graph, GraphError, Orientation, bits, bridges, dfs
 from . import families as gen
 from .structure import (
     _oneway_side,
@@ -70,42 +70,22 @@ def _orient_forest_edges(g: Graph, edge_subset, arcs, roots: Optional[int] = Non
 
 def _find_cycle(g: Graph, alive: set[int]):
     """A cycle within the given edge indices, as (edge index, tail, head)
-    triples following the cycle, or None. Deterministic in id order."""
-    state = [0] * g.n
-    parent_edge = [-1] * g.n
-    parent_vtx = [-1] * g.n
-    for s in range(g.n):
-        if state[s]:
-            continue
-        state[s] = 1
-        stack = [(s, 0)]
-        while stack:
-            v, idx = stack[-1]
-            advanced = False
-            while idx < len(g.adj[v]):
-                w, ei = g.adj[v][idx]
-                idx += 1
-                if ei not in alive or ei == parent_edge[v]:
-                    continue
-                if state[w] == 1:
-                    cycle = [(ei, v, w)]
-                    x = v
-                    while x != w:
-                        cycle.append((parent_edge[x], parent_vtx[x], x))
-                        x = parent_vtx[x]
-                    cycle.reverse()
-                    return cycle
-                if state[w] == 0:
-                    state[w] = 1
-                    parent_edge[w] = ei
-                    parent_vtx[w] = v
-                    stack[-1] = (v, idx)
-                    stack.append((w, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
+    triples following the cycle, or None. Deterministic in id order: the
+    first ``dfs`` edge back to a vertex still on the path closes the cycle."""
+    reached_by: list = [None] * g.n  # (vertex, edge) into each vertex on the path
+    for kind, v, w, i in dfs(g, alive):
+        if kind == "done":
+            reached_by[w] = None
+        elif kind != "back":
+            reached_by[w] = (v, i)
+        elif reached_by[w]:
+            cycle = [(i, v, w)]
+            while v != w:
+                u, e = reached_by[v]
+                cycle.append((e, u, v))
+                v = u
+            cycle.reverse()
+            return cycle
     return None
 
 

@@ -223,7 +223,6 @@ class Engine:
 
     def __init__(self, out: dict[int, int], n: int, f: int, cap: Optional[int] = None):
         self.outs = out.copy()
-        self.n = n
         self.f = f
         self.cap = n if cap is None else cap
         self.full = (1 << n) - 1
@@ -478,7 +477,10 @@ def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameV
     t0 = time.perf_counter()
     eng = Engine(_out_map(out_mask), n, f)
     starts = [start] if start is not None else range(n)
-    per_start = {s: eng.start_value(s) for s in starts}
+    try:
+        per_start = {s: eng.start_value(s) for s in starts}
+    except RecursionError:
+        raise SolverLimitError(f"the search on {n} vertices ran past Python's recursion limit") from None
     beta, witness, trace = _optimal_play(eng, per_start, want_trace)
     return GameValue(
         beta=beta, f=f, mode=mode, exact=True,
@@ -656,17 +658,20 @@ def solve_best_orientation(
     if budget_ms is not None and not budget_ms >= 0:
         raise GraphError(f"budget_ms must be non-negative, got {budget_ms}")
     t0 = time.perf_counter()
-    arcs, eng, values, leaves = _scan_orientations(g, f, density_floor(g, f), budget_ms)
-    exact = eng is not None
-    if exact:
-        witness = Orientation._from_valid(g, arcs)
-        # the leaf solved every start below its cap: reorder, do not re-solve
-        per_start = {s: values[s] for s in range(g.n)}
-    else:
-        witness = orientation_from_bits(g, 0)
-        eng = Engine(_out_map(witness.out_mask), g.n, f)
-        leaves += 1
-        per_start = {s: eng.start_value(s) for s in range(g.n)}
+    try:
+        arcs, eng, values, leaves = _scan_orientations(g, f, density_floor(g, f), budget_ms)
+        exact = eng is not None
+        if exact:
+            witness = Orientation._from_valid(g, arcs)
+            # the leaf solved every start below its cap: reorder, do not re-solve
+            per_start = {s: values[s] for s in range(g.n)}
+        else:
+            witness = orientation_from_bits(g, 0)
+            eng = Engine(_out_map(witness.out_mask), g.n, f)
+            leaves += 1
+            per_start = {s: eng.start_value(s) for s in range(g.n)}
+    except RecursionError:
+        raise SolverLimitError(f"the scan over {g.m} edges ran past Python's recursion limit") from None
     beta, start, trace = _optimal_play(eng, per_start, want_trace)
     return GameValue(
         beta=beta, f=f, mode="best", exact=exact,

@@ -7,9 +7,10 @@ orientation it degrades to the greedy baseline.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
-from .graphs import GraphError, Orientation, bits, mask_of, popcount
+from .graphs import GraphError, Orientation, bits, layers, mask_of, popcount
 from .game import FireState, ScriptedStrategy, Strategy
 
 
@@ -40,24 +41,14 @@ def _greedy(state: FireState) -> list[int]:
 class GreedyOutdeg(Strategy):
     """Protect frontier vertices with the largest unprotected out-reach."""
 
-    name = "greedy-outdeg"
-
     def decide(self, state: FireState) -> list[int]:
         return _greedy(state)
 
 
 def _layer(o: Orientation, source: int, d: int) -> list[int]:
     """The vertices at distance exactly d from ``source`` along the arcs, in
-    ascending id; the bitmask BFS stops at depth d."""
-    om = o.out_mask
-    seen = layer = 1 << source
-    for _ in range(d):
-        reach = 0
-        for v in bits(layer):
-            reach |= om[v]
-        layer = reach & ~seen
-        seen |= layer
-    return list(bits(layer))
+    ascending id; the search of ``layers`` stops at depth d."""
+    return list(bits(next(islice(layers(o.out_mask, 1 << source), d, None), 0)))
 
 
 class _ScriptFromStart(Strategy):
@@ -85,8 +76,6 @@ class LayerStrategy(_ScriptFromStart):
     """Protect one vertex at distance t from the start at each time t, which
     saves at least ecc(start) vertices overall."""
 
-    name = "layer"
-
     def build(self, state):
         return {state.time: _layer(state.orientation, state.start, state.time)}
 
@@ -100,14 +89,16 @@ class CompleteCyclic(_ScriptFromStart):
     how f compares with h/2 and h.
     """
 
-    name = "complete-cyclic"
-
     def build(self, state):
-        meta = state.orientation.meta
-        if meta.get("scheme") != "complete":
+        o = state.orientation
+        if o.meta.get("scheme") != "complete":
             return None
-        order = list(_meta_field(state.orientation, "order", list))
-        sink = meta.get("sink")
+        order = list(_meta_field(o, "order", list))
+        if not (all(type(v) is int for v in order) and sorted(order) == list(range(o.n))):
+            raise GraphError("orientation meta of scheme 'complete' needs each vertex once in 'order'")
+        sink = o.meta.get("sink")
+        if sink is not None and sink not in order:
+            raise GraphError("orientation meta of scheme 'complete' needs a vertex or null as 'sink'")
         f = state.f
         start = state.start
         if sink is not None:
@@ -144,8 +135,6 @@ class KTreeAnticipate(_ScriptFromStart):
     vertices next to the fire; by the time that wave is reached it is fully
     protected and the fire dies against it."""
 
-    name = "ktree-anticipate"
-
     def build(self, state):
         if state.orientation.meta.get("scheme") != "ktree":
             return None
@@ -159,8 +148,6 @@ class KTreeAnticipate(_ScriptFromStart):
 class SubcubicBlock(Strategy):
     """Block the outgoing cycle arc first; the path or bridge arc then leads
     to a vertex of outdegree at most one, which is blocked next."""
-
-    name = "subcubic"
 
     def decide(self, state: FireState) -> list[int]:
         o = state.orientation
@@ -190,8 +177,6 @@ class BipartiteBlock(Strategy):
     """Protect f out-neighbours of the start; on the one-way orientation the
     remaining out-neighbours are sinks."""
 
-    name = "bipartite"
-
     def decide(self, state: FireState) -> list[int]:
         if state.time == 1:
             outs = state.orientation.out_mask[state.start] & state.free()
@@ -203,8 +188,6 @@ class GridRect(_ScriptFromStart):
     """Steer the fire of a rectangular grid into the first protected vertex:
     block the row arc, then the column arc two ahead, then the row arc of the
     third burning vertex, whose column arc points at the first block."""
-
-    name = "grid-rect"
 
     def build(self, state):
         meta = state.orientation.meta
@@ -237,8 +220,6 @@ class GridRect(_ScriptFromStart):
 class GridTri(_ScriptFromStart):
     """Triangular grid schedule: block the row arc, then outrun the burning
     pairs in the two sink rows one step ahead of their spread."""
-
-    name = "grid-tri"
 
     def build(self, state):
         meta = state.orientation.meta

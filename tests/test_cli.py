@@ -194,6 +194,10 @@ def test_malformed_input_exit_two(tmp_path, capsys):
     (["bounds", "--family", "complete", "--n", "4", "--k", "0"], "k must be at least 1"),
     (["bounds", "--family", "complete", "--n", "4", "--k", "-3"], "k must be at least 1"),
     (["generate", "--family", "random_regular", "--n", "0", "--d", "-1"], "d-regular graph needs d >= 0"),
+    (["orient", "--recipe", "colouring", "--family", "random_regular", "--n", "60", "--d", "5", "--k", "3"],
+     "exact colouring gave up after 100000 steps on 60 vertices"),
+    (["solve-best", "--family", "path", "--n", "990", "--max-edges", "5000"],
+     "the scan over 989 edges ran past Python's recursion limit"),
 ])
 def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     ofile = tmp_path / "k4.o"
@@ -245,6 +249,15 @@ def test_large_hex_grid_recipe_ends_without_a_traceback(capsys):
         assert captured.out.startswith("# meta ")
 
 
+def test_colouring_recipe_on_a_long_path_exits_zero(capsys):
+    # one colouring search position per vertex, past Python's default
+    # recursion limit of 1,000
+    code = main(["orient", "--recipe", "colouring", "--family", "path", "--n", "1500", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.startswith("# meta ")
+
+
 @pytest.mark.parametrize("script, message", [
     ("[1, 2]", "a script maps times to lists of vertices"),
     ("null", "a script maps times to lists of vertices"),
@@ -288,10 +301,18 @@ def test_malformed_meta_exit_two(tmp_path, capsys, payload, message):
     ("subcubic", {"scheme": "subcubic", "labels": ["cycle"] * 40},
      "scheme 'subcubic' needs one string per arc in 'labels'"),
     ("subcubic", {"scheme": "subcubic", "labels": [1]}, "scheme 'subcubic' needs one string per arc in 'labels'"),
+    ("complete-cyclic", {"scheme": "complete", "order": [5]}, "scheme 'complete' needs each vertex once in 'order'"),
+    ("complete-cyclic", {"scheme": "complete", "n": 3, "order": [0, 0, 1]},
+     "scheme 'complete' needs each vertex once in 'order'"),
+    ("complete-cyclic", {"scheme": "complete", "n": 4, "order": [0, 1, 2, 3], "sink": 9},
+     "scheme 'complete' needs a vertex or null as 'sink'"),
 ])
 def test_strategy_meta_missing_field_exit_two(tmp_path, capsys, strategy, meta, message):
+    # the orientation is K_n for the meta's n, K2 without one
+    n = meta.get("n", 2)
+    arcs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     ofile = tmp_path / "meta.o"
-    ofile.write_text(f"# meta {json.dumps(meta)}\no 2 1\na 0 1\n")
+    ofile.write_text(f"# meta {json.dumps(meta)}\no {n} {len(arcs)}\n" + "".join(f"a {u} {v}\n" for u, v in arcs))
     argv = ["simulate", "--in", str(ofile), "--start", "0", "--strategy", strategy]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -21,7 +21,7 @@ from firebreak.families import (
     random_tree,
     star,
 )
-from firebreak.graphs import Graph, GraphError, bits, mask_of, write_orientation
+from firebreak.graphs import Graph, GraphError, bits, bridges, mask_of, write_orientation
 from firebreak.orient import (
     apply_recipe,
     orient_bipartite,
@@ -308,6 +308,26 @@ def test_subcubic_orientations_pinned():
     )
     assert digest(orient_grid("hex", w, h) for w, h in ((4, 4), (5, 7), (9, 9))) == (
         "a8651b02b87894184e714334f57af3d198e6204d6c86d32637c1805e7b7ace2f"
+    )
+
+
+def test_cycle_peeling_orientations_and_bridges_pinned():
+    # the orientation files of the two cycle-peeling constructions and the
+    # output of bridges, frozen while each walk still kept its own stack
+    multigraphs = [Graph(3, [(0, 1), (0, 1), (1, 2)]), Graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])]
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    graphs += [random_regular(n, d, s) for d in (3, 4, 5) for n in (10, 12, 16, 20) for s in range(3)]
+    graphs += multigraphs
+    assert len(graphs) == 810
+    assert digest(orient_half(g) for g in graphs) == (
+        "06f55bc81e97768b10af6cea972b520df31efffa7e352f5879db394fe3b20346"
+    )
+    assert digest(orient_unicyclic(g) for g in graphs if g.m <= g.n) == (
+        "e36e71ce25b03c0ba5e984f4b7b7ef06af079bb5e04517390daa7f34e4167cfb"
+    )
+    text = "".join(f"{sorted(found)} {comps}\n" for found, comps in map(bridges, graphs))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7ae84bf4ccefbd078b9730bad7bab3411ee7c59ea7b1d6244cbe8d25123ba782"
     )
 
 

@@ -551,6 +551,13 @@ def test_size_cap():
         solve_orientation(orient_ktree(g, 2), 1)
     with pytest.raises(SolverLimitError):
         solve_best_orientation(complete(8), 1)
+    # a raised cap lets the engine, which recurses once per round, run past
+    # Python's recursion limit: on arcs i -> i+1 and i -> i+2 the fire from 0
+    # burns for hundreds of rounds
+    n = 2500
+    arcs = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+    with pytest.raises(SolverLimitError, match="^the search on 2500 vertices ran past Python's recursion limit$"):
+        solve_orientation(Orientation(Graph(n, arcs), arcs), 1, start=0, max_vertices=n)
 
 
 def test_bad_game_arguments_raise_graph_error():

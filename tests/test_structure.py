@@ -61,6 +61,49 @@ def test_exact_colouring_empty_graph():
     assert exact_colouring(Graph(0, []), 0) == []
 
 
+def recursive_colouring(g, k):
+    # the recursive backtracking search that exact_colouring keeps on its own
+    # stack: vertices by (-degree, id), colours ascending, first colouring found
+    colour = [-1] * g.n
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+    def assign(i, used):
+        if i == g.n:
+            return True
+        v = order[i]
+        taken = {colour[w] for w, _ in g.adj[v] if colour[w] >= 0}
+        for c in range(min(used + 1, k)):
+            if c not in taken:
+                colour[v] = c
+                if assign(i + 1, max(used, c + 1)):
+                    return True
+                colour[v] = -1
+        return False
+
+    if not assign(0, 0):
+        return None
+    return [[v for v in range(g.n) if colour[v] == c] for c in range(max(colour, default=-1) + 1)]
+
+
+def test_exact_colouring_matches_the_recursive_search():
+    cases = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    cases += [random_regular(n, d, s) for d in (3, 4, 5) for n in (10, 12, 16) for s in range(3)]
+    cases.append(Graph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)]))
+    for g in cases:
+        for k in range(min(g.n, 5) + 1):
+            assert exact_colouring(g, k) == recursive_colouring(g, k), (g.edges, k)
+
+
+def test_exact_colouring_gives_up_at_the_step_limit(monkeypatch):
+    # a path takes one step per vertex
+    first = exact_colouring(path(5), 2)
+    monkeypatch.setattr(firebreak.structure, "COLOURING_STEP_LIMIT", 5)
+    assert exact_colouring(path(5), 2) == first
+    monkeypatch.setattr(firebreak.structure, "COLOURING_STEP_LIMIT", 4)
+    with pytest.raises(GraphError, match="^exact colouring gave up after 4 steps on 5 vertices$"):
+        exact_colouring(path(5), 2)
+
+
 def test_greedy_colouring_petersen():
     parts = greedy_colouring(petersen())
     assert len(parts) <= 4
