@@ -3,8 +3,9 @@
 Vertices are dense integer ids 0..n-1 and every vertex set in the package is
 an int bitmask, which keeps the game solver's inner loops cheap. Graphs are
 immutable after construction. Parallel edges are tolerated internally (the
-cubic reduction needs them); the text format and the generators only produce
-simple graphs.
+subcubic construction's thread multigraph needs them for ``perfect_matching``
+and its cycle search); the text format and the generators only produce simple
+graphs.
 """
 
 from __future__ import annotations

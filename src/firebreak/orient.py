@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graphs import Graph, GraphError, Orientation, bits, bridges, dfs
+from .graphs import Graph, GraphError, Orientation, bits, bridges, dfs, layers
 from . import families as gen
 from .structure import (
     _oneway_side,
@@ -36,36 +36,30 @@ def _edge_index(g: Graph) -> dict[tuple[int, int], int]:
     return idx
 
 
-def _orient_forest_edges(g: Graph, edge_subset, arcs, roots: Optional[int] = None) -> None:
-    """Orient a forest (given by edge indices) towards per-tree roots.
-
-    Roots default to the smallest id in each tree; a bitmask of preferred
-    roots can be supplied instead. Arcs run child to parent.
-    """
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    involved = 0
+def _towards_roots(g: Graph, edge_subset, arcs: list, nbr: list[int], roots: int) -> None:
+    """Point each edge in ``edge_subset`` from its end farther from the
+    bitmask ``roots`` to its nearer end, a vertex's depth being the index of
+    its layer in one ``layers`` search from ``roots`` along ``nbr``. On trees
+    holding one root each this orients every edge towards its tree's root."""
+    depth = [0] * g.n
+    for d, layer in enumerate(layers(nbr, roots)):
+        for v in bits(layer):
+            depth[v] = d
     for i in edge_subset:
         u, v = g.edges[i]
-        inc[u].append((v, i))
-        inc[v].append((u, i))
-        involved |= (1 << u) | (1 << v)
-    seen = 0
-    order = []
-    if roots is not None:
-        order.extend(bits(roots & involved))
-    order.extend(bits(involved))
-    for root in order:
-        if (seen >> root) & 1:
-            continue
-        seen |= 1 << root
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w, i in inc[v]:
-                if not (seen >> w) & 1:
-                    seen |= 1 << w
-                    arcs[i] = (w, v)
-                    queue.append(w)
+        arcs[i] = (u, v) if depth[u] > depth[v] else (v, u)
+
+
+def _orient_forest_edges(g: Graph, edge_subset, arcs, roots: int = 0) -> None:
+    """Orient a forest (given by edge indices) towards per-tree roots: each
+    tree's lowest vertex in the bitmask ``roots``, or its lowest vertex when
+    ``roots`` holds none of it. Arcs run child to parent."""
+    forest = Graph._from_valid(g.n, tuple(g.edges[i] for i in edge_subset))
+    seeds = 0
+    for tree in forest.components():
+        tree = tree & roots or tree
+        seeds |= tree & -tree
+    _towards_roots(g, edge_subset, arcs, forest.adj_mask, seeds)
 
 
 def _find_cycle(g: Graph, alive: set[int]):
@@ -115,12 +109,14 @@ def orient_half(g: Graph) -> Orientation:
         for ei, tail, head in cycle:
             arcs[ei] = (tail, head)
             alive.discard(ei)
-    _orient_forest_edges(g, sorted(alive), arcs)
+    _orient_forest_edges(g, alive, arcs)
     return Orientation(g, arcs, meta={"scheme": "half"})
 
 
 def orient_unicyclic(g: Graph) -> Orientation:
     """1-outregular orientation of a connected graph with at most one cycle."""
+    if g.n == 0:
+        raise GraphError("the graph has no vertices")
     if not g.is_connected():
         raise GraphError("input must be connected")
     if g.m > g.n:
@@ -244,6 +240,8 @@ def orient_ktree(g: Graph, k: int) -> Orientation:
     """Orient a k-tree so every attachment points at earlier vertices and the
     fire can only flow towards the central clique, which is oriented as a
     small tournament."""
+    if k < 1:
+        raise GraphError("k must be at least 1")
     info = ktree_structure(g, k)
     if info is None:
         raise GraphError(f"input is not a {k}-tree")
@@ -295,37 +293,20 @@ def _subcubic_arcs(g: Graph) -> tuple[list, list]:
 
     deg = [0] * g.n  # degree once the bridges are removed
     comp_edges: list[list[int]] = [[] for _ in comps]
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in comps]
     for i, (u, v) in enumerate(g.edges):
-        if i in bridge_set:
-            tree_adj[comp_of[u]].append((comp_of[v], i))
-            tree_adj[comp_of[v]].append((comp_of[u], i))
-        else:
+        if i not in bridge_set:
             deg[u] += 1
             deg[v] += 1
             comp_edges[comp_of[u]].append(i)
 
-    # components come lowest vertex first, so the first one of each bridge
-    # tree reached here holds its connected component's lowest vertex
+    # every path from a connected component's lowest vertex to a bridge's
+    # far end crosses the bridge, so its near end lies one layer shallower
+    _towards_roots(g, bridge_set, arcs, g.adj_mask, sum(c & -c for c in g.components()))
     outgoing_tail: dict[int, int] = {}
-    seen_comp: set[int] = set()
-    for root in range(len(comps)):
-        if root in seen_comp:
-            continue
-        seen_comp.add(root)
-        queue = [root]
-        while queue:
-            parent = queue.pop()
-            for child, ei in tree_adj[parent]:
-                if child in seen_comp:
-                    continue
-                seen_comp.add(child)
-                u, v = g.edges[ei]
-                tail, head = (u, v) if comp_of[u] == child else (v, u)
-                arcs[ei] = (tail, head)
-                labels[ei] = "bridge"
-                outgoing_tail[child] = tail
-                queue.append(child)
+    for ei in bridge_set:
+        tail = arcs[ei][0]
+        labels[ei] = "bridge"
+        outgoing_tail[comp_of[tail]] = tail
 
     for ci, comp in enumerate(comps):
         if not comp_edges[ci]:

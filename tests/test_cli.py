@@ -198,6 +198,9 @@ def test_malformed_input_exit_two(tmp_path, capsys):
      "exact colouring gave up after 100000 steps on 60 vertices"),
     (["solve-best", "--family", "path", "--n", "990", "--max-edges", "5000"],
      "the scan over 989 edges ran past Python's recursion limit"),
+    (["orient", "--recipe", "unicyclic", "--in", "EMPTY"], "the graph has no vertices"),
+    (["orient", "--recipe", "ktree", "--in", "PETERSEN", "--k", "0"], "k must be at least 1"),
+    (["orient", "--recipe", "ktree", "--in", "PETERSEN", "--k", "-3"], "k must be at least 1"),
 ])
 def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     ofile = tmp_path / "k4.o"
@@ -212,6 +215,22 @@ def test_bad_game_arguments_exit_two(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+@pytest.mark.parametrize("n", [0, 1])
+def test_every_recipe_on_a_tiny_graph_ends_cleanly(tmp_path, capsys, recipe, n):
+    # each recipe either orients the edgeless n-vertex graph or refuses it
+    # with one error line
+    gfile = tmp_path / "tiny.g"
+    gfile.write_text(f"p {n} 0\n")
+    extra = ["--k", "1"] if recipe == "ktree" else []
+    code = main(["orient", "--recipe", recipe, "--in", str(gfile), *extra])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == ""
 
 
 def test_fvs_recipe_over_the_subset_limit_exits_two(capsys, monkeypatch):

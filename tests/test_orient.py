@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from firebreak.families import (
 )
 from firebreak.graphs import Graph, GraphError, bits, bridges, mask_of, write_orientation
 from firebreak.orient import (
+    _orient_forest_edges,
     apply_recipe,
     orient_bipartite,
     orient_bounded_degree,
@@ -329,6 +331,74 @@ def test_cycle_peeling_orientations_and_bridges_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "7ae84bf4ccefbd078b9730bad7bab3411ee7c59ea7b1d6244cbe8d25123ba782"
     )
+
+
+def test_tree_peeling_orientations_pinned():
+    # the orientation files of the recipes that orient a forest towards its
+    # roots, frozen while that forest was still walked with its own queue
+    trees = [g for n in range(1, 7) for g in enumerate_connected(n) if g.m == n - 1]
+    assert len(trees) == 1442
+    assert digest(orient_tree(t, r) for t in trees for r in range(t.n)) == (
+        "66fdc3e159c460b88e227538031ff4d836e2cb7fc1f9b82e6146a7a61f8ada83"
+    )
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    graphs += [random_regular(n, d, s) for d in (3, 4) for n in (10, 12) for s in range(3)]
+    assert len(graphs) == 784
+    assert digest(orient_by_forests(g, forest_peel(g)) for g in graphs) == (
+        "0150c8b2b5a76dd12d23c6ce534a75e1a80126c232c58e73d2a616b366c6e606"
+    )
+    assert digest(orient_by_fvs(g, min_fvs(g)) for g in graphs) == (
+        "3b27301955a48ae6158cbf3f5ea976dd12477df459cccb49b52271e60115b66c"
+    )
+
+
+def queue_walk_forest_arcs(g, edge_subset, roots):
+    """Reference: walk each tree of the forest from its lowest vertex in the
+    bitmask ``roots`` (else its lowest vertex) with a queue, pointing each
+    edge at the vertex it was reached from."""
+    arcs = [None] * g.m
+    inc = [[] for _ in range(g.n)]
+    involved = 0
+    for i in edge_subset:
+        u, v = g.edges[i]
+        inc[u].append((v, i))
+        inc[v].append((u, i))
+        involved |= (1 << u) | (1 << v)
+    seen = 0
+    for root in [*bits(roots & involved), *bits(involved)]:
+        if (seen >> root) & 1:
+            continue
+        seen |= 1 << root
+        queue = [root]
+        while queue:
+            v = queue.pop()
+            for w, i in inc[v]:
+                if not (seen >> w) & 1:
+                    seen |= 1 << w
+                    arcs[i] = (w, v)
+                    queue.append(w)
+    return arcs
+
+
+def test_forest_edges_match_the_queue_walk():
+    # random graphs, a random forest among each one's edges listed in random
+    # order, and random roots masks that may hold several vertices of a tree
+    rng = random.Random(0)
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        comp = list(range(n))
+        forest = []
+        for i in rng.sample(range(g.m), g.m):
+            u, v = g.edges[i]
+            if comp[u] != comp[v] and rng.random() < 0.8:
+                old = comp[v]
+                comp = [comp[u] if c == old else c for c in comp]
+                forest.append(i)
+        roots = rng.getrandbits(n) if trial % 4 else 0
+        arcs = [None] * g.m
+        _orient_forest_edges(g, forest, arcs, roots=roots)
+        assert arcs == queue_walk_forest_arcs(g, forest, roots), trial
 
 
 # --- subcubic
