@@ -20,9 +20,13 @@ in-neighbours in the threat were all protected. A branch whose count plus
 that bound reaches the best value cannot beat it, so it is dropped; its
 value is at least the best found, so it is never the stored move, and
 values, moves and traces stay those of the search without the bound.
-Protect sets that meet the threat are tried first. Each set that misses it
-spreads the whole threat, so one bound covers all of them, and they are only
-built when that bound leaves them open.
+Every child is searched under a limit, the best value its parent has found
+so far, and a search that cannot get below its limit returns the limit and
+stores nothing: the fail-hard bound of alpha-beta search (Knuth and Moore,
+"An analysis of alpha-beta pruning", AI 1975), with one side. A solve's cap
+is the root's limit. Protect sets that meet the threat are tried first.
+Each set that misses it spreads the whole threat, so one bound covers all
+of them, and they are only built when that bound leaves them open.
 
 Finding the best orientation enumerates edge directions depth-first in edge
 order (bit 0 = lower id to higher id first), in passes with a target t. The
@@ -94,8 +98,9 @@ class SolverLimitError(GraphError):
 class GameValue:
     """Exact result of optimal play. nodes_explored counts leaves (complete
     orientations) in mode "best", summed over the scan's passes, and in
-    "fixed" and "undirected" the engine states searched, none of them added
-    by trace extraction."""
+    "fixed" and "undirected" the searches of engine states: a state whose
+    search failed its limit is searched, and counted, again when it comes up
+    again. Trace extraction adds none."""
 
     beta: int
     f: int
@@ -196,11 +201,12 @@ def _two_round_bound(outs: dict[int, int], threat: int, second: int, f: int) -> 
 class Engine:
     """Memoised optimal-defence search over a fixed digraph.
 
-    With a cap, every value at or above it is reported as the cap, which lets
-    the search skip any play that already burns that many; values below the
-    cap are exact. The orientation scan only asks whether a value exceeds its
-    target, so it caps at target + 1, and trace extraction works on any
-    engine whose traced value lies below its cap.
+    The cap is the root's limit (see _value): a start's value at or above it
+    comes back as the cap, which lets the search skip any play that already
+    burns that many, and values below it are exact. Without a cap it is n,
+    which no value exceeds. The orientation scan only asks whether a value
+    exceeds its target, so it caps at target + 1, and trace extraction works
+    on any engine whose traced value lies below its cap.
 
     out maps each vertex's bit 1 << v to its out-mask. The engine keeps a
     copy of it, outs, and stores there every union out(S) of out-masks it
@@ -231,7 +237,7 @@ class Engine:
 
     def start_value(self, start: int) -> int:
         live, threat = self._burn(self.full, 0, 1 << start)
-        return self._value(live, threat, 1)
+        return self._value(live, threat, 1, self.cap)
 
     def _burn(self, live: int, pm: int, spread: int, limit: float = math.inf) -> tuple[int, int]:
         """One transition: protect pm, burn spread, then return the region
@@ -300,19 +306,31 @@ class Engine:
             frontier = nxt & allowed
         return region ^ allowed, threat
 
-    def _value(self, live: int, threat: int, count: int) -> int:
+    def _value(self, live: int, threat: int, count: int, limit: float) -> int:
         """Burned count under optimal defence of a state where count vertices
-        have burnt; a value at or above the cap comes back as some number at
-        least the cap, and start_value gets the cap itself.
+        have burnt, given the total burn limit > count the caller has to
+        beat: the value when it lies below limit, and otherwise limit itself
+        (or the value, when the state was read from the memo). start_value
+        passes the cap, so the cap is the root's limit and a start gets the
+        cap itself.
+
+        The search starts from best = min(count + |live|, limit) and
+        searches each child, in both phases below, under the limit best: the
+        value the child has to beat to improve best. By induction a child
+        returns its value when that lies below best, and at least best
+        otherwise, so best stays the least of the limit, count + |live| and
+        the values of the children searched, and the search returns
+        min(value, limit).
 
         The memo maps (live, threat) to the burn still to come and the
         state's move. That is sound because every out-neighbour of a burnt
         vertex is burnt, protected or in threat, so threat is out(burnt) &
         live. The protect sets, the spread and the next (live, threat) are
         all functions of the pair, so the rest of the game does not depend on
-        which vertices burnt, and count only adds to it. A result at the cap
-        only bounds the burn to come from below, so it is not stored, and the
-        state is searched again when it comes up again.
+        which vertices burnt, and count only adds to it. A search that ends
+        at its limit only bounds the burn to come from below, so it is not
+        stored, and the state is searched again when it comes up again; a
+        value below the limit is exact and is stored with its move.
 
         A child is skipped once it cannot beat the best value so far: its
         count alone reaches it, or so does its count plus its threat minus f,
@@ -358,14 +376,15 @@ class Engine:
         are live): the set at best's last change. Children are tried in that
         order and best moves only on a strict improvement. A child skipped by
         any of the bounds has a value at least the best so far, and so has a
-        searched child that did not improve it, so every child before the
-        move is above the final value, and the move's own child, whose value
-        lies below the best before it, is never skipped: a bound that drops
-        more children moves neither values nor moves, only the states
-        searched. Count only adds to the value, so one move serves every
-        count. A stored value lies below the cap, so the move's child was
-        stored too (or has no threat), and extract_trace follows the moves to
-        the end of the play.
+        searched child that did not improve it (it returned at least its
+        limit, the best so far), so every child before the move is above the
+        final value, and the move's own child, whose value lies below the
+        best before it, is never skipped: a bound that drops more children
+        moves neither values nor moves, only the states searched. Count only
+        adds to the value, so one move serves every count. The move's child
+        improved best, so its value lay below the limit it was searched
+        under: it was stored (or read from the memo, or has no threat), and
+        extract_trace follows the moves to the end of the play.
         """
         if not threat:
             return count
@@ -380,8 +399,8 @@ class Engine:
             self.memo[key] = (0, live)
             return count
         best = count + nlive
-        if best > self.cap:
-            best = self.cap
+        if best > limit:
+            best = limit
         move = 0
         rest = live & ~threat
         nthreat = threat.bit_count()
@@ -403,7 +422,7 @@ class Engine:
             newlive, newthreat = self._burn(live, pm, spread, best - newcount + f)
             if newthreat and not newlive:
                 continue
-            v = self._value(newlive, newthreat, newcount)
+            v = self._value(newlive, newthreat, newcount, best)
             if v < best:
                 best, move = v, pm
         newcount = count + nthreat
@@ -416,12 +435,12 @@ class Engine:
                 newlive, newthreat = self._burn(live, pm, threat, best - newcount + f)
                 if newthreat and not newlive:
                     continue
-                v = self._value(newlive, newthreat, newcount)
+                v = self._value(newlive, newthreat, newcount, best)
                 if v < best:
                     best, move = v, pm
                     if tail >= best:
                         break
-        if best < self.cap:
+        if best < limit:
             self.memo[key] = (best - count, move)
         return best
 

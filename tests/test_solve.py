@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from itertools import combinations
@@ -155,15 +156,27 @@ def test_trace_extraction_adds_no_state():
 
 
 @pytest.mark.parametrize("g, f, beta, nodes, per_start", [
-    (grid_rect(4, 5), 1, 14, 325, [4, 6, 6, 4, 8, 10, 10, 8, 9, 14, 14, 9, 8, 10, 10, 8, 4, 6, 6, 4]),
-    (grid_rect(4, 5), 2, 5, 72, [1, 2, 2, 1, 2, 4, 4, 2, 2, 5, 5, 2, 2, 4, 4, 2, 1, 2, 2, 1]),
-    (random_regular(18, 3, 0), 1, 10, 224, [9, 9, 9, 7, 8, 8, 10, 8, 8, 8, 8, 8, 5, 8, 7, 5, 5, 8]),
-    (random_regular(20, 3, 0), 1, 9, 398, [8, 5, 8, 5, 5, 8, 7, 5, 8, 7, 8, 5, 9, 5, 8, 6, 8, 5, 7, 5]),
-    (random_regular(16, 4, 0), 2, 7, 127, [4, 4, 5, 4, 4, 4, 4, 7, 5, 3, 5, 3, 3, 5, 7, 5]),
-], ids=["grid4x5-f1", "grid4x5-f2", "cubic-n18-f1", "cubic-n20-f1", "4reg-n16-f2"])
+    (grid_rect(4, 5), 1, 14, 160, [4, 6, 6, 4, 8, 10, 10, 8, 9, 14, 14, 9, 8, 10, 10, 8, 4, 6, 6, 4]),
+    (grid_rect(4, 5), 2, 5, 71, [1, 2, 2, 1, 2, 4, 4, 2, 2, 5, 5, 2, 2, 4, 4, 2, 1, 2, 2, 1]),
+    (random_regular(18, 3, 0), 1, 10, 160, [9, 9, 9, 7, 8, 8, 10, 8, 8, 8, 8, 8, 5, 8, 7, 5, 5, 8]),
+    (random_regular(20, 3, 0), 1, 9, 250, [8, 5, 8, 5, 5, 8, 7, 5, 8, 7, 8, 5, 9, 5, 8, 6, 8, 5, 7, 5]),
+    (random_regular(16, 4, 0), 2, 7, 97, [4, 4, 5, 4, 4, 4, 4, 7, 5, 3, 5, 3, 3, 5, 7, 5]),
+    (random_regular(24, 3, 0), 1, 11, 430,
+     [7, 7, 6, 5, 7, 9, 6, 8, 6, 5, 8, 6, 8, 11, 6, 7, 8, 9, 9, 9, 6, 8, 5, 8]),
+    (random_regular(24, 3, 1), 1, 15, 498,
+     [13, 6, 12, 13, 6, 6, 12, 12, 14, 13, 6, 14, 6, 11, 14, 12, 15, 15, 6, 14, 15, 12, 14, 12]),
+    (random_regular(24, 3, 2), 1, 12, 450,
+     [11, 5, 11, 10, 11, 12, 5, 6, 9, 6, 7, 6, 10, 9, 9, 10, 5, 9, 5, 12, 6, 8, 10, 9]),
+    (random_regular(24, 4, 0), 2, 9, 489,
+     [6, 5, 5, 7, 4, 4, 6, 6, 9, 6, 5, 4, 9, 5, 4, 5, 6, 4, 7, 9, 4, 7, 7, 6]),
+    (grid_rect(4, 6), 1, 14, 266,
+     [4, 6, 6, 4, 8, 10, 10, 8, 11, 14, 14, 11, 11, 14, 14, 11, 8, 10, 10, 8, 4, 6, 6, 4]),
+], ids=["grid4x5-f1", "grid4x5-f2", "cubic-n18-f1", "cubic-n20-f1", "4reg-n16-f2",
+        "cubic-n24-s0-f1", "cubic-n24-s1-f1", "cubic-n24-s2-f1", "4reg-n24-f2", "grid4x6-f1"])
 def test_fixed_benchmark_instances_pinned(g, f, beta, nodes, per_start):
-    # the undirected instances of the benchmark's fixed workload, unrelabelled:
-    # a change to the engine's bounds or child order moves a count here
+    # the undirected instances of the benchmark's fixed workload, unrelabelled,
+    # then five at the engine's 24-vertex cap: a change to the engine's bounds
+    # or child order moves a count here
     gv = solve_undirected(g, f)
     assert (gv.beta, gv.nodes_explored, [gv.per_start[s] for s in range(g.n)]) == (beta, nodes, per_start)
 
@@ -176,7 +189,7 @@ def _burn_limit_cuts(out_mask, n, live, pm, spread, f):
     beat the best."""
     eng = Engine(_out_map(out_mask), n, f)
     region, threat = eng._burn(live, pm, spread)
-    to_come = eng._value(region, threat, 0)
+    to_come = eng._value(region, threat, 0, math.inf)
     cuts = 0
     for limit in range(n + 2):
         got = eng._burn(live, pm, spread, limit)
@@ -227,11 +240,13 @@ def _protect_masks(live, threat, f):
 
 class _ReferenceEngine(Engine):
     """The engine before the threat was bounded ahead of the region search,
-    before its protect sets were split by whether they meet the threat, and
-    before children were bounded two rounds ahead: _burn always searches
-    the region, _value tries every set of _protect_masks and bounds a child
-    only on its count and its threat, once _burn has returned. Nor does it
-    store unions: it reads only the single-vertex entries of outs."""
+    before its protect sets were split by whether they meet the threat,
+    before children were bounded two rounds ahead and before each child was
+    searched under its parent's best value: _burn always searches the
+    region, _value tries every set of _protect_masks, bounds a child only on
+    its count and its threat, once _burn has returned, and hands every child
+    the root's limit, the cap. Nor does it store unions: it reads only the
+    single-vertex entries of outs."""
 
     def _burn(self, live, pm, spread):
         outs = self.outs
@@ -254,7 +269,7 @@ class _ReferenceEngine(Engine):
             frontier = nxt & allowed & ~reached
         return reached, ou & reached
 
-    def _value(self, live, threat, count):
+    def _value(self, live, threat, count, limit):
         if not threat:
             return count
         key = (live, threat)
@@ -267,8 +282,8 @@ class _ReferenceEngine(Engine):
             self.memo[key] = (0, live)
             return count
         best = count + live.bit_count()
-        if best > self.cap:
-            best = self.cap
+        if best > limit:
+            best = limit
         move = 0
         for pm in _protect_masks(live, threat, f):
             spread = threat & ~pm
@@ -281,10 +296,10 @@ class _ReferenceEngine(Engine):
             newlive, newthreat = self._burn(live, pm, spread)
             if newcount + newthreat.bit_count() - f >= best:
                 continue
-            v = self._value(newlive, newthreat, newcount)
+            v = self._value(newlive, newthreat, newcount, limit)
             if v < best:
                 best, move = v, pm
-        if best < self.cap:
+        if best < limit:
             self.memo[key] = (best - count, move)
         return best
 
@@ -318,6 +333,57 @@ def test_engine_matches_reference():
         out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < 0.35) for u in range(n)]
         for f in (1, 2, 3):
             _assert_matches_reference(out_mask, n, f)
+
+
+class _CallLog(Engine):
+    """An engine that logs every _value call, memo hits included, as (live,
+    threat, count, limit)."""
+
+    def __init__(self, out, n, f, cap=None):
+        super().__init__(out, n, f, cap)
+        self.calls = []
+
+    def _value(self, live, threat, count, limit):
+        self.calls.append((live, threat, count, limit))
+        return super()._value(live, threat, count, limit)
+
+
+def test_value_under_a_limit():
+    # every state the engine reaches from any start, searched alone on a
+    # fresh engine under every limit above its count, returns the least of
+    # its value and the limit, is stored exactly when its value lies below
+    # the limit, and stores only exact entries, moves included: the entries
+    # of a reference that hands every child no limit at all
+    rng = random.Random(31)
+    searches = failed = 0
+    for _ in range(60):
+        n = rng.randrange(2, 13)
+        density = rng.choice((0.2, 0.35, 0.5))
+        out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < density) for u in range(n)]
+        for f in (1, 2, 3):
+            ref = _ReferenceEngine(_out_map(out_mask), n, f)
+
+            def exact(key):
+                if key not in ref.memo:
+                    ref._value(*key, 0, math.inf)
+                return ref.memo[key]
+
+            walk = _CallLog(_out_map(out_mask), n, f)
+            for s in range(n):
+                walk.start_value(s)
+            for live, threat, count in dict.fromkeys(call[:3] for call in walk.calls if call[1]):
+                value = count + exact((live, threat))[0]
+                for limit in range(count + 1, n + 2):
+                    # built on the walk's unions, which hold out(threat) as
+                    # the _burn that made the state left it
+                    eng = Engine(walk.outs, n, f)
+                    got = eng._value(live, threat, count, limit)
+                    assert got == min(value, limit), (out_mask, f, live, threat, count, limit)
+                    assert ((live, threat) in eng.memo) == (value < limit), (out_mask, f, live, threat, count, limit)
+                    assert all(entry == exact(key) for key, entry in eng.memo.items()), (out_mask, f, limit)
+                    searches += 1
+                    failed += value >= limit
+    assert searches > 20000 and failed > 4000
 
 
 def test_two_round_bound_is_a_lower_bound():
@@ -385,17 +451,19 @@ def test_engine_searches_the_last_set_meeting_the_threat():
     # threat, passes all three bounds: 3 < 6, 3 + 4 - 2 < 6, and 3 + 2 < 6
     # for the two-round bound 4 - 2 + max(0, 5 - 3 - 2), which counts the
     # three vertices of L3 - {19} with two in-neighbours in L2 as lost. No
-    # other set reaches that state
+    # other set reaches that state. It is searched under the limit 6, which
+    # it cannot beat, so it is not stored: the evidence is the call itself
     l2, fan = 0b1111 << 4, 0b111111 << 8
     l3 = [1 << v for v in range(14, 20)]
     out_mask = [0b1110, l2, l2, fan, *[sum(l3) - l3[i] - l3[i + 1] for i in range(4)], *[0] * 12]
     n = len(out_mask)
-    eng = Engine(_out_map(out_mask), n, 2)
+    eng = _CallLog(_out_map(out_mask), n, 2)
     assert eng.start_value(0) == 6
     live, threat = eng._burn(eng.full, 0, 1)
     assert (live, threat) == (eng.full - 1, 0b1110)
     assert _two_round_bound(eng.outs, l2, sum(l3[:5]), 2) == 2
-    assert (l2 | sum(l3[:5]), l2) in eng.memo
+    child = (l2 | sum(l3[:5]), l2)
+    assert [call for call in eng.calls if call[:2] == child] == [(*child, 3, 6)]
     _assert_matches_reference(out_mask, n, 2)
 
 
@@ -445,7 +513,7 @@ def _first_optimal_moves(out_mask, n, f, trace):
     live, threat = ref._burn(ref.full, 0, 1 << trace.start)
     count, mismatches = 1, []
     for t, pm in enumerate(protects, 1):
-        value = ref._value(live, threat, count)
+        value = ref._value(live, threat, count, math.inf)
         if live.bit_count() <= f:
             first = live
         else:
@@ -456,7 +524,7 @@ def _first_optimal_moves(out_mask, n, f, trace):
                         break
                     continue
                 newlive, newthreat = ref._burn(live, first, spread)
-                if ref._value(newlive, newthreat, count + spread.bit_count()) == value:
+                if ref._value(newlive, newthreat, count + spread.bit_count(), math.inf) == value:
                     break
         if pm != first:
             mismatches.append((t, pm, first))
@@ -491,7 +559,7 @@ _K5_BEST = [[0, 1], [0, 2], [3, 0], [4, 0], [1, 2], [1, 3], [4, 1], [2, 3], [2, 
 PINNED = {
     "grid3x4-undirected-f1": (
         lambda: solve_undirected(grid_rect(3, 4), 1),
-        _pinned("undirected", 1, 7, 4, 59, [3, 4, 3, 6, 7, 6, 6, 7, 6, 3, 4, 3], [
+        _pinned("undirected", 1, 7, 4, 55, [3, 4, 3, 6, 7, 6, 6, 7, 6, 3, 4, 3], [
             (1, "burn", [4]), (1, "protect", [7]), (2, "burn", [1, 3, 5]), (2, "protect", [6]),
             (3, "burn", [0, 2, 8]), (3, "protect", [11])]),
     ),
