@@ -14,7 +14,7 @@ import sys
 
 from . import families as gen
 from .bounds import bound_report
-from .game import replay, simulate
+from .game import replay, scripted, simulate
 from .graphs import (
     Graph,
     GraphError,
@@ -167,12 +167,13 @@ def cmd_orient(args) -> int:
 
 def cmd_simulate(args) -> int:
     o = read_orientation(_read_text(args.infile))
-    scripts = []
-    if args.script is not None:
-        if args.strategy != "scripted":
-            raise GraphError(f"strategy '{args.strategy}' takes no --script")
-        scripts.append(json.loads(_read_text(args.script)))
-    strat = _call(STRATEGIES, "strategy", args.strategy, *scripts)
+    strat = STRATEGIES[args.strategy]
+    if strat is scripted:
+        if args.script is None:
+            raise GraphError("strategy 'scripted' needs --script")
+        strat = scripted(json.loads(_read_text(args.script)))
+    elif args.script is not None:
+        raise GraphError(f"strategy '{args.strategy}' takes no --script")
     trace = simulate(o, args.start, args.f, strat)
     check = replay(o, trace)
     obj = trace.to_json_obj()

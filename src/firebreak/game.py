@@ -1,5 +1,8 @@
 """Fire spread simulation under a defence strategy.
 
+A strategy is a plain function from the ``FireState`` it is handed to the
+vertices it protects; ``scripted`` builds one from explicit protect sets.
+
 Time starts at 1 when the fire breaks out. Within each time unit the burn
 happens first, then up to f protections; the next unit's spread sends fire
 along arcs from every burning vertex to each unprotected head. The game ends
@@ -9,7 +12,7 @@ as soon as a spread step adds nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .graphs import GraphError, Orientation, bits, popcount
 
@@ -81,26 +84,24 @@ class FireState:
         return self.threat & self.free()
 
 
-class Strategy:
-    """Decision rule mapping a state to at most f protections."""
-
-    def decide(self, state: FireState) -> list[int]:
-        raise NotImplementedError
+# a defence: a pure function from a state to at most f protections
+Strategy = Callable[[FireState], list[int]]
 
 
-class ScriptedStrategy(Strategy):
-    """Explicit per-time protect sets."""
-
-    def __init__(self, script: dict[int, list[int]]):
-        if not isinstance(script, dict):
-            raise GraphError("a script maps times to lists of vertices")
-        for t, vs in script.items():
-            if not isinstance(vs, list) or not all(isinstance(v, int) for v in vs):
-                raise GraphError(f"script time {t!r} must map to a list of vertices")
-        self.script = {int(t): list(vs) for t, vs in script.items()}
-
-    def decide(self, state: FireState) -> list[int]:
-        return self.script.get(state.time, [])
+def scripted(script: dict[int, list[int]]) -> Strategy:
+    """The defence that plays explicit per-time protect sets. Times may be
+    ints or the decimal strings JSON gives as keys; vertices must be ints,
+    not bools."""
+    if not isinstance(script, dict):
+        raise GraphError("a script maps times to lists of vertices")
+    plan = {}
+    for t, vs in script.items():
+        if type(t) is not int and not (isinstance(t, str) and t.removeprefix("-").isdecimal()):
+            raise GraphError(f"script time {t!r} is not an integer")
+        if not isinstance(vs, list) or not all(type(v) is int for v in vs):
+            raise GraphError(f"script time {t!r} must map to a list of vertices")
+        plan[int(t)] = list(vs)
+    return lambda state: plan.get(state.time, [])
 
 
 def check_game(n: int, f: int, start: Optional[int] = None) -> None:
@@ -130,7 +131,7 @@ def simulate(o: Orientation, start: int, f: int, strategy: Strategy) -> FireTrac
             orientation=o, f=f, time=t, start=start,
             burnt=burnt, protected=protected, last_burned=spread, threat=threat,
         )
-        chosen = list(strategy.decide(state))
+        chosen = list(strategy(state))
         if len(chosen) > f:
             raise StrategyFault("more protections than firefighters", chosen[f], t)
         pm = 0
@@ -182,12 +183,12 @@ def replay(o: Orientation, trace: FireTrace) -> ReplayResult:
     script = {t: list(vs) for (kind, t), vs in recorded.items() if kind == "protect"}
     fault = None
     try:
-        play = simulate(o, trace.start, trace.f, ScriptedStrategy(script))
+        play = simulate(o, trace.start, trace.f, scripted(script))
     except StrategyFault as exc:
         # the play is legal up to the faulty protection: play that much
         fault = exc
         early = {t: vs for t, vs in script.items() if t < exc.time}
-        play = simulate(o, trace.start, trace.f, ScriptedStrategy(early))
+        play = simulate(o, trace.start, trace.f, scripted(early))
     except GraphError as exc:
         return ReplayResult(False, 1, str(exc))
     played = {(ev.kind, ev.t): ev.vertices for ev in play.events}

@@ -1,17 +1,18 @@
 """Named defence strategies.
 
-Each scripted strategy is tied to the orientation family it was designed for
-and reads the construction details from ``Orientation.meta``; on any other
-orientation it degrades to the greedy baseline.
+Each defence is a function from a ``FireState`` to its protections. Each
+scripted one is tied to the orientation family it was designed for and reads
+the construction details from ``Orientation.meta``; on any other orientation
+it degrades to the greedy baseline.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import islice
-from typing import Optional
 
 from .graphs import GraphError, Orientation, bits, layers, mask_of, popcount
-from .game import FireState, ScriptedStrategy, Strategy
+from .game import FireState, Strategy, scripted
 
 
 def _meta_field(o: Orientation, field: str, kind: type):
@@ -21,7 +22,7 @@ def _meta_field(o: Orientation, field: str, kind: type):
     GraphError naming the scheme and the field."""
     value = o.meta.get(field)
     if kind is int:
-        ok, noun = isinstance(value, int) and value >= 1, "a positive integer"
+        ok, noun = type(value) is int and value >= 1, "a positive integer"
     else:
         ok, noun = isinstance(value, (list, tuple)), "a list"
     if not ok:
@@ -29,20 +30,13 @@ def _meta_field(o: Orientation, field: str, kind: type):
     return value
 
 
-def _greedy(state: FireState) -> list[int]:
-    """The f frontier vertices with the largest unprotected out-reach, lowest
-    id first among ties."""
+def greedy_outdeg(state: FireState) -> list[int]:
+    """Protect the f frontier vertices with the largest unprotected
+    out-reach, lowest id first among ties."""
     om = state.orientation.out_mask
     free = state.free()
     ranked = sorted(bits(state.frontier()), key=lambda v: (-popcount(om[v] & free), v))
     return ranked[: state.f]
-
-
-class GreedyOutdeg(Strategy):
-    """Protect frontier vertices with the largest unprotected out-reach."""
-
-    def decide(self, state: FireState) -> list[int]:
-        return _greedy(state)
 
 
 def _layer(o: Orientation, source: int, d: int) -> list[int]:
@@ -51,36 +45,36 @@ def _layer(o: Orientation, source: int, d: int) -> list[int]:
     return list(bits(next(islice(layers(o.out_mask, 1 << source), d, None), 0)))
 
 
-class _ScriptFromStart(Strategy):
-    """Base for strategies that play a script fixed by the orientation, the
-    start and f, which stay the same for a whole game; ``build`` returns the
+def _from_script(build) -> Strategy:
+    """The defence that plays the script ``build`` returns, which the
+    orientation, the start and f fix for a whole game: ``build`` returns the
     script, or at least its entry for ``state.time``, or None where the
     script does not apply, and the greedy rule plays instead. The script is
     built again on each call, so no state outlives a call."""
 
-    def build(self, state: FireState) -> Optional[dict[int, list[int]]]:
-        raise NotImplementedError
-
-    def decide(self, state: FireState) -> list[int]:
-        script = self.build(state)
+    @wraps(build)
+    def play(state: FireState) -> list[int]:
+        script = build(state)
         if script is None:
-            return _greedy(state)
+            return greedy_outdeg(state)
         chosen = [
             v for v in script.get(state.time, [])
             if not ((state.burnt | state.protected) >> v) & 1
         ]
         return chosen[: state.f]
 
+    return play
 
-class LayerStrategy(_ScriptFromStart):
+
+@_from_script
+def layer(state):
     """Protect one vertex at distance t from the start at each time t, which
     saves at least ecc(start) vertices overall."""
-
-    def build(self, state):
-        return {state.time: _layer(state.orientation, state.start, state.time)}
+    return {state.time: _layer(state.orientation, state.start, state.time)}
 
 
-class CompleteCyclic(_ScriptFromStart):
+@_from_script
+def complete_cyclic(state):
     """The three-wave blocking schedule for the cyclic tournament on K_n.
 
     With h = (n-1)/2 outgoing arcs per vertex, protect the top f consecutive
@@ -88,173 +82,166 @@ class CompleteCyclic(_ScriptFromStart):
     that close the ring; 1, 1 + (h-f), or n - 3f vertices burn depending on
     how f compares with h/2 and h.
     """
-
-    def build(self, state):
-        o = state.orientation
-        if o.meta.get("scheme") != "complete":
-            return None
-        order = list(_meta_field(o, "order", list))
-        if not (all(type(v) is int for v in order) and sorted(order) == list(range(o.n))):
-            raise GraphError("orientation meta of scheme 'complete' needs each vertex once in 'order'")
-        sink = o.meta.get("sink")
-        if sink is not None and sink not in order:
-            raise GraphError("orientation meta of scheme 'complete' needs a vertex or null as 'sink'")
-        f = state.f
-        start = state.start
-        if sink is not None:
-            if start == sink:
-                return {}
-            ring = [v for v in order if v != sink]
-            if f >= len(order) // 2:
-                # f covers the cyclic outs and the sink: stop at once
-                h = (len(ring) - 1) // 2
-                pos = ring.index(start)
-                first = [ring[(pos + j) % len(ring)] for j in range(1, h + 1)]
-                return {1: sorted(first + [sink])}
-            return self._odd_script(ring, ring.index(start), f)
-        return self._odd_script(order, order.index(start), f)
-
-    @staticmethod
-    def _odd_script(ring: list[int], pos: int, f: int) -> dict[int, list[int]]:
-        n = len(ring)
-        h = (n - 1) // 2
-        rel = lambda lo, hi: [ring[(pos + j) % n] for j in range(lo, hi + 1)]
-        if f >= h:
-            return {1: rel(1, h)}
-        if 2 * f >= h:
-            return {1: rel(h - f + 1, h), 2: rel(h + 1, 2 * h - f)}
-        return {
-            1: rel(h - f + 1, h),
-            2: rel(2 * h - 2 * f + 1, 2 * h - f),
-            3: rel(2 * h - f + 1, 2 * h),
-        }
+    o = state.orientation
+    if o.meta.get("scheme") != "complete":
+        return None
+    order = list(_meta_field(o, "order", list))
+    if not (all(type(v) is int for v in order) and sorted(order) == list(range(o.n))):
+        raise GraphError("orientation meta of scheme 'complete' needs each vertex once in 'order'")
+    sink = o.meta.get("sink")
+    if sink is not None and (type(sink) is not int or sink not in order):
+        raise GraphError("orientation meta of scheme 'complete' needs a vertex or null as 'sink'")
+    f = state.f
+    start = state.start
+    if sink is not None:
+        if start == sink:
+            return {}
+        ring = [v for v in order if v != sink]
+        if f >= len(order) // 2:
+            # f covers the cyclic outs and the sink: stop at once
+            h = (len(ring) - 1) // 2
+            pos = ring.index(start)
+            first = [ring[(pos + j) % len(ring)] for j in range(1, h + 1)]
+            return {1: sorted(first + [sink])}
+        return _odd_script(ring, ring.index(start), f)
+    return _odd_script(order, order.index(start), f)
 
 
-class KTreeAnticipate(_ScriptFromStart):
+def _odd_script(ring: list[int], pos: int, f: int) -> dict[int, list[int]]:
+    """The three waves on the cyclic tournament of the odd ``ring``, for the
+    fire starting at ``ring[pos]``."""
+    n = len(ring)
+    h = (n - 1) // 2
+    rel = lambda lo, hi: [ring[(pos + j) % n] for j in range(lo, hi + 1)]
+    if f >= h:
+        return {1: rel(1, h)}
+    if 2 * f >= h:
+        return {1: rel(h - f + 1, h), 2: rel(h + 1, 2 * h - f)}
+    return {
+        1: rel(h - f + 1, h),
+        2: rel(2 * h - 2 * f + 1, 2 * h - f),
+        3: rel(2 * h - f + 1, 2 * h),
+    }
+
+
+@_from_script
+def ktree_anticipate(state):
     """Protect the burn wave that is ceil(k/f) units away instead of the
     vertices next to the fire; by the time that wave is reached it is fully
     protected and the fire dies against it."""
-
-    def build(self, state):
-        if state.orientation.meta.get("scheme") != "ktree":
-            return None
-        k = _meta_field(state.orientation, "k", int)
-        arrival = -(-k // state.f)  # ceil(k/f)
-        wave = _layer(state.orientation, state.start, arrival)
-        # each time protects at least one vertex of the wave until none is free
-        return {t: wave for t in range(1, len(wave) + 1)}
+    if state.orientation.meta.get("scheme") != "ktree":
+        return None
+    k = _meta_field(state.orientation, "k", int)
+    arrival = -(-k // state.f)  # ceil(k/f)
+    wave = _layer(state.orientation, state.start, arrival)
+    # each time protects at least one vertex of the wave until none is free
+    return {t: wave for t in range(1, len(wave) + 1)}
 
 
-class SubcubicBlock(Strategy):
+def subcubic(state: FireState) -> list[int]:
     """Block the outgoing cycle arc first; the path or bridge arc then leads
     to a vertex of outdegree at most one, which is blocked next."""
-
-    def decide(self, state: FireState) -> list[int]:
-        o = state.orientation
-        if o.meta.get("labels") is None:
-            return _greedy(state)
-        free = state.free()
-        if state.time == 1:
-            labels = _meta_field(o, "labels", list)
-            if len(labels) != len(o.arcs) or not set(map(type, labels)) <= {str}:
-                raise GraphError(
-                    f"orientation meta of scheme {o.meta.get('scheme')!r} needs one string per arc in 'labels'"
-                )
-            outs = o.out_mask[state.start] & free
-            if popcount(outs) <= state.f:
-                return list(bits(outs))
-            cycle_heads = mask_of(
-                h for (t, h), label in zip(o.arcs, labels) if t == state.start and label == "cycle"
+    o = state.orientation
+    if o.meta.get("labels") is None:
+        return greedy_outdeg(state)
+    free = state.free()
+    if state.time == 1:
+        labels = _meta_field(o, "labels", list)
+        if len(labels) != len(o.arcs) or not set(map(type, labels)) <= {str}:
+            raise GraphError(
+                f"orientation meta of scheme {o.meta.get('scheme')!r} needs one string per arc in 'labels'"
             )
-            return list(bits(cycle_heads & free))[: state.f] or list(bits(outs))[: state.f]
-        targets = 0
-        for v in bits(state.last_burned):
-            targets |= o.out_mask[v]
-        return list(bits(targets & free))[: state.f]
+        outs = o.out_mask[state.start] & free
+        if popcount(outs) <= state.f:
+            return list(bits(outs))
+        cycle_heads = mask_of(
+            h for (t, h), label in zip(o.arcs, labels) if t == state.start and label == "cycle"
+        )
+        return list(bits(cycle_heads & free))[: state.f] or list(bits(outs))[: state.f]
+    targets = 0
+    for v in bits(state.last_burned):
+        targets |= o.out_mask[v]
+    return list(bits(targets & free))[: state.f]
 
 
-class BipartiteBlock(Strategy):
+def bipartite(state: FireState) -> list[int]:
     """Protect f out-neighbours of the start; on the one-way orientation the
     remaining out-neighbours are sinks."""
-
-    def decide(self, state: FireState) -> list[int]:
-        if state.time == 1:
-            outs = state.orientation.out_mask[state.start] & state.free()
-            return list(bits(outs))[: state.f]
-        return _greedy(state)
+    if state.time == 1:
+        outs = state.orientation.out_mask[state.start] & state.free()
+        return list(bits(outs))[: state.f]
+    return greedy_outdeg(state)
 
 
-class GridRect(_ScriptFromStart):
+@_from_script
+def grid_rect(state):
     """Steer the fire of a rectangular grid into the first protected vertex:
     block the row arc, then the column arc two ahead, then the row arc of the
     third burning vertex, whose column arc points at the first block."""
+    o = state.orientation
+    if o.meta.get("scheme") != "grid-rect":
+        return None
+    w = _meta_field(o, "w", int)
+    start = state.start
 
-    def build(self, state):
-        meta = state.orientation.meta
-        if meta.get("scheme") != "grid-rect":
-            return None
-        o = state.orientation
-        w = _meta_field(o, "w", int)
-        start = state.start
+    def row_out(v):
+        return next((x for x in bits(o.out_mask[v]) if x // w == v // w), None)
 
-        def row_out(v):
-            return next((x for x in bits(o.out_mask[v]) if x // w == v // w), None)
+    def col_out(v):
+        return next((x for x in bits(o.out_mask[v]) if x % w == v % w), None)
 
-        def col_out(v):
-            return next((x for x in bits(o.out_mask[v]) if x % w == v % w), None)
-
-        h1 = row_out(start)
-        v1 = col_out(start)
-        if h1 is None or v1 is None:
-            return None
-        v2 = col_out(v1)
-        x = row_out(v1)
-        if v2 is None or x is None:
-            return None
-        x2 = row_out(x)
-        if x2 is None:
-            return None
-        return {1: [h1], 2: [v2], 3: [x2]}
+    h1 = row_out(start)
+    v1 = col_out(start)
+    if h1 is None or v1 is None:
+        return None
+    v2 = col_out(v1)
+    x = row_out(v1)
+    if v2 is None or x is None:
+        return None
+    x2 = row_out(x)
+    if x2 is None:
+        return None
+    return {1: [h1], 2: [v2], 3: [x2]}
 
 
-class GridTri(_ScriptFromStart):
+@_from_script
+def grid_tri(state):
     """Triangular grid schedule: block the row arc, then outrun the burning
     pairs in the two sink rows one step ahead of their spread."""
-
-    def build(self, state):
-        meta = state.orientation.meta
-        if meta.get("scheme") != "grid-tri":
-            return None
-        w, h = _meta_field(state.orientation, "w", int), _meta_field(state.orientation, "h", int)
-        start = state.start
-        r, c = divmod(start, w)
-        if r % 2 == 0:
-            # sink row: single out-neighbour along the row
-            return {1: [start + 1]} if c + 1 < w else {}
-        if not (0 < r < h - 1 and c + 3 < w):
-            return None
-        up_right = (r - 1) * w + (c + 2)
-        down_right = (r + 1) * w + (c + 3)
-        return {1: [start + 1], 2: [up_right], 3: [down_right]}
-
-
-def make_strategy(name: str, **params) -> Strategy:
-    """Instantiate a registered strategy by name."""
-    try:
-        factory = STRATEGIES[name]
-    except KeyError:
-        raise GraphError(f"unknown strategy '{name}'") from None
-    return factory(**params)
+    o = state.orientation
+    if o.meta.get("scheme") != "grid-tri":
+        return None
+    w, h = _meta_field(o, "w", int), _meta_field(o, "h", int)
+    start = state.start
+    r, c = divmod(start, w)
+    if r % 2 == 0:
+        # sink row: single out-neighbour along the row
+        return {1: [start + 1]} if c + 1 < w else {}
+    if not (0 < r < h - 1 and c + 3 < w):
+        return None
+    up_right = (r - 1) * w + (c + 2)
+    down_right = (r + 1) * w + (c + 3)
+    return {1: [start + 1], 2: [up_right], 3: [down_right]}
 
 
 STRATEGIES = {
-    "greedy-outdeg": GreedyOutdeg,
-    "layer": LayerStrategy,
-    "complete-cyclic": CompleteCyclic,
-    "ktree-anticipate": KTreeAnticipate,
-    "subcubic": SubcubicBlock,
-    "bipartite": BipartiteBlock,
-    "grid-rect": GridRect,
-    "grid-tri": GridTri,
-    "scripted": ScriptedStrategy,
+    "greedy-outdeg": greedy_outdeg,
+    "layer": layer,
+    "complete-cyclic": complete_cyclic,
+    "ktree-anticipate": ktree_anticipate,
+    "subcubic": subcubic,
+    "bipartite": bipartite,
+    "grid-rect": grid_rect,
+    "grid-tri": grid_tri,
+    "scripted": scripted,
 }
+
+
+def make_strategy(name: str, **params) -> Strategy:
+    """The registered defence of that name; ``scripted`` is built from
+    ``params``."""
+    try:
+        fn = STRATEGIES[name]
+    except KeyError:
+        raise GraphError(f"unknown strategy '{name}'") from None
+    return scripted(**params) if fn is scripted else fn

@@ -39,7 +39,7 @@ from .solve import (
     solve_best_orientation,
     solve_orientation,
 )
-from .strategies import BipartiteBlock, CompleteCyclic, GridRect, GridTri, SubcubicBlock
+from .strategies import bipartite, complete_cyclic, grid_rect, grid_tri, subcubic
 
 
 @dataclass
@@ -155,7 +155,7 @@ def suite_complete_exact(slow: bool = False, seed: int = 0) -> SuiteResult:
     # multi-firefighter complete play: conjectured n - 3f, measured on the
     # cyclic tournament schedule (an upper bound, never asserted exact)
     o = orient_complete(9)
-    measured = max(simulate(o, v, 2, CompleteCyclic()).burned for v in range(9))
+    measured = max(simulate(o, v, 2, complete_cyclic).burned for v in range(9))
     s.observe("K9 with two firefighters", "n - 3f = 3", f"schedule burns {measured}")
     return s.result
 
@@ -174,7 +174,7 @@ def suite_bipartite_exact(slow: bool = False, seed: int = 0) -> SuiteResult:
     # achieves that value as an upper bound (reported, never asserted exact)
     g = gen.complete_bipartite(5, 5)
     o = orient_bipartite(g)
-    measured = max(simulate(o, v, 2, BipartiteBlock()).burned for v in range(g.n))
+    measured = max(simulate(o, v, 2, bipartite).burned for v in range(g.n))
     s.observe("K5,5 with two firefighters", "1 + min{p,q} - f = 4", f"one-way burns {measured}")
     return s.result
 
@@ -266,7 +266,7 @@ def suite_grids(slow: bool = False, seed: int = 0) -> SuiteResult:
     burned = set()
     for r in range(3, h - 3):
         for c in range(3, w - 3):
-            tr = simulate(o, r * w + c, 1, GridRect())
+            tr = simulate(o, r * w + c, 1, grid_rect)
             burned.add(tr.burned)
             if not replay(o, tr).valid:
                 burned.add("invalid-trace")
@@ -276,14 +276,14 @@ def suite_grids(slow: bool = False, seed: int = 0) -> SuiteResult:
     worst = 0
     for r in range(3, h - 3):
         for c in range(3, w - 3):
-            tr = simulate(o, r * w + c, 1, GridTri())
+            tr = simulate(o, r * w + c, 1, grid_tri)
             worst = max(worst, tr.burned)
     s.check("tri 9x9 interior starts", "<= 6", worst, worst <= 6)
 
     o = orient_grid("hex", w, h)
     worst = 0
     for v in range(o.n):
-        tr = simulate(o, v, 1, SubcubicBlock())
+        tr = simulate(o, v, 1, subcubic)
         worst = max(worst, tr.burned)
     s.check("hex 9x9 all starts", "<= 2", worst, worst <= 2)
     return s.result

@@ -51,7 +51,7 @@ from firebreak.solve import (
     solve_best_orientation,
     solve_orientation,
 )
-from firebreak.strategies import GridRect, GridTri, SubcubicBlock
+from firebreak.strategies import grid_rect, grid_tri, subcubic
 from firebreak.verify import run_suite
 
 SLOW = bool(os.environ.get("FIREBREAK_SLOW"))
@@ -260,18 +260,18 @@ def test_criterion_8_grid_strategies():
     w = h = 9
     rect = orient_grid("rect", w, h)
     rect_ok = all(
-        simulate(rect, r * w + c, 1, GridRect()).burned == 3
+        simulate(rect, r * w + c, 1, grid_rect).burned == 3
         for r in range(3, h - 3)
         for c in range(3, w - 3)
     )
     tri = orient_grid("tri", w, h)
     tri_ok = all(
-        simulate(tri, r * w + c, 1, GridTri()).burned <= 6
+        simulate(tri, r * w + c, 1, grid_tri).burned <= 6
         for r in range(3, h - 3)
         for c in range(3, w - 3)
     )
     hexg = orient_grid("hex", w, h)
-    hex_ok = all(simulate(hexg, v, 1, SubcubicBlock()).burned <= 2 for v in range(hexg.n))
+    hex_ok = all(simulate(hexg, v, 1, subcubic).burned <= 2 for v in range(hexg.n))
     elapsed = time.perf_counter() - t0
     announce("8 grid strategies: rect exactly 3, tri at most 6, hex at most 2",
              rect_ok and tri_ok and hex_ok and elapsed <= 30,

@@ -1,23 +1,36 @@
+import functools
 import io
 import json
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
 import firebreak.structure
 from firebreak.cli import main
-from firebreak.families import petersen
-from firebreak.graphs import write_graph
-from firebreak.orient import RECIPES
+from firebreak.families import complete_bipartite, cycle, path_power, petersen
+from firebreak.graphs import write_graph, write_orientation
+from firebreak.orient import (
+    RECIPES,
+    orient_bipartite,
+    orient_complete,
+    orient_grid,
+    orient_half,
+    orient_ktree,
+    orient_subcubic,
+)
 from firebreak.strategies import STRATEGIES
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMAS = ROOT / "src" / "firebreak" / "schemas"
 
 
+@functools.cache
 def load_schema(name):
     from referencing import Registry, Resource
 
@@ -282,6 +295,11 @@ def test_colouring_recipe_on_a_long_path_exits_zero(capsys):
     ("null", "a script maps times to lists of vertices"),
     ('{"1": 5}', "script time '1' must map to a list of vertices"),
     ('{"1": ["a"]}', "script time '1' must map to a list of vertices"),
+    ('{"1": [true, false]}', "script time '1' must map to a list of vertices"),
+    ('{"1": [1.0]}', "script time '1' must map to a list of vertices"),
+    ('{"a": [1]}', "script time 'a' is not an integer"),
+    ('{"1.5": [1]}', "script time '1.5' is not an integer"),
+    ('{"": []}', "script time '' is not an integer"),
 ])
 def test_bad_script_exit_two(tmp_path, capsys, script, message):
     ofile = tmp_path / "k4.o"
@@ -325,6 +343,11 @@ def test_malformed_meta_exit_two(tmp_path, capsys, payload, message):
      "scheme 'complete' needs each vertex once in 'order'"),
     ("complete-cyclic", {"scheme": "complete", "n": 4, "order": [0, 1, 2, 3], "sink": 9},
      "scheme 'complete' needs a vertex or null as 'sink'"),
+    ("complete-cyclic", {"scheme": "complete", "n": 4, "order": [0, 1, 2, 3], "sink": True},
+     "scheme 'complete' needs a vertex or null as 'sink'"),
+    ("grid-rect", {"scheme": "grid-rect", "w": True}, "scheme 'grid-rect' needs a positive integer 'w'"),
+    ("grid-tri", {"scheme": "grid-tri", "w": 2, "h": True}, "scheme 'grid-tri' needs a positive integer 'h'"),
+    ("ktree-anticipate", {"scheme": "ktree", "k": True}, "scheme 'ktree' needs a positive integer 'k'"),
 ])
 def test_strategy_meta_missing_field_exit_two(tmp_path, capsys, strategy, meta, message):
     # the orientation is K_n for the meta's n, K2 without one
@@ -394,3 +417,78 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
             text = capsys.readouterr().out
         if target is not None:
             Path(target).write_text(text)
+
+
+FUZZ_ORIENTATIONS = [
+    write_orientation(o) for o in (
+        orient_complete(5), orient_complete(6), orient_grid("rect", 4, 4), orient_grid("tri", 5, 5),
+        orient_ktree(path_power(7, 2), 2), orient_subcubic(petersen()),
+        orient_bipartite(complete_bipartite(2, 3)), orient_half(cycle(5)),
+    )
+]
+META_KEYS = ["scheme", "n", "order", "sink", "w", "h", "k", "labels"]
+SCHEMES = ["complete", "grid-rect", "grid-tri", "ktree", "subcubic", "bipartite", "half"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3) | st.sampled_from(SCHEMES),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+SCRIPTS = (
+    st.dictionaries(
+        st.integers(-1, 6).map(str) | st.text(max_size=3),
+        st.lists(st.integers(-1, 25), max_size=3) | JSON_VALUES,
+        max_size=4,
+    ).map(json.dumps)
+    | JSON_VALUES.map(json.dumps)
+    | st.text(max_size=6)
+)
+
+
+@st.composite
+def simulate_calls(draw):
+    """An orientation text with its meta mutated, simulate's flags, and a
+    script text or None."""
+    text = draw(st.sampled_from(FUZZ_ORIENTATIONS))
+    first, rest = text.split("\n", 1)
+    meta = json.loads(first.removeprefix("# meta "))
+    meta.update(draw(st.dictionaries(st.sampled_from(META_KEYS), JSON_VALUES, max_size=2)))
+    for key in draw(st.sets(st.sampled_from(META_KEYS), max_size=2)):
+        meta.pop(key, None)
+    n = int(rest.split()[1])
+    # the draws lean to the first entry of each list: the scripted strategy,
+    # f = 1 and start 0
+    strategy = draw(st.sampled_from(["scripted", *sorted(set(STRATEGIES) - {"scripted"})]))
+    flags = [
+        "--strategy", strategy,
+        "--f", str(draw(st.sampled_from([1, 2, 3, 0]))),
+        "--start", str(draw(st.sampled_from([*range(n), -1, n]))),
+    ]
+    # a script goes with the scripted strategy, and now and then with another
+    script = draw(SCRIPTS) if strategy == "scripted" or draw(st.integers(0, 7)) == 7 else None
+    return f"# meta {json.dumps(meta)}\n{rest}", flags, script
+
+
+@given(simulate_calls())
+@settings(max_examples=200, deadline=None)
+def test_simulate_fuzz_ends_cleanly(tmp_path_factory, call):
+    # any orientation meta, strategy, f, start and script: exit 0 with a
+    # valid trace whose replay holds, or exit 2 with one error line
+    text, flags, script = call
+    folder = tmp_path_factory.getbasetemp()
+    (folder / "o.txt").write_text(text)
+    argv = ["simulate", "--in", str(folder / "o.txt"), *flags]
+    if script is not None:
+        (folder / "script.json").write_text(script)
+        argv += ["--script", str(folder / "script.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
+    else:
+        assert err.getvalue() == "", argv
+        trace = json.loads(out.getvalue())
+        load_schema("trace.json")(trace)
+        assert trace["replay_valid"], argv

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,7 +13,7 @@ from firebreak.families import (
     random_tree,
 )
 from firebreak.game import FireTrace, StrategyFault, TraceEvent, replay, simulate
-from firebreak.graphs import Graph, Orientation, radius
+from firebreak.graphs import Graph, GraphError, Orientation, radius
 from firebreak.orient import (
     orient_bipartite,
     orient_complete,
@@ -107,18 +108,25 @@ def test_replay_round_trip_all_registry_strategies():
                 assert replay(o, trace).valid, (name, start)
 
 
-def test_one_instance_plays_every_start_like_fresh_ones():
-    # strategies keep no state between calls, so one instance serves any
-    # number of games: played from every start in turn, it gives the traces
-    # of a fresh instance per start
-    for o in _scheme_orientations() + [orient_complete(9), orient_grid("rect", 9, 9)]:
-        for name in STRATEGIES:
-            shared = _registry_strategy(name)
-            for f in (1, 2):
-                for start in range(o.n):
-                    reused = simulate(o, start, f, shared).to_json_obj()
-                    fresh = simulate(o, start, f, _registry_strategy(name)).to_json_obj()
-                    assert reused == fresh, (o.meta["scheme"], name, f, start)
+# sha256 of the JSON list of every play below, in loop order
+PLAYS_PIN = "5a8acb21ae23b53ffc9e5d76f14729445766bb1c03658221a4da8b69690cde0e"
+
+
+def test_plays_match_pinned_digest():
+    # every registry strategy from every start of the scheme orientations
+    # plus K9 and the 9 x 9 grid, at f = 1..3: a change that alters any one
+    # play moves the digest, and so would state kept from one game to the
+    # next, since each registry function plays every start in turn
+    plays = [
+        simulate(o, start, f, _registry_strategy(name)).to_json_obj()
+        for o in _scheme_orientations() + [orient_complete(9), orient_grid("rect", 9, 9)]
+        for name in STRATEGIES
+        for f in (1, 2, 3)
+        for start in range(o.n)
+    ]
+    assert len(plays) == 4671
+    digest = hashlib.sha256(json.dumps(plays, sort_keys=True).encode()).hexdigest()
+    assert digest == PLAYS_PIN
 
 
 def test_strategies_on_parallel_arcs():
@@ -267,15 +275,16 @@ def test_replay_time_is_first_departure():
     assert result.reason == "burn event departs from the play"
 
 
+def test_make_strategy_returns_the_registry_function():
+    assert all(make_strategy(name) is fn for name, fn in STRATEGIES.items() if name != "scripted")
+    with pytest.raises(GraphError, match="unknown strategy 'nope'"):
+        make_strategy("nope")
+
+
 def test_strategy_fault_on_illegal_protection():
     o = orient_complete(5)
-
-    class Bad:
-        def decide(self, state):
-            return [state.start]
-
     with pytest.raises(StrategyFault):
-        simulate(o, 0, 1, Bad())
+        simulate(o, 0, 1, lambda state: [state.start])
 
 
 def test_trace_json_round_trip():
