@@ -25,7 +25,7 @@ from .graphs import (
     write_orientation,
 )
 from .orient import RECIPES
-from .solve import solve_best_orientation, solve_orientation, solve_undirected
+from .solve import _MAX_EDGES, _MAX_VERTICES, solve_best_orientation, solve_orientation, solve_undirected
 from .strategies import STRATEGIES
 from .verify import SUITES, run_suite
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", metavar="FILE", help="orientation file ('-' for stdin)")
     p.add_argument("--f", type=int, default=1)
     p.add_argument("--start", type=int, default=None)
-    p.add_argument("--max-vertices", type=int, default=24)
+    p.add_argument("--max-vertices", type=int, default=_MAX_VERTICES)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_solve)
 
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--f", type=int, default=1)
     p.add_argument("--budget-ms", type=float, default=None)
-    p.add_argument("--max-edges", type=int, default=21)
+    p.add_argument("--max-edges", type=int, default=_MAX_EDGES)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_solve_best)
 

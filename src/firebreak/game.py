@@ -11,6 +11,7 @@ as soon as a spread step adds nothing.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -91,16 +92,22 @@ Strategy = Callable[[FireState], list[int]]
 def scripted(script: dict[int, list[int]]) -> Strategy:
     """The defence that plays explicit per-time protect sets. Times may be
     ints or the decimal strings JSON gives as keys; vertices must be ints,
-    not bools."""
+    not bools. A key too long for int() (Python caps the digits it
+    converts) is not an integer either, and messages shorten long keys."""
     if not isinstance(script, dict):
         raise GraphError("a script maps times to lists of vertices")
     plan = {}
     for t, vs in script.items():
-        if type(t) is not int and not (isinstance(t, str) and t.removeprefix("-").isdecimal()):
-            raise GraphError(f"script time {t!r} is not an integer")
+        shown = f"{t[:20]}..." if isinstance(t, str) and len(t) > 20 else t
+        time = t if type(t) is int else None
+        if isinstance(t, str) and t.removeprefix("-").isdecimal():
+            with suppress(ValueError):  # more digits than int() converts
+                time = int(t)
+        if time is None:
+            raise GraphError(f"script time {shown!r} is not an integer")
         if not isinstance(vs, list) or not all(type(v) is int for v in vs):
-            raise GraphError(f"script time {t!r} must map to a list of vertices")
-        plan[int(t)] = list(vs)
+            raise GraphError(f"script time {shown!r} must map to a list of vertices")
+        plan[time] = list(vs)
     return lambda state: plan.get(state.time, [])
 
 

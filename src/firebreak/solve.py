@@ -74,8 +74,14 @@ without a second solve.
 On the small graphs that sweeps and the oracle check solve by the thousand,
 the scan's cost is its per-call overhead, so it runs in one flat frame: a
 single pass over the edges sets up the arcs, the check depths and the
-parallel-edge test, a recursion hands the leaf it finds straight back up,
-and the leaf's arcs become the witness orientation as they are.
+parallel-edge test, and a recursion hands the leaf it finds straight back
+up with its edge word, from which orientation_from_bits builds the witness.
+A budget that runs out ends the scan with an exception that carries the
+leaves visited, and orientation 0 stands in for the witness.
+
+Every start of every solve, at a bound check, a leaf, a fixed orientation
+or the stand-in for a spent budget, is solved by _capped_values, and every
+result is built by _game_value.
 """
 
 from __future__ import annotations
@@ -92,6 +98,19 @@ from .graphs import Graph, GraphError, Orientation, bits, orientation_from_bits,
 
 class SolverLimitError(GraphError):
     """Instance exceeds the configured size cap."""
+
+
+# The default size caps: the vertices of a fixed-orientation solve and the
+# edges of a best-orientation scan. The CLI's --max-vertices and --max-edges
+# default to them.
+_MAX_VERTICES = 24
+_MAX_EDGES = 21
+
+
+class _BudgetSpent(Exception):
+    """Raised out of the orientation scan when budget_ms runs out before a
+    pass finds its leaf. Its one argument is the leaves visited over all
+    passes."""
 
 
 @dataclass
@@ -469,7 +488,7 @@ def solve_orientation(
     o: Orientation,
     f: int = 1,
     start: Optional[int] = None,
-    max_vertices: int = 24,
+    max_vertices: int = _MAX_VERTICES,
     want_trace: bool = True,
 ) -> GameValue:
     """Optimal burned count for a fixed orientation: the exact minimum over
@@ -482,9 +501,10 @@ def solve_undirected(
     f: int = 1,
     start: Optional[int] = None,
 ) -> GameValue:
-    """Classic firefighting on an undirected graph of at most 24 vertices:
-    every edge carries both arcs. The number saved is |V| minus the result."""
-    return _solve_fixed(list(g.adj_mask), g.n, f, start, 24, True, "undirected")
+    """Classic firefighting on an undirected graph of at most _MAX_VERTICES
+    vertices: every edge carries both arcs. The number saved is |V| minus the
+    result."""
+    return _solve_fixed(list(g.adj_mask), g.n, f, start, _MAX_VERTICES, True, "undirected")
 
 
 def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameValue:
@@ -494,19 +514,12 @@ def _solve_fixed(out_mask, n, f, start, max_vertices, want_trace, mode) -> GameV
         raise SolverLimitError(f"instance has {n} vertices, cap is {max_vertices}")
     check_game(n, f, start)
     t0 = time.perf_counter()
-    eng = Engine(_out_map(out_mask), n, f)
     starts = [start] if start is not None else range(n)
     try:
-        per_start = {s: eng.start_value(s) for s in starts}
+        _, eng, per_start = _capped_values(_out_map(out_mask), n, f, n, starts)
     except RecursionError:
         raise SolverLimitError(f"the search on {n} vertices ran past Python's recursion limit") from None
-    beta, witness, trace = _optimal_play(eng, per_start, want_trace)
-    return GameValue(
-        beta=beta, f=f, mode=mode, exact=True,
-        witness_start=witness, witness_trace=trace,
-        per_start=per_start, nodes_explored=eng.nodes,
-        wall_ms=(time.perf_counter() - t0) * 1000,
-    )
+    return _game_value(eng, per_start, want_trace, t0, mode, exact=True, nodes=eng.nodes)
 
 
 def _out_map(out_mask: list[int]) -> dict[int, int]:
@@ -514,20 +527,31 @@ def _out_map(out_mask: list[int]) -> dict[int, int]:
     return {1 << v: om for v, om in enumerate(out_mask)}
 
 
-def _optimal_play(eng: Engine, per_start: dict[int, int], want_trace: bool):
-    """The worst of the engine's per-start values (each below its cap), the
-    first start in per_start's order attaining it, and that start's optimal
-    play when want_trace is set."""
+def _game_value(eng: Engine, per_start: dict[int, int], want_trace: bool, t0: float,
+                mode: str, exact: bool, nodes: int, witness: Optional[Orientation] = None) -> GameValue:
+    """The result of a solve begun at time t0: the worst of the engine's
+    per-start values (each below its cap), the first start in per_start's
+    order attaining it, and that start's optimal play when want_trace is set."""
     beta = max(per_start.values())
-    witness = next(s for s, v in per_start.items() if v == beta)
-    trace = eng.extract_trace(witness) if want_trace else None
-    return beta, witness, trace
+    start = next(s for s, v in per_start.items() if v == beta)
+    return GameValue(
+        beta=beta, f=eng.f, mode=mode, exact=exact,
+        witness_start=start, witness_trace=eng.extract_trace(start) if want_trace else None,
+        witness_orientation=witness, per_start=per_start,
+        nodes_explored=nodes, wall_ms=(time.perf_counter() - t0) * 1000,
+    )
 
 
 def _capped_values(out, n, f, cap, starts) -> tuple[Optional[int], Engine, dict[int, int]]:
     """Solve the starts in order on one engine capped at cap, until one
     reaches the cap: that start (None when none does), the engine, and the
-    values found. Every value below the cap is exact."""
+    values found. Every value below the cap is exact.
+
+    This is the only loop that solves starts. The scan's bound checks and
+    leaves cap at target + 1. Fixed solves and the stand-in for a spent
+    budget cap at n, which solves every start: on two or more vertices the
+    first protection saves a vertex, or the fire has nowhere to go, so no
+    value reaches n."""
     eng = Engine(out, n, f, cap=cap)
     values = {}
     for s in starts:
@@ -658,7 +682,7 @@ def solve_best_orientation(
     g: Graph,
     f: int = 1,
     budget_ms: Optional[float] = None,
-    max_edges: int = 21,
+    max_edges: int = _MAX_EDGES,
     want_trace: bool = True,
 ) -> GameValue:
     """Exact minimum of the fixed-orientation value over all 2^m orientations,
@@ -677,48 +701,43 @@ def solve_best_orientation(
     if budget_ms is not None and not budget_ms >= 0:
         raise GraphError(f"budget_ms must be non-negative, got {budget_ms}")
     t0 = time.perf_counter()
+    exact = True
     try:
-        arcs, eng, values, leaves = _scan_orientations(g, f, density_floor(g, f), budget_ms)
-        exact = eng is not None
-        if exact:
-            witness = Orientation._from_valid(g, arcs)
-            # the leaf solved every start below its cap: reorder, do not re-solve
-            per_start = {s: values[s] for s in range(g.n)}
-        else:
-            witness = orientation_from_bits(g, 0)
-            eng = Engine(_out_map(witness.out_mask), g.n, f)
-            leaves += 1
-            per_start = {s: eng.start_value(s) for s in range(g.n)}
+        try:
+            word, eng, values, leaves = _scan_orientations(g, f, density_floor(g, f), budget_ms)
+        except _BudgetSpent as spent:
+            exact, word, leaves = False, 0, spent.args[0] + 1
+        witness = orientation_from_bits(g, word)
+        if not exact:
+            # orientation 0's own solve counts as one more leaf
+            _, eng, values = _capped_values(_out_map(witness.out_mask), g.n, f, g.n, range(g.n))
     except RecursionError:
         raise SolverLimitError(f"the scan over {g.m} edges ran past Python's recursion limit") from None
-    beta, start, trace = _optimal_play(eng, per_start, want_trace)
-    return GameValue(
-        beta=beta, f=f, mode="best", exact=exact,
-        witness_start=start, witness_trace=trace,
-        witness_orientation=witness, per_start=per_start,
-        nodes_explored=leaves, wall_ms=(time.perf_counter() - t0) * 1000,
-    )
+    # the leaf solved every start below its cap: reorder, do not re-solve
+    per_start = {s: values[s] for s in range(g.n)}
+    return _game_value(eng, per_start, want_trace, t0, "best", exact=exact, nodes=leaves, witness=witness)
 
 
 def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
     """Depth-first scan of orientation space in passes with targets floor,
     floor + 1, and so on (see the module docstring).
 
-    Returns (arcs, engine, values, leaves): the witness's arcs, one (tail,
-    head) per edge, its leaf's capped engine and every start's exact value
-    once a pass reaches a leaf of value at most its target, or three Nones
-    when the budget ran out first, and the leaves visited over all passes.
+    Returns (word, engine, values, leaves) once a pass reaches a leaf of
+    value at most its target: the witness's edge word, its leaf's capped
+    engine, every start's exact value and the leaves visited over all
+    passes. When the budget runs out first it raises _BudgetSpent, which
+    carries the leaves visited.
 
     The frame is flat. One pass over the edges, last to first, sets it up:
     each edge's two arcs, the depths just after an edge that is the last of
     one of its ends (the pass meets that end there first, and the count of
     that end's edges met so far is 1), the degrees, and the parallel-edge
     test, which raises GraphError. The recursion rec(i, word,
-    lex, slack) returns the pass's leaf below depth i once it has found it,
-    three Nones once the budget has run out, and None when its subtree holds
-    no leaf within the target, so a found leaf unwinds the recursion at once.
-    The start hint and the leaf count are locals of the scan, kept across
-    passes, and path holds the arcs chosen above the current depth.
+    lex, slack) returns the pass's leaf below depth i, (word, engine,
+    values), once it has found it, and None when its subtree holds no leaf
+    within the target, so a found leaf unwinds the recursion at once, and so
+    does the exception of a spent budget. The start hint and the leaf count
+    are locals of the scan, kept across passes.
 
     The sub-digraph bound is sound at any node: by monotonicity every
     completion of a partial digraph whose value exceeds the target is above
@@ -770,7 +789,7 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
     n, m = g.n, g.m
     edges = g.edges
     # each edge's two arcs as (its bit in the word, tail, tail's bit, head,
-    # head's bit, the edges from this one on at the head, (tail, head))
+    # head's bit, the edges from this one on at the head)
     arcs = [None] * m
     check_at = [False] * (m + 1)
     pairs = 0  # bit lo * n + hi for each edge {lo, hi} met so far
@@ -785,12 +804,10 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
         lo_open = degree[lo] = degree[lo] + 1
         hi_open = degree[hi] = degree[hi] + 1
         lo_bit, hi_bit = 1 << lo, 1 << hi
-        arcs[i] = ((0, lo, lo_bit, hi, hi_bit, hi_open, (lo, hi)),
-                   (1 << i, hi, hi_bit, lo, lo_bit, lo_open, (hi, lo)))
+        arcs[i] = ((0, lo, lo_bit, hi, hi_bit, hi_open), (1 << i, hi, hi_bit, lo, lo_bit, lo_open))
         if lo_open == 1 or hi_open == 1:  # edge i is the last edge of lo or of hi
             check_at[i + 1] = i < m - _MIN_OPEN_EDGES
 
-    path = [None] * m  # the arcs chosen above the current depth
     room = [0] * n  # the out-arcs each vertex can still take in the pass
     out = {1 << v: 0 for v in range(n)}  # the partial orientation, in the engine's form
     doubled = tuple(range(n)) * 2
@@ -801,22 +818,22 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
         nonlocal hint, leaves
         if i == m:
             if deadline is not None and time.perf_counter() > deadline:
-                return None, None, None
+                raise _BudgetSpent(leaves)
             leaves += 1
             blocker, eng, values = _capped_values(out, n, f, cap, doubled[hint:hint + n])
             if blocker is None:
-                return tuple(path), eng, values
+                return word, eng, values
             hint = blocker
             return None
         if check_at[i]:
             if deadline is not None and time.perf_counter() > deadline:
-                return None, None, None
+                raise _BudgetSpent(leaves)
             top = room.index(min(room))
             blocker = _capped_values(out, n, f, cap, (hint,) if top == hint else (hint, top))[0]
             if blocker is not None:
                 hint = blocker
                 return None
-        for bit, tail, tail_bit, head, head_bit, head_open, arc in arcs[i]:
+        for bit, tail, tail_bit, head, head_bit, head_open in arcs[i]:
             if not room[tail]:
                 continue
             child_slack = slack
@@ -831,7 +848,6 @@ def _scan_orientations(g: Graph, f: int, floor: int, budget_ms) -> tuple:
                 continue
             room[tail] -= 1
             out[tail_bit] |= head_bit
-            path[i] = arc
             leaf = rec(i + 1, child, child_lex, child_slack)
             if leaf:
                 return leaf

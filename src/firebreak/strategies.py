@@ -17,16 +17,21 @@ from .game import FireState, Strategy, scripted
 
 def _meta_field(o: Orientation, field: str, kind: type):
     """``o.meta[field]`` as read by the strategy built for the orientation's
-    scheme: a positive int when ``kind`` is int, otherwise a list. Meta read
-    from a file may lack the field or hold another type; that raises
-    GraphError naming the scheme and the field."""
+    scheme: a positive int of at most the vertex count when ``kind`` is
+    int, otherwise a list. Meta read from a file may lack the field or hold
+    another type or a larger int; that raises GraphError naming the scheme
+    and the field. No scheme's int exceeds the vertex count, and a larger
+    one would fail deeper down with a message that names neither."""
     value = o.meta.get(field)
+    above = ""
     if kind is int:
         ok, noun = type(value) is int and value >= 1, "a positive integer"
+        if ok and value > o.n:
+            ok, above = False, f" of at most {o.n}"
     else:
         ok, noun = isinstance(value, (list, tuple)), "a list"
     if not ok:
-        raise GraphError(f"orientation meta of scheme {o.meta.get('scheme')!r} needs {noun} {field!r}")
+        raise GraphError(f"orientation meta of scheme {o.meta.get('scheme')!r} needs {noun} {field!r}{above}")
     return value
 
 

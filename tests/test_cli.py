@@ -13,8 +13,9 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import firebreak.structure
 from firebreak.cli import main
-from firebreak.families import complete_bipartite, cycle, path_power, petersen
-from firebreak.graphs import write_graph, write_orientation
+from firebreak.families import complete, complete_bipartite, cycle, path_power, petersen
+from firebreak.game import FireTrace, replay
+from firebreak.graphs import Graph, Orientation, read_graph, read_orientation, write_graph, write_orientation
 from firebreak.orient import (
     RECIPES,
     orient_bipartite,
@@ -300,6 +301,8 @@ def test_colouring_recipe_on_a_long_path_exits_zero(capsys):
     ('{"a": [1]}', "script time 'a' is not an integer"),
     ('{"1.5": [1]}', "script time '1.5' is not an integer"),
     ('{"": []}', "script time '' is not an integer"),
+    pytest.param('{"%s": [1]}' % ("1" * 5000), "script time '11111111111111111111...' is not an integer",
+                 id="5000-digit-key"),
 ])
 def test_bad_script_exit_two(tmp_path, capsys, script, message):
     ofile = tmp_path / "k4.o"
@@ -348,6 +351,8 @@ def test_malformed_meta_exit_two(tmp_path, capsys, payload, message):
     ("grid-rect", {"scheme": "grid-rect", "w": True}, "scheme 'grid-rect' needs a positive integer 'w'"),
     ("grid-tri", {"scheme": "grid-tri", "w": 2, "h": True}, "scheme 'grid-tri' needs a positive integer 'h'"),
     ("ktree-anticipate", {"scheme": "ktree", "k": True}, "scheme 'ktree' needs a positive integer 'k'"),
+    ("ktree-anticipate", {"scheme": "ktree", "k": 10**20}, "scheme 'ktree' needs a positive integer 'k' of at most 2"),
+    ("grid-rect", {"scheme": "grid-rect", "w": 3}, "scheme 'grid-rect' needs a positive integer 'w' of at most 2"),
 ])
 def test_strategy_meta_missing_field_exit_two(tmp_path, capsys, strategy, meta, message):
     # the orientation is K_n for the meta's n, K2 without one
@@ -492,3 +497,90 @@ def test_simulate_fuzz_ends_cleanly(tmp_path_factory, call):
         trace = json.loads(out.getvalue())
         load_schema("trace.json")(trace)
         assert trace["replay_valid"], argv
+
+
+SOLVE_GRAPHS = [
+    write_graph(g) for g in (
+        cycle(5), complete(4), complete(6), complete_bipartite(2, 3), complete_bipartite(3, 4), path_power(7, 2),
+        petersen(), Graph(1, []), Graph(3, [(0, 1), (0, 1), (1, 2)]),
+    )
+]
+SOLVE_ORIENTATIONS = FUZZ_ORIENTATIONS + [write_orientation(orient_complete(2))]
+TOKENS = ["0", "1", "2", "7", "25", "-1", "1.5", "x", "", "p", "e", "o", "a", "# meta {}"]
+
+
+@st.composite
+def malformed(draw, texts):
+    """One of texts, in about one draw of three with a line dropped,
+    doubled, cut short or given a stray token, or with a stray line added."""
+    lines = draw(st.sampled_from(texts)).splitlines()
+    if draw(st.integers(0, 2)) == 2:
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["token", "drop", "double", "cut", "add"]))
+        if edit == "token":
+            words = lines[i].split()
+            j = draw(st.integers(0, len(words)))
+            lines[i] = " ".join(words[:j] + [draw(st.sampled_from(TOKENS))] + words[j + 1:])
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "double":
+            lines.insert(i, lines[i])
+        elif edit == "cut":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        else:
+            lines.insert(i, draw(st.text(max_size=6)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def solve_calls(draw):
+    """A solver subcommand, its input text and its flags."""
+    command = draw(st.sampled_from(["solve", "solve-best", "solve-undirected"]))
+    text = draw(malformed(SOLVE_ORIENTATIONS if command == "solve" else SOLVE_GRAPHS))
+    flags = ["--f", str(draw(st.sampled_from([1, 2, 3, 1, 2, 0])))]
+    if command != "solve-best" and draw(st.booleans()):
+        flags += ["--start", str(draw(st.sampled_from([0, 1, 4, 9, -1, 24])))]
+    if command == "solve" and draw(st.booleans()):
+        flags += ["--max-vertices", str(draw(st.sampled_from([24, 6, 2, 0])))]
+    if command == "solve-best":
+        if draw(st.booleans()):
+            flags += ["--max-edges", str(draw(st.sampled_from([21, 9, 5, 0])))]
+        if draw(st.booleans()):
+            flags += ["--budget-ms", "0"]
+    return command, text, flags
+
+
+@given(solve_calls())
+@settings(max_examples=200, deadline=None)
+def test_solve_fuzz_ends_cleanly(tmp_path_factory, call):
+    # any input text, f, start, cap and budget: exit 2 with one error line,
+    # or exit 0 with a schema-valid result whose beta is its worst start's
+    # value and whose trace burns beta and replays on the solved digraph
+    command, text, flags = call
+    path = tmp_path_factory.getbasetemp() / "in.txt"
+    path.write_text(text)
+    argv = [command, "--in", str(path), *flags]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
+        return
+    assert err.getvalue() == "", argv
+    result = json.loads(out.getvalue())
+    load_schema("solve.json")(result)
+    assert result["beta"] == max(result["per_start"].values()), argv
+    assert result["exact"] or "--budget-ms" in flags, argv
+    if command == "solve":
+        o = read_orientation(text)
+    elif command == "solve-best":
+        o = Orientation(read_graph(text), [tuple(arc) for arc in result["orientation"]])
+    else:
+        g = read_graph(text)
+        both = list(g.edges) + [(v, u) for u, v in g.edges]
+        o = Orientation(Graph(g.n, both), both)
+    trace = FireTrace.from_json_obj(result["trace"])
+    assert (trace.start, trace.burned) == (result["witness_start"], result["beta"]), argv
+    assert replay(o, trace).valid, argv
