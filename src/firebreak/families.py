@@ -25,6 +25,19 @@ def generate(family: str, **params) -> Graph:
     return builder(**params)
 
 
+GRAPH_SIZE_LIMIT = 1_000_000
+"""Vertices plus edges a family builds at most. A builder checks its size,
+counted from the parameters alone, before it lists a vertex or an edge, so a
+size flag such as ``--n 10**20`` is refused with a GraphError instead of
+filling memory. ``random_regular`` is bounded by ``PAIRING_STUB_LIMIT``."""
+
+
+def _check_size(what: str, n: int, m: int) -> None:
+    """Refuse a graph of n vertices and m edges past GRAPH_SIZE_LIMIT."""
+    if n + m > GRAPH_SIZE_LIMIT:
+        raise GraphError(f"{what} would have more than {GRAPH_SIZE_LIMIT:,} vertices and edges in all")
+
+
 def _tagged(size, edges, family, **tag) -> Graph:
     return Graph(size, edges, meta={"family": family, **tag})
 
@@ -32,12 +45,14 @@ def _tagged(size, edges, family, **tag) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graph needs n >= 1")
+    _check_size("complete graph", n, n * (n - 1) // 2)
     return _tagged(n, list(combinations(range(n), 2)), "complete", n=n)
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
     if p < 1 or q < 1:
         raise GraphError("complete bipartite graph needs p, q >= 1")
+    _check_size("complete bipartite graph", p + q, p * q)
     edges = [(a, p + b) for a in range(p) for b in range(q)]
     return _tagged(p + q, edges, "complete_bipartite", p=p, q=q)
 
@@ -45,12 +60,14 @@ def complete_bipartite(p: int, q: int) -> Graph:
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs n >= 1")
+    _check_size("path", n, n - 1)
     return _tagged(n, [(i, i + 1) for i in range(n - 1)], "path", n=n)
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
+    _check_size("cycle", n, n)
     return _tagged(n, [(i, (i + 1) % n) for i in range(n)], "cycle", n=n)
 
 
@@ -58,6 +75,7 @@ def star(n: int) -> Graph:
     """Star on n vertices: centre 0 joined to n-1 leaves."""
     if n < 1:
         raise GraphError("star needs n >= 1")
+    _check_size("star", n, n - 1)
     return _tagged(n, [(0, i) for i in range(1, n)], "star", n=n)
 
 
@@ -65,6 +83,8 @@ def path_power(n: int, k: int) -> Graph:
     """kth power of the path: ids adjacent when at distance at most k."""
     if n < 1 or k < 1:
         raise GraphError("path power needs n >= 1 and k >= 1")
+    reach = min(k, n - 1)
+    _check_size("path power", n, n * reach - reach * (reach + 1) // 2)
     edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)]
     return _tagged(n, edges, "path_power", n=n, k=k)
 
@@ -86,6 +106,7 @@ def prism(n: int = 3) -> Graph:
     """n-prism: two n-cycles joined by a perfect matching."""
     if n < 3:
         raise GraphError("prism needs n >= 3")
+    _check_size("prism", 2 * n, 3 * n)
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(n + i, n + (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]
@@ -100,6 +121,7 @@ def grid_rect(w: int, h: int) -> Graph:
     """Rectangular grid patch with w columns and h rows; id = r*w + c."""
     if w < 2 or h < 2:
         raise GraphError("rectangular grid needs w, h >= 2")
+    _check_size("rectangular grid", w * h, 2 * w * h - w - h)
     edges = []
     for r in range(h):
         for c in range(w):
@@ -119,6 +141,7 @@ def grid_tri(w: int, h: int) -> Graph:
     """
     if w < 2 or h < 2:
         raise GraphError("triangular grid needs w, h >= 2")
+    _check_size("triangular grid", w * h, 3 * w * h - 2 * w - 2 * h + 1)
     edges = []
     for r in range(h):
         for c in range(w):
@@ -142,6 +165,7 @@ def grid_hex(w: int, h: int) -> Graph:
     vertical edges kept only where row+column is even. Subcubic."""
     if w < 2 or h < 2:
         raise GraphError("hexagonal grid needs w, h >= 2")
+    _check_size("hexagonal grid", w * h, h * (w - 1) + ((h - 1) * w + 1) // 2)
     edges = []
     for r in range(h):
         for c in range(w):
@@ -157,6 +181,7 @@ def random_tree(n: int, seed: int = 0) -> Graph:
     """Uniform labelled tree via a random Pruefer sequence."""
     if n < 1:
         raise GraphError("tree needs n >= 1")
+    _check_size("tree", n, n - 1)
     if n == 1:
         return _tagged(1, [], "random_tree", n=1, seed=seed)
     if n == 2:
@@ -186,6 +211,7 @@ def random_ktree(n: int, k: int, seed: int = 0) -> Graph:
     """k-tree grown by repeatedly attaching a vertex to a random k-clique."""
     if k < 1 or n < k + 1:
         raise GraphError("k-tree needs k >= 1 and n >= k+1")
+    _check_size("k-tree", n, n * k - k * (k + 1) // 2)
     rng = random.Random(seed)
     root = list(range(k + 1))
     edges = list(combinations(root, 2))

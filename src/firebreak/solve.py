@@ -24,9 +24,11 @@ Every child is searched under a limit, the best value its parent has found
 so far, and a search that cannot get below its limit returns the limit and
 stores nothing: the fail-hard bound of alpha-beta search (Knuth and Moore,
 "An analysis of alpha-beta pruning", AI 1975), with one side. A solve's cap
-is the root's limit. Protect sets that meet the threat are tried first.
-Each set that misses it spreads the whole threat, so one bound covers all
-of them, and they are only built when that bound leaves them open.
+is the root's limit. Protect sets come in blocks: a threatened part P and
+f - |P| vertices outside the threat. Every set of a block spreads the same
+vertices, so one bound on the block's children, from their count and the
+least size of their threat, covers the block, and it is skipped, or cut
+short, when that bound reaches the best value found.
 
 Finding the best orientation enumerates edge directions depth-first in edge
 order (bit 0 = lower id to higher id first), in passes with a target t. The
@@ -89,7 +91,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Optional
 
 from .game import FireTrace, TraceEvent, check_game
@@ -159,6 +161,47 @@ def _low_bits(mask: int) -> list[int]:
         out.append(low)
         mask ^= low
     return out
+
+
+def _blocks(threatened: list[int], k: int, part: int = 0):
+    """The blocks of protect sets of a state, in protect-set order, as pairs
+    (P, j): the block is every set made of the threatened vertices P and j
+    live vertices outside the threat. threatened holds the single-bit masks
+    of the threat by ascending id; at the top, part is 0 and k is f.
+
+    A set lists its threatened vertices first, so the sets with the same
+    threatened part P are consecutive in protect-set order, and the blocks
+    that extend P by a later threatened vertex come before P's own block,
+    whose sets go on with vertices outside the threat. k is at least 2: the
+    recursion ends at k = 2, written out, so an f = 2 state makes one
+    generator, not one per threatened vertex: a recursion that ended at
+    k = 1 ran the f = 2 jobs of the fixed-orientation benchmark 6-9% slower
+    in-process (Python 3.11, 2 cores). f = 1 walks its blocks without
+    _blocks."""
+    if k == 2:
+        for i, t in enumerate(threatened):
+            pt = part | t
+            for u in threatened[i + 1:]:
+                yield pt | u, 0
+            yield pt, 1
+        yield part, 2
+        return
+    for i, t in enumerate(threatened):
+        yield from _blocks(threatened[i + 1:], k - 1, part | t)
+    yield part, k
+
+
+def _union(outs: dict[int, int], mask: int) -> int:
+    """out(mask), the OR of the out-masks of mask's vertices, stored in outs
+    under mask."""
+    ou = 0
+    part = mask
+    while part:
+        low = part & -part
+        ou |= outs[low]
+        part ^= low
+    outs[mask] = ou
+    return ou
 
 
 def _two_round_bound(outs: dict[int, int], threat: int, second: int, f: int) -> int:
@@ -242,8 +285,11 @@ class Engine:
     vertices threatened ones first, then the rest, each by ascending id, and
     takes the f-combinations of that list in lexicographic order. A saving
     move is met early, and the stored move, so the witness, is the first
-    optimal set in this order. _value makes the sets in two phases, the sets
-    that meet the threat before the sets that miss it.
+    optimal set in this order. In that order a set is a threatened part P
+    followed by f - |P| vertices outside the threat, and the sets with the
+    same P, P's block, come one after another. _value walks the blocks and
+    bounds each block once, on the count and the least threat its children
+    share, before it tries any of its sets.
     """
 
     def __init__(self, out: dict[int, int], n: int, f: int, cap: Optional[int] = None):
@@ -334,7 +380,7 @@ class Engine:
         cap itself.
 
         The search starts from best = min(count + |live|, limit) and
-        searches each child, in both phases below, under the limit best: the
+        searches each child under the limit best: the
         value the child has to beat to improve best. By induction a child
         returns its value when that lies below best, and at least best
         otherwise, so best stays the least of the limit, count + |live| and
@@ -361,34 +407,43 @@ class Engine:
         limit - f, checked once the region search has found the second layer.
         A child cut there is skipped.
 
-        The protect sets come in two phases. List the L live vertices with
-        the T threatened ones first, as in protect-set order. A set meets the
-        threat iff its first vertex is among the first T, and combinations
-        yields the sets grouped by their first vertex in list order, so the
-        sets that meet the threat are its first C(L, f) - C(L - T, f) (for f
-        = 1, the threat's bits), and those that miss it, the f-subsets of
-        rest = live & ~threat, are all the others. Phase 1 tries the first
-        group, phase 2 the second, so the sets come in protect-set order.
-        A phase-1 set that covers the threat gives best = count, below every
-        phase-2 child, so phase 2 then has nothing to try.
+        The protect sets are bounded a block at a time. With rest = live &
+        ~threat, a set in protect-set order is a threatened part P followed
+        by j = f - |P| vertices R of rest, and the sets with the same P come
+        one after another: P's block (_blocks lists the blocks in order).
+        Every set of the block spreads threat - P, so its child has newcount
+        = count + |threat| - |P|, and its next threat is B_P & ~R, with B_P =
+        out(threat - P) & rest, so it holds at least |B_P| - j vertices. So
+        once tail = max(newcount, newcount + |B_P| - j - f) reaches best,
+        every child left in the block is dropped by the bounds above, by its
+        count or by its threat in _burn: the block is skipped when tail
+        reaches best before it, and stops when an improvement brings best
+        down to tail. A block of one set (j = 0) has tail = newcount, and
+        _burn bounds its threat. No set has newcount below floor = count +
+        |threat| - f, so the walk ends once an improvement brings best down
+        to floor. A set that covers the threat gives best = count, which no
+        child can beat, so the walk ends there too; it is the first set of
+        the block P = threat. None of these cuts drops a child that the
+        bounds above would search, and none calls _value: a child whose next
+        threat is empty has value newcount, so it is cut only when newcount
+        reaches best. So the states searched, the calls to _value, their
+        limits, the values and the moves are those of trying every set in
+        protect-set order, each bounded on its own.
 
-        A set that misses the threat spreads all of it, so every phase-2
-        child has newcount = count + |threat|, burns out(threat), and has as
-        next threat out(threat) & rest less at most the f protected
-        vertices. The larger of its newcount and its newcount plus threat
-        minus f is then at least tail = newcount + max(0, |out(threat) &
-        rest| - 2f), one number for the whole phase. best never rises, so
-        once tail reaches best the bounds above drop every child left: phase
-        2 is skipped when tail reaches best before it, and stops when an
-        improvement brings best down to tail. out(threat) is always in outs:
-        the threat was the first layer of the region search in the _burn
-        that made the state (a child that _burn cuts makes no state).
-        Neither cut drops a child the bounds would search, so the states
-        searched, the values and the moves are those of trying every set in
-        protect-set order. Phase 2's sets, the rest's bits for f = 1 and
-        their combinations for f >= 2, are only built once the tail bound
-        leaves them open, which on 16- to 24-vertex graphs it does at about
-        one state in forty.
+        At f = 1 the blocks are the threatened vertices one at a time, and
+        then the rest as one block with j = 1, whose tail is newcount +
+        max(0, |out(threat) & rest| - 2). They are walked as two loops,
+        because the block walk made the f = 1 jobs of the fixed-orientation
+        benchmark 14-34% slower in-process (Python 3.11, 2 cores): those
+        states try a handful of sets, and the walk's generator and tuples
+        cost more than it saves.
+
+        out(threat) is always in outs: the threat was the first layer of the
+        region search in the _burn that made the state (a child that _burn
+        cuts makes no state). out(threat - P) for a non-empty P is computed
+        on a miss. The rest's bits are only listed once a block with j > 0
+        passes its bound, which at f = 1 it does at about one state in
+        forty on 16- to 24-vertex graphs.
 
         The move is the first protect set, in protect-set order, whose
         child reaches the state's value (live itself when at most f vertices
@@ -422,43 +477,73 @@ class Engine:
             best = limit
         move = 0
         rest = live & ~threat
-        nthreat = threat.bit_count()
-        order = _low_bits(threat)
-        if f > 1:
-            order += _low_bits(rest)
-            nmeets = math.comb(nlive, f) - math.comb(nlive - nthreat, f)
-            meets = map(sum, islice(combinations(order, f), nmeets))
-        else:
-            meets = order
-        for pm in meets:
-            spread = threat & ~pm
-            if not spread:
-                best, move = count, pm
-                break
-            newcount = count + spread.bit_count()
-            if newcount >= best:
-                continue
-            newlive, newthreat = self._burn(live, pm, spread, best - newcount + f)
-            if newthreat and not newlive:
-                continue
-            v = self._value(newlive, newthreat, newcount, best)
-            if v < best:
-                best, move = v, pm
-        newcount = count + nthreat
-        tail = newcount + (self.outs[threat] & rest).bit_count() - 2 * f
-        if tail < newcount:
-            tail = newcount
-        if tail < best:
-            misses = map(sum, combinations(order[nthreat:], f)) if f > 1 else _low_bits(rest)
-            for pm in misses:
-                newlive, newthreat = self._burn(live, pm, threat, best - newcount + f)
+        if f == 1:
+            for pm in _low_bits(threat):
+                spread = threat & ~pm
+                if not spread:
+                    best, move = count, pm
+                    break
+                newcount = count + spread.bit_count()
+                if newcount >= best:
+                    continue
+                newlive, newthreat = self._burn(live, pm, spread, best - newcount + 1)
                 if newthreat and not newlive:
                     continue
                 v = self._value(newlive, newthreat, newcount, best)
                 if v < best:
                     best, move = v, pm
-                    if tail >= best:
-                        break
+            newcount = count + threat.bit_count()
+            tail = newcount + (self.outs[threat] & rest).bit_count() - 2
+            if tail < newcount:
+                tail = newcount
+            if tail < best:
+                for pm in _low_bits(rest):
+                    newlive, newthreat = self._burn(live, pm, threat, best - newcount + 1)
+                    if newthreat and not newlive:
+                        continue
+                    v = self._value(newlive, newthreat, newcount, best)
+                    if v < best:
+                        best, move = v, pm
+                        if tail >= best:
+                            break
+        else:
+            outs = self.outs
+            others = None  # the rest's bits, once a block needs them
+            floor = count + threat.bit_count() - f
+            for part, j in _blocks(_low_bits(threat), f):
+                spread = threat & ~part
+                if not spread:
+                    best, move = count, part | sum(_low_bits(rest)[:j])
+                    break
+                newcount = count + spread.bit_count()
+                tail = newcount
+                if j:
+                    ou = outs.get(spread)
+                    if ou is None:
+                        ou = _union(outs, spread)
+                    bound = newcount + (ou & rest).bit_count() - j - f
+                    if bound > tail:
+                        tail = bound
+                if tail >= best:
+                    continue
+                if not j:
+                    sets = (0,)
+                else:
+                    if others is None:
+                        others = _low_bits(rest)
+                    sets = others if j == 1 else map(sum, combinations(others, j))
+                for r in sets:
+                    pm = part | r
+                    newlive, newthreat = self._burn(live, pm, spread, best - newcount + f)
+                    if newthreat and not newlive:
+                        continue
+                    v = self._value(newlive, newthreat, newcount, best)
+                    if v < best:
+                        best, move = v, pm
+                        if tail >= best:
+                            break
+                if floor >= best:
+                    break
         if best < limit:
             self.memo[key] = (best - count, move)
         return best

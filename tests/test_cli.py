@@ -4,6 +4,7 @@ import json
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import firebreak.structure
 from firebreak.cli import main
-from firebreak.families import complete, complete_bipartite, cycle, path_power, petersen
+from firebreak.families import FAMILIES, complete, complete_bipartite, cycle, path_power, petersen
 from firebreak.game import FireTrace, replay
 from firebreak.graphs import Graph, Orientation, read_graph, read_orientation, write_graph, write_orientation
 from firebreak.orient import (
@@ -584,3 +585,56 @@ def test_solve_fuzz_ends_cleanly(tmp_path_factory, call):
     trace = FireTrace.from_json_obj(result["trace"])
     assert (trace.start, trace.burned) == (result["witness_start"], result["beta"]), argv
     assert replay(o, trace).valid, argv
+
+
+SIZES = ["-5", "-1", "0", "1", "2", "3", "7", "40", str(10 ** 20)]
+SIZE_FLAGS = ["--n", "--p", "--q", "--k", "--w", "--h", "--d"]
+
+
+@st.composite
+def build_calls(draw):
+    """The argv of generate, orient or bounds: a random family (without one,
+    orient reads Petersen from stdin), recipe, size flags and seed, and f
+    for bounds. The fvs recipe searches vertex sets exhaustively, up to
+    structure.FVS_SUBSET_LIMIT of them, which takes 2-4 s on a 7 x 7 grid and
+    longer on 40 vertices, so it draws no size above 3."""
+    command = draw(st.sampled_from(["generate", "orient", "bounds"]))
+    argv = [command]
+    sizes = SIZES
+    if command == "orient":
+        recipe = draw(st.sampled_from(sorted(RECIPES)))
+        argv += ["--recipe", recipe]
+        if recipe == "fvs":
+            sizes = [s for s in SIZES if s not in ("7", "40")]
+    if command != "orient" or draw(st.booleans()):
+        argv += ["--family", draw(st.sampled_from(sorted(FAMILIES)))]
+    for flag in draw(st.lists(st.sampled_from(SIZE_FLAGS), max_size=4, unique=True)):
+        argv.append(f"{flag}={draw(st.sampled_from(sizes))}")
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(st.sampled_from(SIZES))}")
+    if command == "bounds":
+        argv.append(f"--f={draw(st.sampled_from(['1', '2', '3', '0', '-1']))}")
+    elif draw(st.integers(0, 3)) == 3:
+        argv.append("--dot")
+    return argv
+
+
+@given(build_calls())
+@settings(max_examples=250, deadline=None)
+def test_build_fuzz_ends_cleanly(argv):
+    # any family, recipe and size flags, up to 10**20: exit 2 with one error
+    # line, or exit 0 with a graph or orientation that reads back, or a
+    # bound report valid against its schema
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(write_graph(petersen()))), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
+        return
+    assert err.getvalue() == "" and out.getvalue(), argv
+    if argv[0] == "bounds":
+        load_schema("bounds.json")(json.loads(out.getvalue()))
+    elif "--dot" not in argv:
+        (read_graph if argv[0] == "generate" else read_orientation)(out.getvalue())

@@ -110,6 +110,38 @@ def test_random_regular_stub_limit(monkeypatch):
         random_regular(10**6, 4)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("complete", {"n": 1414}), ("complete_bipartite", {"p": 1000, "q": 999}), ("path", {"n": 500_001}),
+    ("cycle", {"n": 500_001}), ("star", {"n": 500_001}), ("path_power", {"n": 333_335, "k": 2}),
+    ("prism", {"n": 200_001}), ("grid_rect", {"w": 500, "h": 668}), ("grid_tri", {"w": 2, "h": 166_668}),
+    ("grid_hex", {"w": 500, "h": 801}), ("random_tree", {"n": 500_001}), ("random_ktree", {"n": 250_002, "k": 3}),
+])
+def test_family_past_the_size_limit(family, params):
+    # the smallest graph of each row's shape with more than a million vertices
+    # plus edges, refused from the parameters before a vertex or an edge is
+    # listed; the CLI fuzz in test_cli.py takes sizes up to 10**20
+    with pytest.raises(GraphError, match="would have more than 1,000,000 vertices and edges in all$"):
+        generate(family, **params)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("complete", {"n": 6}), ("complete_bipartite", {"p": 3, "q": 4}), ("path", {"n": 5}), ("cycle", {"n": 5}),
+    ("star", {"n": 5}), ("path_power", {"n": 7, "k": 3}), ("path_power", {"n": 4, "k": 9}), ("prism", {"n": 4}),
+    ("grid_rect", {"w": 3, "h": 4}), ("grid_tri", {"w": 4, "h": 5}), ("grid_tri", {"w": 3, "h": 2}),
+    ("grid_hex", {"w": 5, "h": 4}), ("grid_hex", {"w": 4, "h": 5}), ("grid_hex", {"w": 5, "h": 5}),
+    ("random_tree", {"n": 6}), ("random_ktree", {"n": 8, "k": 3}),
+])
+def test_size_limit_counts_vertices_and_edges(monkeypatch, family, params):
+    # each builder counts exactly the vertices and edges it lists: the graph
+    # is built at a limit of its size and refused one below it
+    g = generate(family, **params)
+    monkeypatch.setattr(families, "GRAPH_SIZE_LIMIT", g.n + g.m)
+    assert generate(family, **params) == g
+    monkeypatch.setattr(families, "GRAPH_SIZE_LIMIT", g.n + g.m - 1)
+    with pytest.raises(GraphError, match=f"would have more than {g.n + g.m - 1} vertices and edges in all$"):
+        generate(family, **params)
+
+
 def test_random_regular_below_degree_two():
     assert random_regular(1, 0) == Graph(1, [])
     assert random_regular(2, 1) == Graph(2, [(0, 1)])

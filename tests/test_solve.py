@@ -46,6 +46,7 @@ from firebreak.orient import (
 from firebreak.solve import (
     Engine,
     SolverLimitError,
+    _low_bits,
     _out_map,
     _root_slack,
     _twin_comparisons,
@@ -171,12 +172,18 @@ def test_trace_extraction_adds_no_state():
      [6, 5, 5, 7, 4, 4, 6, 6, 9, 6, 5, 4, 9, 5, 4, 5, 6, 4, 7, 9, 4, 7, 7, 6]),
     (grid_rect(4, 6), 1, 14, 266,
      [4, 6, 6, 4, 8, 10, 10, 8, 11, 14, 14, 11, 11, 14, 14, 11, 8, 10, 10, 8, 4, 6, 6, 4]),
+    (random_regular(24, 5, 0), 2, 16, 879,
+     [15, 14, 16, 15, 15, 14, 15, 15, 15, 15, 16, 15, 14, 15, 14, 14, 15, 14, 14, 15, 14, 16, 14, 15]),
+    (random_regular(24, 5, 0), 3, 9, 381,
+     [7, 5, 9, 8, 6, 7, 6, 4, 6, 5, 7, 6, 6, 7, 4, 5, 4, 4, 7, 9, 7, 8, 6, 7]),
 ], ids=["grid4x5-f1", "grid4x5-f2", "cubic-n18-f1", "cubic-n20-f1", "4reg-n16-f2",
-        "cubic-n24-s0-f1", "cubic-n24-s1-f1", "cubic-n24-s2-f1", "4reg-n24-f2", "grid4x6-f1"])
+        "cubic-n24-s0-f1", "cubic-n24-s1-f1", "cubic-n24-s2-f1", "4reg-n24-f2", "grid4x6-f1",
+        "5reg-n24-f2", "5reg-n24-f3"])
 def test_fixed_benchmark_instances_pinned(g, f, beta, nodes, per_start):
     # the undirected instances of the benchmark's fixed workload, unrelabelled,
-    # then five at the engine's 24-vertex cap: a change to the engine's bounds
-    # or child order moves a count here
+    # then seven at the engine's 24-vertex cap, two of them at f = 2 and 3 on
+    # a 5-regular graph, where a state has many threatened vertices: a change
+    # to the engine's bounds or child order moves a count here
     gv = solve_undirected(g, f)
     assert (gv.beta, gv.nodes_explored, [gv.per_start[s] for s in range(g.n)]) == (beta, nodes, per_start)
 
@@ -337,15 +344,134 @@ def test_engine_matches_reference():
 
 class _CallLog(Engine):
     """An engine that logs every _value call, memo hits included, as (live,
-    threat, count, limit)."""
+    threat, count, limit), and counts its _burn calls."""
 
     def __init__(self, out, n, f, cap=None):
         super().__init__(out, n, f, cap)
         self.calls = []
+        self.burns = 0
+
+    def _burn(self, *args):
+        self.burns += 1
+        return super()._burn(*args)
 
     def _value(self, live, threat, count, limit):
         self.calls.append((live, threat, count, limit))
         return super()._value(live, threat, count, limit)
+
+
+class _TwoPhaseEngine(Engine):
+    """The engine's protect-set loop before protect sets were bounded a block
+    at a time: phase 1 tries every set that meets the threat, each bounded
+    on its own count and, in _burn, its own threat; phase 2 tries the sets
+    that miss it under one bound, tail, as the block of P = {} does now."""
+
+    def _value(self, live, threat, count, limit):
+        if not threat:
+            return count
+        key = (live, threat)
+        entry = self.memo.get(key)
+        if entry is not None:
+            return count + entry[0]
+        self.nodes += 1
+        f = self.f
+        nlive = live.bit_count()
+        if nlive <= f:
+            self.memo[key] = (0, live)
+            return count
+        best = count + nlive
+        if best > limit:
+            best = limit
+        move = 0
+        rest = live & ~threat
+        nthreat = threat.bit_count()
+        order = _low_bits(threat)
+        if f > 1:
+            order += _low_bits(rest)
+            nmeets = math.comb(nlive, f) - math.comb(nlive - nthreat, f)
+            meets = map(sum, itertools.islice(combinations(order, f), nmeets))
+        else:
+            meets = order
+        for pm in meets:
+            spread = threat & ~pm
+            if not spread:
+                best, move = count, pm
+                break
+            newcount = count + spread.bit_count()
+            if newcount >= best:
+                continue
+            newlive, newthreat = self._burn(live, pm, spread, best - newcount + f)
+            if newthreat and not newlive:
+                continue
+            v = self._value(newlive, newthreat, newcount, best)
+            if v < best:
+                best, move = v, pm
+        newcount = count + nthreat
+        tail = newcount + (self.outs[threat] & rest).bit_count() - 2 * f
+        if tail < newcount:
+            tail = newcount
+        if tail < best:
+            misses = map(sum, combinations(order[nthreat:], f)) if f > 1 else _low_bits(rest)
+            for pm in misses:
+                newlive, newthreat = self._burn(live, pm, threat, best - newcount + f)
+                if newthreat and not newlive:
+                    continue
+                v = self._value(newlive, newthreat, newcount, best)
+                if v < best:
+                    best, move = v, pm
+                    if tail >= best:
+                        break
+        if best < limit:
+            self.memo[key] = (best - count, move)
+        return best
+
+
+class _TwoPhaseLog(_CallLog, _TwoPhaseEngine):
+    """The two-phase engine, logging its _value calls like _CallLog."""
+
+
+def _assert_same_calls(out_mask, n, f, cap=None):
+    # every _value call, memo hits and limits included, in the same order:
+    # the block bounds only skip children that the two-phase loop drops
+    # without a call, by their count or by their threat in _burn
+    eng, ref = _CallLog(_out_map(out_mask), n, f, cap), _TwoPhaseLog(_out_map(out_mask), n, f, cap)
+    values = [eng.start_value(s) for s in range(n)]
+    assert values == [ref.start_value(s) for s in range(n)], (out_mask, f, cap)
+    for s in range(n):
+        if values[s] < eng.cap:
+            assert eng.extract_trace(s) == ref.extract_trace(s), (out_mask, f, cap, s)
+    assert eng.calls == ref.calls, (out_mask, f, cap)
+    assert (eng.memo, eng.nodes) == (ref.memo, ref.nodes), (out_mask, f, cap)
+    return len(eng.calls), eng.burns, ref.burns
+
+
+def test_block_bounds_make_the_two_phase_calls():
+    # on a random orientation of every connected graph up to n = 5, on
+    # random digraphs of three densities, uncapped and under a random cap,
+    # and on undirected 16-vertex regular graphs: a block bound one too high
+    # skips a searched child on three of those eight graphs at f = 2, and on
+    # none of the smaller digraphs. At f >= 2 the blocks skip about a third
+    # of the two-phase loop's _burn calls
+    rng = random.Random(34)
+    totals = [0, 0, 0]  # _value calls; _burn calls at f >= 2 by the block walk and by the two-phase loop
+    cases = [(orientation_from_bits(g, rng.randrange(1 << g.m)).out_mask, g.n, None)
+             for n in range(1, 6) for g in enumerate_connected(n)]
+    for _ in range(60):
+        n = rng.randrange(6, 15)
+        density = rng.choice((0.2, 0.35, 0.5))
+        out_mask = [sum(1 << v for v in range(n) if v != u and rng.random() < density) for u in range(n)]
+        cases += [(out_mask, n, None), (out_mask, n, rng.randrange(1, n + 1))]
+    cases += [(list(random_regular(16, d, seed).adj_mask), 16, None)
+              for d, seed in ((4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 2), (6, 0), (6, 3))]
+    for out_mask, n, cap in cases:
+        for f in (1, 2, 3):
+            calls, burns, two_phase_burns = _assert_same_calls(out_mask, n, f, cap)
+            totals[0] += calls
+            if f > 1:
+                totals[1] += burns
+                totals[2] += two_phase_burns
+    calls, burns, two_phase_burns = totals
+    assert calls > 20000 and burns < 0.75 * two_phase_burns, totals
 
 
 def test_value_under_a_limit():
