@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator
 
 from .graphs import Graph, GraphError, bits, components
@@ -337,6 +337,30 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     for tail, heads in _join_table(n):
         for head in heads:
             yield make(n, head + tail)
+
+
+def connected_by_class(n: int) -> Iterator[tuple[Graph, int]]:
+    """Yield (graph, class index) for each graph of enumerate_connected(n),
+    in its order; classes are numbered 0, 1, ... by their first member.
+
+    The first graph not yet indexed opens a class, and every relabelling of
+    its edges under the n! vertex permutations is recorded under that index,
+    so each later graph is one lookup on its edges. A class is exactly the
+    relabellings of its first member, so the index is exact by construction.
+    """
+    if not 1 <= n <= 6:
+        raise GraphError("labelled enumeration supports 1 <= n <= 6")
+    moves = [{(u, v): (p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in combinations(range(n), 2)}
+             for p in permutations(range(n))]
+    index: dict[tuple, int] = {}
+    classes = 0
+    for g in enumerate_connected(n):
+        cls = index.get(g.edges)
+        if cls is None:
+            cls, classes = classes, classes + 1
+            for move in moves:
+                index[tuple(sorted(map(move.__getitem__, g.edges)))] = cls
+        yield g, cls
 
 
 @cache

@@ -24,7 +24,7 @@ from .bounds import (
     wave_total,
 )
 from .game import replay, simulate
-from .graphs import Graph, GraphError, Orientation, canonical_form, orientation_from_bits
+from .graphs import Graph, GraphError, Orientation, orientation_from_bits
 from .orient import (
     orient_bipartite,
     orient_bounded_degree,
@@ -291,11 +291,9 @@ def suite_grids(slow: bool = False, seed: int = 0) -> SuiteResult:
 
 def suite_oracle(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("oracle-equivalence", seed)
-    # every connected graph up to n = 5, in enumeration order, with the index
-    # of its isomorphism class
-    classes: dict[Graph, int] = {}
-    indexed = [(g, classes.setdefault(canonical_form(g), len(classes)))
-               for n in range(1, 6) for g in gen.enumerate_connected(n)]
+    # every connected graph up to n = 5, in enumeration order, with its
+    # isomorphism class as (n, class index)
+    indexed = [(g, (n, cls)) for n in range(1, 6) for g, cls in gen.connected_by_class(n)]
     graphs5 = [g for g, _ in indexed if g.n >= 2]
     bad = 0
     for i in range(50):
@@ -309,10 +307,11 @@ def suite_oracle(slow: bool = False, seed: int = 0) -> SuiteResult:
     # The naive oracle runs once per isomorphism class, on the class's first
     # labelled graph. Sound: a relabelling maps the orientations and the
     # defence schedules of one graph one-to-one onto those of the other, so
-    # the naive value is a class invariant, and equal canonical forms prove
-    # the graphs isomorphic. The pruned solver still runs on every graph.
+    # the naive value is a class invariant, and a class holds exactly the
+    # relabellings of its first graph. The pruned solver still runs on every
+    # graph.
     def best_check(f: int, top: int) -> None:
-        naive: dict[int, int] = {}
+        naive: dict[tuple[int, int], int] = {}
         bad = 0
         count = 0
         for g, cls in indexed:

@@ -27,6 +27,7 @@ from firebreak.orient import (
     orient_subcubic,
 )
 from firebreak.strategies import STRATEGIES
+from firebreak.verify import SUITES
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMAS = ROOT / "src" / "firebreak" / "schemas"
@@ -480,14 +481,13 @@ def test_simulate_fuzz_ends_cleanly(tmp_path_factory, call):
     # any orientation meta, strategy, f, start and script: exit 0 with a
     # valid trace whose replay holds, or exit 2 with one error line
     text, flags, script = call
-    folder = tmp_path_factory.getbasetemp()
-    (folder / "o.txt").write_text(text)
-    argv = ["simulate", "--in", str(folder / "o.txt"), *flags]
+    argv = ["simulate", "--in", "-", *flags]
     if script is not None:
-        (folder / "script.json").write_text(script)
-        argv += ["--script", str(folder / "script.json")]
+        path = tmp_path_factory.getbasetemp() / "script.json"
+        path.write_text(script)
+        argv += ["--script", str(path)]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2), argv
     if code == 2:
@@ -553,16 +553,14 @@ def solve_calls(draw):
 
 @given(solve_calls())
 @settings(max_examples=200, deadline=None)
-def test_solve_fuzz_ends_cleanly(tmp_path_factory, call):
+def test_solve_fuzz_ends_cleanly(call):
     # any input text, f, start, cap and budget: exit 2 with one error line,
     # or exit 0 with a schema-valid result whose beta is its worst start's
     # value and whose trace burns beta and replays on the solved digraph
     command, text, flags = call
-    path = tmp_path_factory.getbasetemp() / "in.txt"
-    path.write_text(text)
-    argv = [command, "--in", str(path), *flags]
+    argv = [command, "--in", "-", *flags]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2), argv
     if code == 2:
@@ -638,3 +636,42 @@ def test_build_fuzz_ends_cleanly(argv):
         load_schema("bounds.json")(json.loads(out.getvalue()))
     elif "--dot" not in argv:
         (read_graph if argv[0] == "generate" else read_orientation)(out.getvalue())
+
+
+@st.composite
+def verify_calls(draw):
+    """The argv of verify: a suite name (now and then an invalid one), a
+    seed from -1 to 10**20, and --json and --slow at random, never --slow
+    with b1-characterisation, whose slow check solves all 26,704 connected
+    graphs on 6 vertices."""
+    suite = draw(st.sampled_from([*sorted(SUITES), "nope", "", "ORACLE-EQUIVALENCE"]))
+    argv = ["verify", suite, "--seed", draw(st.sampled_from(["-1", "0", "7", str(10 ** 20)]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if suite != "b1-characterisation" and draw(st.booleans()):
+        argv.append("--slow")
+    return argv
+
+
+@given(verify_calls())
+@settings(max_examples=40, deadline=None)
+def test_verify_fuzz_ends_cleanly(argv):
+    # any suite, seed and flags: argparse's exit 2 for an unknown suite, or
+    # exit 0 on a pass and 1 on a failure, with a summary line or a
+    # schema-valid JSON result
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if argv[1] not in SUITES:
+        assert code == 2 and "invalid choice" in err.getvalue(), argv
+        return
+    assert code in (0, 1) and err.getvalue() == "", argv
+    if "--json" in argv:
+        result = json.loads(out.getvalue())
+        load_schema("suite.json")(result)
+        assert (result["suite"], result["seed"], result["passed"]) == (argv[1], int(argv[3]), code == 0), argv
+    else:
+        assert out.getvalue().splitlines()[-1].startswith(f"suite {argv[1]}: "), argv

@@ -1,10 +1,11 @@
 import hashlib
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from firebreak import families
 from firebreak.families import (
+    connected_by_class,
     enumerate_connected,
     generate,
     grid_hex,
@@ -14,7 +15,7 @@ from firebreak.families import (
     random_regular,
     random_tree,
 )
-from firebreak.graphs import Graph, GraphError
+from firebreak.graphs import Graph, GraphError, canonical_form
 from firebreak.structure import is_forest
 
 
@@ -228,3 +229,40 @@ def test_enumerate_range_check():
         list(enumerate_connected(0))
     with pytest.raises(GraphError):
         list(enumerate_connected(7))
+
+
+def test_connected_by_class_matches_canonical_form():
+    # same graphs in the same order as enumerate_connected, and the same
+    # grouping as canonical_form, on every connected graph with n <= 5
+    for n in range(1, 6):
+        pairs = list(connected_by_class(n))
+        assert [g.edges for g, _ in pairs] == [g.edges for g in enumerate_connected(n)]
+        by_form = {}
+        assert [cls for _, cls in pairs] == [by_form.setdefault(canonical_form(g), len(by_form)) for g, _ in pairs]
+
+
+def test_connected_by_class_counts_and_members():
+    # classes per n (OEIS A001349), class sizes summing to the labelled
+    # counts, and for n <= 5 every member a relabelling of its first graph
+    counts, sizes = [], []
+    for n in range(1, 7):
+        members = {}
+        for g, cls in connected_by_class(n):
+            members.setdefault(cls, []).append(g)
+        assert list(members) == list(range(len(members)))
+        counts.append(len(members))
+        sizes.append(sum(map(len, members.values())))
+        if n > 5:
+            continue
+        for first, *rest in members.values():
+            images = {tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in first.edges))
+                      for p in permutations(range(n))}
+            assert all(g.edges in images for g in rest)
+    assert counts == [1, 1, 2, 6, 21, 112]
+    assert sizes == [1, 1, 4, 38, 728, 26704]
+
+
+def test_connected_by_class_range_check():
+    for n in (0, 7):
+        with pytest.raises(GraphError, match="supports 1 <= n <= 6"):
+            next(connected_by_class(n))

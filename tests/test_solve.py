@@ -14,6 +14,7 @@ import firebreak.solve
 from firebreak.families import (
     complete,
     complete_bipartite,
+    connected_by_class,
     cycle,
     enumerate_connected,
     grid_rect,
@@ -1133,6 +1134,19 @@ def test_oracle_suite_runs_naive_once_per_class(monkeypatch):
     assert sum(f == 1 for f, _ in calls) == 31 and sum(f == 2 for f, _ in calls) == 10
 
 
+def test_oracle_suite_computes_no_canonical_form(monkeypatch):
+    # the suite keys its classes by orbit enumeration, not canonical forms
+    import firebreak.graphs
+    import firebreak.verify as verify
+
+    def refused(g):
+        raise AssertionError("suite_oracle computed a canonical form")
+
+    monkeypatch.setattr(firebreak.graphs, "canonical_form", refused)
+    monkeypatch.setattr(verify, "canonical_form", refused, raising=False)
+    assert verify.suite_oracle().passed
+
+
 def test_naive_oracle_validates_the_game():
     o = orient_complete(4)
     for f in (0, -1):
@@ -1223,12 +1237,12 @@ def test_oracle_best_two_firefighters_up_to_n5():
     # the naive oracle once per isomorphism class, as in suite_oracle
     naive = {}
     count = 0
-    for g in (g for n in range(1, 6) for g in enumerate_connected(n)):
-        count += 1
-        key = canonical_form(g)
-        if key not in naive:
-            naive[key] = naive_best_orientation(g, 2)
-        assert solve_best_orientation(g, 2, want_trace=False).beta == naive[key], g
+    for n in range(1, 6):
+        for g, cls in connected_by_class(n):
+            count += 1
+            if (n, cls) not in naive:
+                naive[n, cls] = naive_best_orientation(g, 2)
+            assert solve_best_orientation(g, 2, want_trace=False).beta == naive[n, cls], g
     assert (count, len(naive)) == (772, 31)
 
 
