@@ -10,10 +10,8 @@ of the closed-form bounds.
 """
 
 from .bounds import (
-    BkReport,
     BoundEntry,
     beta_d_ladder,
-    bk_necessary,
     bound_report,
     check_sandwich,
     classify_b1,

@@ -17,7 +17,7 @@ from itertools import takewhile
 from typing import Optional
 
 from .game import check_game
-from .graphs import Graph, GraphError, Orientation, bits, popcount, radius
+from .graphs import Graph, GraphError, Orientation, popcount, radius
 from .structure import (
     _oneway_side,
     bipartition,
@@ -442,41 +442,6 @@ def classify_b1(g: Graph) -> bool:
     if not g.is_connected():
         raise GraphError("classification needs a connected graph")
     return g.m <= g.n
-
-
-@dataclass
-class BkReport:
-    density_ok: bool
-    degenerate_ok: bool
-    verdict: str  # "possible" or "excluded"
-
-
-def bk_necessary(g: Graph, k: int) -> BkReport:
-    """Necessary conditions for burn class k: every peeled core must keep
-    m' <= k*n', and the graph must be 2k-degenerate. Failing either excludes
-    the graph; passing proves nothing."""
-    if k < 1:
-        raise GraphError("class index must be at least 1")
-    deg = g.degrees()
-    alive = (1 << g.n) - 1
-    edges_left = g.m
-    density_ok = True
-    degeneracy = 0
-    vertices_left = g.n
-    while vertices_left:
-        if edges_left > k * vertices_left:
-            density_ok = False
-        v = min(bits(alive), key=lambda x: (deg[x], x))
-        degeneracy = max(degeneracy, deg[v])
-        alive &= ~(1 << v)
-        vertices_left -= 1
-        for w, _ in g.adj[v]:
-            if (alive >> w) & 1:
-                deg[w] -= 1
-                edges_left -= 1
-    degenerate_ok = degeneracy <= 2 * k
-    verdict = "possible" if (density_ok and degenerate_ok) else "excluded"
-    return BkReport(density_ok=density_ok, degenerate_ok=degenerate_ok, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -343,23 +343,29 @@ def connected_by_class(n: int) -> Iterator[tuple[Graph, int]]:
     """Yield (graph, class index) for each graph of enumerate_connected(n),
     in its order; classes are numbered 0, 1, ... by their first member.
 
-    The first graph not yet indexed opens a class, and every relabelling of
-    its edges under the n! vertex permutations is recorded under that index,
-    so each later graph is one lookup on its edges. A class is exactly the
-    relabellings of its first member, so the index is exact by construction.
+    The first graph not yet indexed opens a class, and the edge word of
+    every relabelling of it under the n! vertex permutations is recorded
+    under that index, so each later graph is one lookup on its edge word
+    (bit i = the ith pair of ``combinations(range(n), 2)``). A class is
+    exactly the relabellings of its first member, and a simple graph is
+    determined by its edge word, so the index is exact by construction.
     """
     if not 1 <= n <= 6:
         raise GraphError("labelled enumeration supports 1 <= n <= 6")
-    moves = [{(u, v): (p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in combinations(range(n), 2)}
+    pairs = list(combinations(range(n), 2))
+    pair_bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    # moves[k][i]: the bit of pair i's image under the kth permutation
+    moves = [[pair_bit[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] for u, v in pairs]
              for p in permutations(range(n))]
-    index: dict[tuple, int] = {}
+    index: dict[int, int] = {}
     classes = 0
     for g in enumerate_connected(n):
-        cls = index.get(g.edges)
+        cls = index.get(sum(map(pair_bit.__getitem__, g.edges)))
         if cls is None:
             cls, classes = classes, classes + 1
+            at = [pairs.index(e) for e in g.edges]
             for move in moves:
-                index[tuple(sorted(map(move.__getitem__, g.edges)))] = cls
+                index[sum(map(move.__getitem__, at))] = cls
         yield g, cls
 
 

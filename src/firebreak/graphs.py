@@ -11,6 +11,7 @@ graphs.
 from __future__ import annotations
 
 from itertools import chain, permutations, product
+from math import factorial, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 INF = float("inf")
@@ -275,6 +276,12 @@ def orientation_from_bits(graph: Graph, word: int, meta: Optional[dict] = None) 
 # canonical form
 
 
+CANONICAL_LABELLING_LIMIT = 1 << 20
+"""Labellings ``canonical_form`` may try. Every graph on at most 9 vertices
+stays within it (9! = 362,880); a regular graph on 10 vertices, whose
+refinement splits nothing, does not (10! = 3,628,800)."""
+
+
 def canonical_form(g: Graph) -> Graph:
     """``g`` relabelled so that isomorphic graphs come out equal.
 
@@ -298,7 +305,9 @@ def canonical_form(g: Graph) -> Graph:
 
     The search tries the product of the cells' factorials, which suits the
     small graphs it is used on (up to about 8 vertices); refinement splits
-    nothing on a regular graph, which then costs n! labellings.
+    nothing on a regular graph, which then costs n! labellings. Raises
+    GraphError, before it tries any, when that product exceeds
+    ``CANONICAL_LABELLING_LIMIT``.
     """
     n = g.n
     nbrs = [list(bits(a)) for a in g.adj_mask]
@@ -312,6 +321,10 @@ def canonical_form(g: Graph) -> Graph:
             break
         count = len(rank)
     cells = [[v for v in range(n) if colour[v] == c] for c in sorted(set(colour))]
+    labellings = prod(factorial(len(cell)) for cell in cells)
+    if labellings > CANONICAL_LABELLING_LIMIT:
+        raise GraphError(f"canonical form needs {labellings} labellings of {n} vertices, "
+                         f"over the limit of {CANONICAL_LABELLING_LIMIT}")
     bit = [[1 << (a * n + b if a < b else b * n + a) for b in range(n)] for a in range(n)]
     best_word = None
     label = [0] * n

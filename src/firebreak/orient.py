@@ -398,7 +398,9 @@ def orient_bounded_degree(g: Graph, d: int) -> Orientation:
     alive = (1 << g.n) - 1
     extraction: list[int] = []
     rank: dict[int, int] = {}
-    for level in range(d, 3, -1):
+    # peeling only lowers degrees, so no level above the maximum degree has a
+    # vertex: start there, not at d, which may be any size
+    for level in range(min(d, g.max_degree()), 3, -1):
         while True:
             v = next((v for v in bits(alive) if deg[v] == level), None)
             if v is None:

@@ -965,8 +965,9 @@ def naive_start_value(out_mask: list[int], n: int, f: int, burnt: int, protected
     Every protect set of size 0..f among the vertices neither burnt nor
     protected is tried at every node, and the game ends only when the fire has
     nothing left to threaten. Only the loop mechanics are tuned: bits are
-    iterated inline, and each node passes the out-neighbourhood of its burnt
-    set down, so a child ORs in the out-masks of its new spread alone."""
+    iterated inline, only the sets of size 2 and more are built by
+    combinations, and each node passes the out-neighbourhood of its burnt set
+    down, so a child ORs in the out-masks of its new spread alone."""
     out = 0
     part = burnt
     while part:
@@ -989,21 +990,25 @@ def _naive_value(out_mask: list[int], f: int, full: int, burnt: int, protected: 
         singles.append(low)
         free ^= low
     best = full.bit_length() + 1
-    for size in range(f + 1):
-        for pm in map(sum, combinations(singles, size)):
-            spread = threat & ~pm
-            if not spread:
-                value = burnt.bit_count()
-            else:
-                grown = out
-                part = spread
-                while part:
-                    low = part & -part
-                    grown |= out_mask[low.bit_length() - 1]
-                    part ^= low
-                value = _naive_value(out_mask, f, full, burnt | spread, protected | pm, grown)
-            if value < best:
-                best = value
+    # every protect set by size, as combinations gives them; the sets of
+    # size 0 and 1 are 0 and singles themselves
+    sets = [0, *singles]
+    for size in range(2, f + 1):
+        sets.extend(map(sum, combinations(singles, size)))
+    for pm in sets:
+        spread = threat & ~pm
+        if not spread:
+            value = burnt.bit_count()
+        else:
+            grown = out
+            part = spread
+            while part:
+                low = part & -part
+                grown |= out_mask[low.bit_length() - 1]
+                part ^= low
+            value = _naive_value(out_mask, f, full, burnt | spread, protected | pm, grown)
+        if value < best:
+            best = value
     return best
 
 

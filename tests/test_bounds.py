@@ -11,7 +11,6 @@ from firebreak import bounds, structure
 from firebreak.bounds import (
     BoundEntry,
     beta_d_ladder,
-    bk_necessary,
     bound_report,
     check_sandwich,
     classify_b1,
@@ -239,27 +238,6 @@ def test_classify_b1_agrees_with_solver_small():
         for g in enumerate_connected(n):
             beta = solve_best_orientation(g, 1, want_trace=False).beta
             assert (beta == 1) == classify_b1(g)
-
-
-def test_bk_necessary_k44():
-    assert bk_necessary(complete_bipartite(4, 4), 1).verdict == "excluded"
-    report = bk_necessary(complete_bipartite(4, 4), 2)
-    assert report.verdict == "possible"  # necessary-only: the true value is 3
-
-
-def test_bk_necessary_tree():
-    assert bk_necessary(random_tree(9, 2), 1).verdict == "possible"
-
-
-def test_bk_density_core_catches_dense_subgraph():
-    # K5 plus a long pendant path: whole-graph density is low, the core is not
-    from firebreak.graphs import Graph
-
-    edges = list(complete(5).edges)
-    edges += [(4 + i, 5 + i) for i in range(18)]
-    g = Graph(23, edges)
-    report = bk_necessary(g, 1)
-    assert not report.density_ok and report.verdict == "excluded"
 
 
 # --- sandwich

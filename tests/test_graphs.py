@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -24,7 +25,7 @@ from firebreak.graphs import (
     write_graph,
     write_orientation,
 )
-from firebreak.families import complete, cycle, enumerate_connected, path, petersen
+from firebreak.families import complete, cycle, enumerate_connected, path, petersen, random_regular
 
 
 def test_bitmask_helpers():
@@ -259,3 +260,14 @@ def test_canonical_form_class_counts():
     # connected graphs up to isomorphism, n = 1..6 (OEIS A001349)
     counts = [len({canonical_form(g) for g in enumerate_connected(n)}) for n in range(1, 7)]
     assert counts == [1, 1, 2, 6, 21, 112]
+
+
+def test_canonical_form_refuses_oversized_search():
+    # refinement splits nothing on a regular graph: a cubic graph on 12
+    # vertices would take 12! labellings, Petersen 10!; both are refused
+    # before the search starts
+    for g in (random_regular(12, 3, 0), petersen()):
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match="over the limit"):
+            canonical_form(g)
+        assert time.perf_counter() - start < 1

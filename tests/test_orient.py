@@ -500,6 +500,13 @@ def test_bounded_five_regular_layer_sinks():
         assert all(h in rank and rank[h] < rank[x] for h in bits(o.out_mask[x]))
 
 
+def test_bounded_huge_d_matches_max_degree():
+    # d is a bound, not a count of levels: 10**20 peels as the maximum degree does
+    g = random_regular(12, 5, seed=1)
+    huge, exact = orient_bounded_degree(g, 10**20), orient_bounded_degree(g, 5)
+    assert (huge.arcs, huge.meta["sinks"], huge.meta["labels"]) == (exact.arcs, exact.meta["sinks"], exact.meta["labels"])
+
+
 def test_bounded_rejects_excess_degree():
     with pytest.raises(GraphError):
         orient_bounded_degree(random_regular(12, 5, 0), 4)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import time
 from itertools import combinations
@@ -60,6 +61,8 @@ from firebreak.solve import (
     solve_orientation,
     solve_undirected,
 )
+
+slow_only = pytest.mark.skipif(not os.environ.get("FIREBREAK_SLOW"), reason="set FIREBREAK_SLOW=1 to run")
 
 
 def test_fixed_complete_five():
@@ -1132,6 +1135,64 @@ def test_oracle_suite_runs_naive_once_per_class(monkeypatch):
     assert verify.suite_oracle().passed
     assert len(calls) == len(set(calls))
     assert sum(f == 1 for f, _ in calls) == 31 and sum(f == 2 for f, _ in calls) == 10
+
+
+def counted_best_solves(monkeypatch):
+    """Wrap verify's solve_best_orientation; the returned list gets the
+    canonical form of every graph it is called on."""
+    import firebreak.verify as verify
+
+    calls = []
+
+    def counted(g, f=1, **kwargs):
+        calls.append(canonical_form(g))
+        return solve_best_orientation(g, f, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_best_orientation", counted)
+    return calls
+
+
+@pytest.mark.parametrize("slow, classes", [(False, 31), pytest.param(True, 143, marks=slow_only)])
+def test_b1_suite_solves_once_per_class(monkeypatch, slow, classes):
+    # one best-orientation solve per isomorphism class: 1 + 1 + 2 + 6 + 21
+    # classes with n <= 5, and 112 more at n = 6
+    import firebreak.verify as verify
+
+    calls = counted_best_solves(monkeypatch)
+    assert verify.suite_b1(slow=slow).passed
+    assert len(calls) == len(set(calls)) == classes
+
+
+def test_bounds_consistency_sweep_solves_once_per_class(monkeypatch):
+    import firebreak.verify as verify
+
+    calls = counted_best_solves(monkeypatch)
+    assert verify.suite_bounds_consistency().passed
+    # K3..K6, K2,2 and K4,4 first, then one solve per class with n = 2..4
+    sweep = calls[6:]
+    assert len(sweep) == len(set(sweep)) == 9
+    assert set(sweep) == {canonical_form(g) for n in range(2, 5) for g in enumerate_connected(n)}
+
+
+def test_oracle_three_firefighters_up_to_n4():
+    # f = 3 makes the oracle build protect sets of size 3 by combinations,
+    # a size no suite reaches; one graph per class, 10 classes with n <= 4.
+    # The best orientation keeps out-degrees low, so each graph's two
+    # one-way orientations (vertex 0 a source, then a sink) are solved too:
+    # K4's source has 3 out-neighbours, which only a set of size 3 saves
+    firsts = []
+    for n in range(1, 5):
+        seen = set()
+        for g, cls in connected_by_class(n):
+            if cls not in seen:
+                seen.add(cls)
+                firsts.append(g)
+    assert len(firsts) == 10
+    for g in firsts:
+        assert naive_best_orientation(g, 3) == solve_best_orientation(g, 3, want_trace=False).beta, g
+        for word in (0, (1 << g.m) - 1):
+            o = orientation_from_bits(g, word)
+            assert naive_solve_orientation(o, 3) == solve_orientation(o, 3, want_trace=False).beta, (g, word)
 
 
 def test_oracle_suite_computes_no_canonical_form(monkeypatch):
