@@ -22,7 +22,7 @@ from .bounds import (
     wave_total,
 )
 from .game import FireState, FireTrace, ReplayResult, Strategy, StrategyFault, replay, simulate
-from .families import FAMILIES, enumerate_connected, generate
+from .families import FAMILIES, enumerate_connected
 from .graphs import (
     Graph,
     GraphError,
@@ -40,7 +40,6 @@ from .graphs import (
 )
 from .orient import (
     RECIPES,
-    apply_recipe,
     orient_bipartite,
     orient_bounded_degree,
     orient_by_colouring,
@@ -73,7 +72,6 @@ from .structure import (
     ktree_structure,
     min_fvs,
     perfect_matching,
-    regularize,
 )
 from .verify import SUITES, SuiteResult, run_suite
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import takewhile
 from typing import Optional
@@ -43,13 +44,21 @@ class BoundEntry:
         obj = {
             "name": self.name,
             "kind": self.kind,
-            "value": None if self.value is None else str(self.value),
+            "value": None if self.value is None else _exact_str(self.value),
             "applicable": self.applicable,
             "hypothesis": self.hypothesis,
         }
         if self.note:
             obj["note"] = self.note
         return obj
+
+
+def _exact_str(value: int | Fraction) -> str:
+    """``str(value)``, also past Python's limit on the digits an int may turn
+    into (4,300 by default): Decimal formats an int without that limit. The
+    degree ladder passes it from maximum degree 1,561 up."""
+    parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+    return "/".join(format(Decimal(part), "f") for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +111,23 @@ def _wave_value(delta: int, f: int, k: int) -> tuple[int, bool]:
     return sum(waves[:cut]), cut < len(waves)
 
 
-def beta_d_ladder(d: int, seed4: int = 5) -> int:
-    """Worst-case burn bound for maximum degree d with one firefighter:
-    the degree recursion max(d, prev*(d-2) + 2) capped by (d-1)!.
+def beta_d_ladder(d: int) -> int:
+    """Worst-case burn bound for maximum degree d with one firefighter: 2 at
+    d = 3, 5 at d = 4 (the dedicated degree-4 bound), and from there the
+    degree recursion L(d) = L(d-1) (d-2) + 2.
 
-    seed4 = 5 uses the dedicated degree-4 bound; seed4 = 6 reproduces the
-    pure recursion from the subcubic base.
+    The recursion never falls below d or rises above (d-1)!, so neither
+    clamp, max(d, .) or min(., (d-1)!), would change a value: L(4) = 5 <=
+    3!, and if L(d-1) <= (d-2)! then L(d) <= (d-1)! - (d-2)! + 2 <= (d-1)!;
+    and L(d) >= 5 (d-2) + 2 > d for d >= 5.
     """
     if d < 3:
         raise GraphError("ladder starts at degree 3")
-    if seed4 not in (5, 6):
-        raise GraphError("degree-4 seed must be 5 or 6")
     if d == 3:
         return 2
-    value = min(seed4, math.factorial(3))
+    value = 5
     for i in range(5, d + 1):
-        value = min(max(i, value * (i - 2) + 2), math.factorial(i - 1))
+        value = value * (i - 2) + 2
     return value
 
 

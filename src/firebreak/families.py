@@ -16,15 +16,6 @@ from typing import Iterator
 from .graphs import Graph, GraphError, bits, components
 
 
-def generate(family: str, **params) -> Graph:
-    """Build a named graph family instance; see FAMILIES for the registry."""
-    try:
-        builder = FAMILIES[family]
-    except KeyError:
-        raise GraphError(f"unknown family '{family}'") from None
-    return builder(**params)
-
-
 GRAPH_SIZE_LIMIT = 1_000_000
 """Vertices plus edges a family builds at most. A builder checks its size,
 counted from the parameters alone, before it lists a vertex or an edge, so a

@@ -43,13 +43,6 @@ class FireTrace:
     events: list[TraceEvent]
     burned: int
 
-    def burned_vertices(self) -> tuple[int, ...]:
-        out = []
-        for ev in self.events:
-            if ev.kind == "burn":
-                out.extend(ev.vertices)
-        return tuple(out)
-
     def to_json_obj(self) -> dict:
         events = [{"t": ev.t, ev.kind: list(ev.vertices)} for ev in self.events]
         return {"start": self.start, "f": self.f, "events": events, "burned": self.burned}

@@ -532,13 +532,3 @@ RECIPES = {
     "grid-tri": _recipe_grid("tri"),
     "grid-hex": _recipe_grid("hex"),
 }
-
-
-def apply_recipe(name: str, graph: Optional[Graph] = None, **params) -> Orientation:
-    """Run a named orientation recipe; see RECIPES for the registry. A
-    parameter the recipe does not take raises TypeError."""
-    try:
-        recipe = RECIPES[name]
-    except KeyError:
-        raise GraphError(f"unknown recipe '{name}'") from None
-    return recipe(graph, **params)

@@ -299,7 +299,6 @@ class KTreeStructure:
     the graph down to the central clique.
     """
 
-    k: int
     cliques: list[tuple[int, ...]]
     central: tuple[int, ...]
     order: list[tuple[int, tuple[int, ...]]]
@@ -319,7 +318,7 @@ def ktree_structure(g: Graph, k: int) -> Optional[KTreeStructure]:
     order = _construction_order(g, k, central)
     if order is None:
         return None
-    return KTreeStructure(k=k, cliques=cliques, central=central, order=order)
+    return KTreeStructure(cliques=cliques, central=central, order=order)
 
 
 def _ktree_cliques(g: Graph, k: int) -> Optional[list[tuple[int, ...]]]:
@@ -375,20 +374,3 @@ def _construction_order(g: Graph, k: int, central: tuple[int, ...]):
         return None
     removed.reverse()
     return removed
-
-
-def regularize(g: Graph, target: int) -> Graph:
-    """Embed g in a target-regular supergraph by repeatedly taking two copies
-    and joining deficient vertices; g sits on the first n vertex ids."""
-    if target < g.max_degree():
-        raise GraphError("target degree below the maximum degree")
-    cur = g
-    while any(d != target for d in cur.degrees()):
-        n = cur.n
-        edges = list(cur.edges)
-        edges.extend((u + n, v + n) for u, v in cur.edges)
-        for v in range(n):
-            if cur.degree(v) < target:
-                edges.append((v, v + n))
-        cur = Graph(2 * n, edges)
-    return cur

@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from . import families as gen
@@ -191,6 +192,20 @@ def _cubic_instances(seed: int):
         yield f"cubic n={n} seed={seed + i}", gen.random_regular(n, 3, seed + i)
 
 
+def _two_tree_instances(seed: int):
+    """(n, seed, random 2-tree) for the 20 instances of ``two-trees``."""
+    for i in range(20):
+        n = 8 + i % 5
+        yield n, seed + i, gen.random_ktree(n, 2, seed + i)
+
+
+def _degree4_instances(seed: int):
+    """(seed, random 4-regular graph on 12 vertices) for the 10 instances of
+    ``degree4``."""
+    for i in range(10):
+        yield seed + i, gen.random_regular(12, 4, seed + i)
+
+
 def suite_subcubic(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("subcubic", seed)
     for name, g in _cubic_instances(seed):
@@ -200,18 +215,15 @@ def suite_subcubic(slow: bool = False, seed: int = 0) -> SuiteResult:
 
 def suite_two_trees(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("two-trees", seed)
-    for i in range(20):
-        n = 8 + (i % 5)
-        g = gen.random_ktree(n, 2, seed + i)
-        s.construction(f"2-tree n={n} seed={seed + i}", g, orient_ktree(g, 2), 2)
+    for n, graph_seed, g in _two_tree_instances(seed):
+        s.construction(f"2-tree n={n} seed={graph_seed}", g, orient_ktree(g, 2), 2)
     return s.result
 
 
 def suite_degree4(slow: bool = False, seed: int = 0) -> SuiteResult:
     s = _Suite("degree4", seed)
-    for i in range(10):
-        g = gen.random_regular(12, 4, seed + i)
-        s.construction(f"4-regular n=12 seed={seed + i}", g, orient_bounded_degree(g, 4), 5)
+    for graph_seed, g in _degree4_instances(seed):
+        s.construction(f"4-regular n=12 seed={graph_seed}", g, orient_bounded_degree(g, 4), 5)
     return s.result
 
 
@@ -364,20 +376,18 @@ def suite_bounds_consistency(slow: bool = False, seed: int = 0) -> SuiteResult:
         g = gen.complete_bipartite(p, q)
         beta = solve_best_orientation(g, 1, want_trace=False).beta
         screen(f"K{p},{q}", g, 1, beta)
-    for name, g in list(_cubic_instances(seed))[:10]:
+    for name, g in islice(_cubic_instances(seed), 10):
         o = orient_subcubic(g)
         beta = solve_orientation(o, 1, want_trace=False).beta
         screen(f"subcubic {name}", g, 1, beta, orientation=o)
-    for i in range(5):
-        g = gen.random_ktree(8 + i, 2, seed + i)
+    for n, _, g in islice(_two_tree_instances(seed), 5):
         o = orient_ktree(g, 2)
         beta = solve_orientation(o, 1, want_trace=False).beta
-        screen(f"2-tree n={8 + i}", g, 1, beta, orientation=o)
-    for i in range(3):
-        g = gen.random_regular(12, 4, seed + i)
+        screen(f"2-tree n={n}", g, 1, beta, orientation=o)
+    for graph_seed, g in islice(_degree4_instances(seed), 3):
         o = orient_bounded_degree(g, 4)
         beta = solve_orientation(o, 1, want_trace=False).beta
-        screen(f"4-regular seed={seed + i}", g, 1, beta, orientation=o)
+        screen(f"4-regular seed={graph_seed}", g, 1, beta, orientation=o)
     count = 0
     worst = None
     for n in range(2, 5):

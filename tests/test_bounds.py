@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -50,19 +51,24 @@ def test_ladder_values():
     assert [beta_d_ladder(d) for d in (3, 4, 5, 6)] == [2, 5, 17, 70]
 
 
-def test_ladder_pure_recursion_seed():
-    assert beta_d_ladder(4, seed4=6) == 6
-    assert beta_d_ladder(5, seed4=6) == 20
-
-
 def test_ladder_monotone():
     values = [beta_d_ladder(d) for d in range(3, 12)]
     assert values == sorted(values)
 
 
 def test_ladder_factorial_cap():
-    # far out the factorial cap takes over
-    assert beta_d_ladder(30) <= 1 * __import__("math").factorial(29)
+    # the recursion never passes (d-1)!, which is why it needs no cap
+    for d in range(4, 61):
+        assert beta_d_ladder(d) <= math.factorial(d - 1)
+
+
+def test_ladder_matches_clamped_recursion():
+    # the ladder as first stated, with both clamps: max(i, .) and (i-1)!
+    value = 5
+    for d in range(5, 301):
+        value = min(max(d, value * (d - 2) + 2), math.factorial(d - 1))
+        assert beta_d_ladder(d) == value
+    assert beta_d_ladder(3) == 2 and beta_d_ladder(4) == 5
 
 
 def test_ladder_rejects_small_degree():

@@ -3,6 +3,7 @@ import io
 import json
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 jsonschema = pytest.importorskip("jsonschema")
 
 import firebreak.structure
+from firebreak.bounds import beta_d_ladder
 from firebreak.cli import main
 from firebreak.families import FAMILIES, complete, complete_bipartite, cycle, path_power, petersen
 from firebreak.game import FireTrace, replay
@@ -126,6 +128,19 @@ def test_bounds_k_reaches_ktree_rules(capsys):
     ktree = [e for e in json.loads(out) if e["name"].startswith("ktree-")]
     assert len(ktree) == 3
     assert all(not e["applicable"] and e["hypothesis"] == "not a 2-tree" for e in ktree)
+
+
+def test_bounds_writes_values_past_the_int_digit_limit(capsys):
+    # the degree ladder at maximum degree 1,999 has 5,727 digits, past the
+    # 4,300 that str() of an int allows by default (and so does int() of the
+    # string, hence Decimal)
+    code, out = run(capsys, "bounds", "--family", "star", "--n", "2000")
+    assert code == 0
+    entries = json.loads(out)
+    load_schema("bounds.json")(entries)
+    ladder = {e["name"]: e for e in entries}["degree-ladder"]
+    assert len(ladder["value"]) == 5727
+    assert Decimal(ladder["value"]) == beta_d_ladder(1999)
 
 
 def test_solve_undirected(capsys):

@@ -5,9 +5,9 @@ import pytest
 
 from firebreak import families
 from firebreak.families import (
+    FAMILIES,
     connected_by_class,
     enumerate_connected,
-    generate,
     grid_hex,
     grid_rect,
     grid_tri,
@@ -20,11 +20,11 @@ from firebreak.structure import is_forest
 
 
 def test_complete_edge_count():
-    assert generate("complete", n=5).m == 10
+    assert FAMILIES["complete"](n=5).m == 10
 
 
 def test_petersen_shape():
-    g = generate("petersen")
+    g = FAMILIES["petersen"]()
     assert g.n == 10 and g.m == 15
     assert all(d == 3 for d in g.degrees())
 
@@ -37,16 +37,11 @@ def test_random_ktree_edge_count():
         assert g.m == k * 9 - k * (k + 1) // 2
 
 
-def test_unknown_family():
-    with pytest.raises(GraphError):
-        generate("moebius")
-
-
 def test_invalid_params():
     with pytest.raises(GraphError):
-        generate("cycle", n=2)
+        FAMILIES["cycle"](n=2)
     with pytest.raises(GraphError):
-        generate("grid_rect", w=1, h=5)
+        FAMILIES["grid_rect"](w=1, h=5)
     with pytest.raises(GraphError):
         random_regular(5, 3)  # odd n*d
 
@@ -57,8 +52,8 @@ def test_seed_determinism():
         ("random_ktree", dict(n=9, k=2, seed=3)),
         ("random_regular", dict(n=10, d=3, seed=3)),
     ]:
-        a = generate(family, **params)
-        b = generate(family, **params)
+        a = FAMILIES[family](**params)
+        b = FAMILIES[family](**params)
         assert a == b
 
 
@@ -122,7 +117,7 @@ def test_family_past_the_size_limit(family, params):
     # plus edges, refused from the parameters before a vertex or an edge is
     # listed; the CLI fuzz in test_cli.py takes sizes up to 10**20
     with pytest.raises(GraphError, match="would have more than 1,000,000 vertices and edges in all$"):
-        generate(family, **params)
+        FAMILIES[family](**params)
 
 
 @pytest.mark.parametrize("family, params", [
@@ -135,12 +130,12 @@ def test_family_past_the_size_limit(family, params):
 def test_size_limit_counts_vertices_and_edges(monkeypatch, family, params):
     # each builder counts exactly the vertices and edges it lists: the graph
     # is built at a limit of its size and refused one below it
-    g = generate(family, **params)
+    g = FAMILIES[family](**params)
     monkeypatch.setattr(families, "GRAPH_SIZE_LIMIT", g.n + g.m)
-    assert generate(family, **params) == g
+    assert FAMILIES[family](**params) == g
     monkeypatch.setattr(families, "GRAPH_SIZE_LIMIT", g.n + g.m - 1)
     with pytest.raises(GraphError, match=f"would have more than {g.n + g.m - 1} vertices and edges in all$"):
-        generate(family, **params)
+        FAMILIES[family](**params)
 
 
 def test_random_regular_below_degree_two():
@@ -165,7 +160,7 @@ def test_grid_shapes():
 
 
 def test_path_power_clique_width():
-    g = generate("path_power", n=8, k=3)
+    g = FAMILIES["path_power"](n=8, k=3)
     assert g.degree(0) == 3
     assert g.degree(4) == 6
 

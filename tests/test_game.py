@@ -200,7 +200,8 @@ def test_scripted_figure_replay():
     o = Orientation(g, arcs)
     trace = simulate(o, 0, 1, make_strategy("scripted", script={1: [1], 2: [6]}))
     assert trace.burned == 3
-    assert trace.burned_vertices() == (0, 5, 7)
+    burns = [(ev.t, ev.vertices) for ev in trace.events if ev.kind == "burn"]
+    assert burns == [(1, (0,)), (2, (5,)), (3, (7,))]
     assert replay(o, trace).valid
 
 

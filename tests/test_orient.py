@@ -24,8 +24,8 @@ from firebreak.families import (
 )
 from firebreak.graphs import Graph, GraphError, bits, bridges, mask_of, write_orientation
 from firebreak.orient import (
+    RECIPES,
     _orient_forest_edges,
-    apply_recipe,
     orient_bipartite,
     orient_bounded_degree,
     orient_by_colouring,
@@ -544,14 +544,9 @@ def test_grid_too_small():
 
 
 def test_recipe_registry_deterministic_files():
-    a = write_orientation(apply_recipe("subcubic", petersen()))
-    b = write_orientation(apply_recipe("subcubic", petersen()))
+    a = write_orientation(RECIPES["subcubic"](petersen()))
+    b = write_orientation(RECIPES["subcubic"](petersen()))
     assert a == b
-
-
-def test_recipe_unknown():
-    with pytest.raises(GraphError):
-        apply_recipe("mystery", petersen())
 
 
 @given(st.integers(0, 2**30))

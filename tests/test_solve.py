@@ -117,6 +117,14 @@ def _hash_result(digest, gv):
     digest.update(json.dumps(obj, sort_keys=True).encode())
 
 
+def _assert_witness_replays(o, gv):
+    """gv's witness trace replays on o and burns beta, the largest per-start
+    value, which its start reaches."""
+    assert replay(o, gv.witness_trace).valid, (o.arcs, gv.mode, gv.f)
+    assert gv.witness_trace.burned == gv.beta
+    assert gv.beta == gv.per_start[gv.witness_start] == max(gv.per_start.values())
+
+
 def test_every_solver_witness_replays_up_to_n5():
     # every connected graph with n <= 5 under each solver: 5,404 solves. The
     # best-mode results, with those of the benchmark's best instances, are
@@ -135,14 +143,31 @@ def test_every_solver_witness_replays_up_to_n5():
             o = orientation_from_bits(g, rng.getrandbits(g.m))
             cases += [(o, solve_orientation(o, f)) for f in (1, 2, 3)]
             for o, gv in cases:
-                assert replay(o, gv.witness_trace).valid, (g.edges, gv.mode, gv.f)
-                assert gv.witness_trace.burned == gv.beta
-                assert gv.beta == gv.per_start[gv.witness_start] == max(gv.per_start.values())
+                _assert_witness_replays(o, gv)
             solves += len(cases)
     assert solves == 5404
     for g, f, max_edges in _BEST_INSTANCES:
         _hash_result(digest, solve_best_orientation(g, f, max_edges=max_edges))
     assert digest.hexdigest() == "5c05f1a0ef93ffc30aa61e2e39034884d7af470fbd3b7e9fb9aa4decc97d8caf"
+
+
+def test_witness_replays_above_n5():
+    # seeded random orientations of cubic and 4-regular graphs, grids and
+    # 2-trees with 6 to 16 vertices at f = 1..3, and each graph's undirected
+    # game at f = 1, 2
+    rng = random.Random(0)
+    graphs = [random_regular(n, 3, n) for n in range(6, 17, 2)]
+    graphs += [random_regular(n, 4, n) for n in range(6, 17)]
+    graphs += [grid_rect(w, h) for w in (2, 3, 4) for h in range(w, 9) if 6 <= w * h <= 16]
+    graphs += [random_ktree(n, 2, n) for n in range(6, 17)]
+    assert len(graphs) == 38
+    for g in graphs:
+        cases = [(_both_ways(g), solve_undirected(g, f)) for f in (1, 2)]
+        for _ in range(3):
+            o = orientation_from_bits(g, rng.getrandbits(g.m))
+            cases += [(o, solve_orientation(o, f)) for f in (1, 2, 3)]
+        for o, gv in cases:
+            _assert_witness_replays(o, gv)
 
 
 def test_trace_extraction_adds_no_state():

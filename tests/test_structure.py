@@ -32,7 +32,6 @@ from firebreak.structure import (
     ktree_structure,
     min_fvs,
     perfect_matching,
-    regularize,
 )
 
 
@@ -494,29 +493,3 @@ def test_ktree_cliques_count():
         info = ktree_structure(g, 3)
         assert info is not None
         assert len(info.cliques) == 10 - 3
-
-
-# --- regular supergraphs
-
-
-def test_regularize_edge_to_c4():
-    g = regularize(Graph(2, [(0, 1)]), 2)
-    assert g.n == 4 and all(d == 2 for d in g.degrees())
-
-
-def test_regularize_p3_to_c6():
-    g = regularize(path(3), 2)
-    assert g.n == 6 and all(d == 2 for d in g.degrees())
-    assert g.is_connected()
-
-
-def test_regularize_star_embeds():
-    g = regularize(star(4), 3)
-    assert all(d == 3 for d in g.degrees())
-    original = {tuple(sorted(e)) for e in star(4).edges}
-    assert original <= {tuple(sorted(e)) for e in g.edges}
-
-
-def test_regularize_rejects_low_target():
-    with pytest.raises(GraphError):
-        regularize(star(5), 3)
