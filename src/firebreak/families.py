@@ -1,9 +1,6 @@
 """Graph family generators and small-graph enumeration.
 
-Every generator tags the result with its family name and parameters in
-``Graph.meta``. The tags only describe the instance: the bound report
-recognises structure from the graph itself, and ``verify`` reads ``family``
-only to label a check. Random families are deterministic in the seed.
+Random families are deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -29,15 +26,11 @@ def _check_size(what: str, n: int, m: int) -> None:
         raise GraphError(f"{what} would have more than {GRAPH_SIZE_LIMIT:,} vertices and edges in all")
 
 
-def _tagged(size, edges, family, **tag) -> Graph:
-    return Graph(size, edges, meta={"family": family, **tag})
-
-
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graph needs n >= 1")
     _check_size("complete graph", n, n * (n - 1) // 2)
-    return _tagged(n, list(combinations(range(n), 2)), "complete", n=n)
+    return Graph(n, list(combinations(range(n), 2)))
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
@@ -45,21 +38,21 @@ def complete_bipartite(p: int, q: int) -> Graph:
         raise GraphError("complete bipartite graph needs p, q >= 1")
     _check_size("complete bipartite graph", p + q, p * q)
     edges = [(a, p + b) for a in range(p) for b in range(q)]
-    return _tagged(p + q, edges, "complete_bipartite", p=p, q=q)
+    return Graph(p + q, edges)
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs n >= 1")
     _check_size("path", n, n - 1)
-    return _tagged(n, [(i, i + 1) for i in range(n - 1)], "path", n=n)
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
     _check_size("cycle", n, n)
-    return _tagged(n, [(i, (i + 1) % n) for i in range(n)], "cycle", n=n)
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star(n: int) -> Graph:
@@ -67,7 +60,7 @@ def star(n: int) -> Graph:
     if n < 1:
         raise GraphError("star needs n >= 1")
     _check_size("star", n, n - 1)
-    return _tagged(n, [(0, i) for i in range(1, n)], "star", n=n)
+    return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def path_power(n: int, k: int) -> Graph:
@@ -77,20 +70,20 @@ def path_power(n: int, k: int) -> Graph:
     reach = min(k, n - 1)
     _check_size("path power", n, n * reach - reach * (reach + 1) // 2)
     edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)]
-    return _tagged(n, edges, "path_power", n=n, k=k)
+    return Graph(n, edges)
 
 
 def petersen() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, 5 + i) for i in range(5)]
-    return _tagged(10, edges, "petersen")
+    return Graph(10, edges)
 
 
 def cube() -> Graph:
     """3-dimensional hypercube Q3."""
     edges = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
-    return _tagged(8, edges, "cube")
+    return Graph(8, edges)
 
 
 def prism(n: int = 3) -> Graph:
@@ -101,7 +94,7 @@ def prism(n: int = 3) -> Graph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(n + i, n + (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]
-    return _tagged(2 * n, edges, "prism", n=n)
+    return Graph(2 * n, edges)
 
 
 def k33() -> Graph:
@@ -121,7 +114,7 @@ def grid_rect(w: int, h: int) -> Graph:
                 edges.append((v, v + 1))
             if r + 1 < h:
                 edges.append((v, v + w))
-    return _tagged(w * h, edges, "grid_rect", w=w, h=h)
+    return Graph(w * h, edges)
 
 
 def grid_tri(w: int, h: int) -> Graph:
@@ -148,7 +141,7 @@ def grid_tri(w: int, h: int) -> Graph:
                     edges.append((v, v + w))
                     if c + 1 < w:
                         edges.append((v, v + w + 1))
-    return _tagged(w * h, edges, "grid_tri", w=w, h=h)
+    return Graph(w * h, edges)
 
 
 def grid_hex(w: int, h: int) -> Graph:
@@ -165,7 +158,7 @@ def grid_hex(w: int, h: int) -> Graph:
                 edges.append((v, v + 1))
             if r + 1 < h and (r + c) % 2 == 0:
                 edges.append((v, v + w))
-    return _tagged(w * h, edges, "grid_hex", w=w, h=h)
+    return Graph(w * h, edges)
 
 
 def random_tree(n: int, seed: int = 0) -> Graph:
@@ -174,9 +167,7 @@ def random_tree(n: int, seed: int = 0) -> Graph:
         raise GraphError("tree needs n >= 1")
     _check_size("tree", n, n - 1)
     if n == 1:
-        return _tagged(1, [], "random_tree", n=1, seed=seed)
-    if n == 2:
-        return _tagged(2, [(0, 1)], "random_tree", n=2, seed=seed)
+        return Graph(1, [])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -195,7 +186,7 @@ def random_tree(n: int, seed: int = 0) -> Graph:
             heapq.heappush(leaves, v)
     u = heapq.heappop(leaves)
     edges.append((u, heapq.heappop(leaves)))
-    return _tagged(n, edges, "random_tree", n=n, seed=seed)
+    return Graph(n, edges)
 
 
 def random_ktree(n: int, k: int, seed: int = 0) -> Graph:
@@ -212,7 +203,7 @@ def random_ktree(n: int, k: int, seed: int = 0) -> Graph:
         edges.extend((w, u) for w in host)
         for rest in combinations(host, k - 1):
             cliques.append(tuple(sorted(rest + (u,))))
-    return _tagged(n, edges, "random_ktree", n=n, k=k, seed=seed)
+    return Graph(n, edges)
 
 
 PAIRING_STUB_LIMIT = 2_000_000
@@ -263,8 +254,7 @@ def random_regular(n: int, d: int, seed: int = 0) -> Graph:
                 break
             seen.add(key)
         else:
-            g = Graph(n, zip(stubs[::2], stubs[1::2]),
-                      meta={"family": "random_regular", "n": n, "d": d, "seed": seed})
+            g = Graph(n, zip(stubs[::2], stubs[1::2]))
             if g.is_connected():
                 return g
     raise GraphError(f"pairing model gave up after {tries} tries for a {d}-regular graph "

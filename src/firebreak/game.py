@@ -23,7 +23,6 @@ class StrategyFault(ValueError):
 
     def __init__(self, message: str, vertex: int, time: int):
         super().__init__(f"time {time}: {message} (vertex {vertex})")
-        self.vertex = vertex
         self.time = time
 
 

@@ -59,9 +59,9 @@ def popcount(mask: int) -> int:
 class Graph:
     """Finite undirected graph on vertices 0..n-1, loops forbidden."""
 
-    __slots__ = ("n", "edges", "meta", "_adj", "_adj_mask")
+    __slots__ = ("n", "edges", "_adj", "_adj_mask")
 
-    def __init__(self, n: int, edges: Sequence[tuple[int, int]], meta: Optional[dict] = None):
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         edges = tuple((int(u), int(v)) for u, v in edges)
@@ -72,7 +72,6 @@ class Graph:
                 raise GraphError(f"loop edge ({u},{u}) is forbidden")
         self.n = n
         self.edges = edges
-        self.meta = dict(meta) if meta else {}
         self._adj: Optional[list[list[tuple[int, int]]]] = None
         self._adj_mask: Optional[list[int]] = None
 
@@ -81,13 +80,11 @@ class Graph:
         """A graph equal to ``Graph(n, edges)``, built without its checks.
 
         The caller guarantees that ``edges`` is a tuple of pairs of ints in
-        0..n-1 with no loops; the tuple is kept as given, and ``meta`` is
-        empty.
+        0..n-1 with no loops; the tuple is kept as given.
         """
         g = cls.__new__(cls)
         g.n = n
         g.edges = edges
-        g.meta = {}
         g._adj = None
         g._adj_mask = None
         return g
@@ -258,17 +255,15 @@ class Orientation:
         return f"Orientation(n={self.n}, m={len(self.arcs)})"
 
 
-def orientation_from_bits(graph: Graph, word: int, meta: Optional[dict] = None) -> Orientation:
+def orientation_from_bits(graph: Graph, word: int) -> Orientation:
     """Orientation where bit i = 0 orients edge i from its lower id to its higher id.
 
-    The arcs are the graph's own edges, so without ``meta`` the orientation
-    is built by ``Orientation._from_valid``."""
+    The arcs are the graph's own edges, so it is built by
+    ``Orientation._from_valid``."""
     arcs = []
     for i, (u, v) in enumerate(graph.edges):
         lo, hi = (u, v) if u < v else (v, u)
         arcs.append((hi, lo) if (word >> i) & 1 else (lo, hi))
-    if meta:
-        return Orientation(graph, arcs, meta)
     return Orientation._from_valid(graph, tuple(arcs))
 
 

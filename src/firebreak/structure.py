@@ -307,38 +307,35 @@ class KTreeStructure:
 def ktree_structure(g: Graph, k: int) -> Optional[KTreeStructure]:
     """Recognise a k-tree and derive a construction order from the clique that
     minimises the largest distance to any vertex (ties: lexicographic)."""
-    if k < 1 or g.n < k + 1 or g.m != k * g.n - k * (k + 1) // 2:
+    if k < 1 or g.n < k + 1 or g.m != k * g.n - k * (k + 1) // 2 or g.has_parallel_edges():
         return None
-    if g.has_parallel_edges() or not g.is_connected():
+    peeled = _peel(g.adj_mask, g.n, k, 0)
+    if peeled is None:
         return None
-    cliques = _ktree_cliques(g, k)
-    if cliques is None:
-        return None
+    rest = ((1 << g.n) - 1) ^ mask_of(v for v, _ in peeled)
+    cliques = sorted([tuple(bits(rest)), *(tuple(bits(hood | 1 << v)) for v, hood in peeled)])
     central = _central_clique(g, cliques)
-    order = _construction_order(g, k, central)
+    order = _peel(g.adj_mask, g.n, k, mask_of(central))
     if order is None:
         return None
+    order = [(v, tuple(bits(hood))) for v, hood in reversed(order)]
     return KTreeStructure(cliques=cliques, central=central, order=order)
 
 
-def _ktree_cliques(g: Graph, k: int) -> Optional[list[tuple[int, ...]]]:
-    """All (k+1)-cliques, collected while eliminating simplicial vertices."""
-    am = list(g.adj_mask)
-    alive = (1 << g.n) - 1
-    cliques = set()
-    for _ in range(g.n - k - 1):
-        v = _simplicial_vertex(am, alive, k, forbidden=0)
+def _peel(am: list[int], n: int, k: int, keep: int) -> Optional[list[tuple[int, int]]]:
+    """Remove n - k - 1 simplicial vertices of degree k outside ``keep``,
+    lowest id first: the (vertex, neighbourhood mask) pairs, or None. With
+    k*n - k(k+1)/2 simple edges, the k + 1 vertices left span k(k+1)/2 of
+    them, so they are a clique, and ``keep`` when it has k + 1 vertices."""
+    alive = (1 << n) - 1
+    removed = []
+    for _ in range(n - k - 1):
+        v = _simplicial_vertex(am, alive, k, keep)
         if v is None:
             return None
-        hood = am[v] & alive
-        cliques.add(tuple(sorted(bits(hood | (1 << v)))))
+        removed.append((v, am[v] & alive))
         alive &= ~(1 << v)
-    rest = tuple(sorted(bits(alive)))
-    for u in rest:
-        if (am[u] & alive) != alive & ~(1 << u):
-            return None
-    cliques.add(rest)
-    return sorted(cliques)
+    return removed
 
 
 def _simplicial_vertex(am: list[int], alive: int, k: int, forbidden: int) -> Optional[int]:
@@ -356,21 +353,3 @@ def _central_clique(g: Graph, cliques: list[tuple[int, ...]]) -> tuple[int, ...]
     least such clique on a tie. The k-tree is connected, so the layer count
     is one more than the largest distance from the clique to a vertex."""
     return min(cliques, key=lambda c: (sum(1 for _ in layers(g.adj_mask, mask_of(c))), c))
-
-
-def _construction_order(g: Graph, k: int, central: tuple[int, ...]):
-    am = list(g.adj_mask)
-    alive = (1 << g.n) - 1
-    keep = mask_of(central)
-    removed = []
-    while popcount(alive) > k + 1:
-        v = _simplicial_vertex(am, alive, k, forbidden=keep)
-        if v is None:
-            return None
-        hood = tuple(sorted(bits(am[v] & alive)))
-        removed.append((v, hood))
-        alive &= ~(1 << v)
-    if alive != keep:
-        return None
-    removed.reverse()
-    return removed

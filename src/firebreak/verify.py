@@ -141,8 +141,7 @@ class _Suite:
         problems = check_sandwich(g, 1, beta, o)
         self.check(name, expected, beta, passed)
         if problems:
-            self.check(f"sandwich[{g.meta.get('family', 'graph')} n={g.n}]", "no violations",
-                       "; ".join(problems), False)
+            self.check(f"sandwich[{name}]", "no violations", "; ".join(problems), False)
 
 
 # ---------------------------------------------------------------------------

@@ -385,3 +385,14 @@ def test_verification_suites_all_pass():
     assert not failures, failures
     digest = hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest()
     assert digest == SUITES_PIN
+
+
+def test_bound_screen_failure_is_named_after_the_check(monkeypatch):
+    # a contradiction of the bound formulas fails the suite with a record of
+    # its own, named after the check it screened
+    monkeypatch.setattr("firebreak.verify.check_sandwich", lambda *args: ["forced violation"])
+    result = run_suite("complete-exact")
+    failed = [c for c in result.checks if not c.passed]
+    assert not result.passed
+    assert [c.name for c in failed] == [f"sandwich[K{n}]" for n in range(3, 8)]
+    assert all(c.expected == "no violations" and c.computed == "forced violation" for c in failed)

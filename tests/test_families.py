@@ -61,6 +61,7 @@ def test_random_tree_is_tree():
     for seed in range(5):
         g = random_tree(15, seed)
         assert g.m == 14 and g.is_connected() and is_forest(g, range(g.m))
+        assert random_tree(2, seed).edges == ((0, 1),)
 
 
 def test_random_regular_properties():
@@ -186,7 +187,7 @@ def test_enumerate_connected_graphs_match_constructor():
     for n in range(1, 7):
         for g in enumerate_connected(n):
             h = Graph(g.n, g.edges)
-            assert (g.n, g.edges, g.meta) == (h.n, h.edges, {})
+            assert (g.n, g.edges) == (h.n, h.edges)
             assert g.adj_mask == h.adj_mask and g.adj == h.adj
             assert g == h and hash(g) == hash(h)
 

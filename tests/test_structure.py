@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from firebreak.families import (
     grid_rect,
     grid_tri,
     path,
+    path_power,
     petersen,
     prism,
     random_ktree,
@@ -475,6 +477,23 @@ def test_ktree_fan():
 
 def test_ktree_rejects_c5():
     assert ktree_structure(cycle(5), 2) is None
+    # 6 vertices and 9 edges, as a 2-tree has, but no vertex of degree 2
+    for g in (complete_bipartite(3, 3), prism(3)):
+        assert ktree_structure(g, 2) is None
+    # a tree's edge count, but a triangle and an isolated vertex
+    assert ktree_structure(Graph(4, [(0, 1), (1, 2), (0, 2)]), 1) is None
+
+
+def test_ktree_structure_pinned():
+    # cliques, central clique and construction order, frozen while the
+    # cliques and the order were found by two separate peeling loops
+    h = hashlib.sha256()
+    for k in range(1, 5):
+        for n in range(k + 1, 15):
+            for g in [random_ktree(n, k, s) for s in range(3)] + [path_power(n, k)]:
+                info = ktree_structure(g, k)
+                h.update(repr((info.cliques, info.central, info.order)).encode())
+    assert h.hexdigest() == "c01a8c51ebe2a2e8c7df71eaa3778a29a61f537433dd007e1b02bd2f9c26ed23"
 
 
 def test_ktree_central_clique_minimises_distance():
